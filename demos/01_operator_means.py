@@ -11,16 +11,16 @@ import numpy as np
 
 from ergolab import (
     abel, apply_mean, binomial, cesaro, diag_operator, identity_powers,
-    jordan_block, scheme_row, zweier,
+    jordan_block, zweier,
 )
 
 print("=== rows of the classical schemes ===")
 for scheme in (cesaro(1), cesaro(2), zweier(), binomial()):
-    row = scheme_row(scheme, 4)
+    row = scheme.row(4)
     print(f"{scheme.name:>14}  row 4: ", dict(zip(row.indices.tolist(),
                                                   np.round(row.weights, 4))))
 
-row = scheme_row(abel(), 4)
+row = abel().row(4)
 print(f"{'abel':>14}  row 4 keeps {row.indices.size} terms, "
       f"tail mass below {row.tail_mass_bound:.1e}")
 

@@ -12,14 +12,14 @@ import numpy as np
 
 from ergolab import (
     abel, backit_identity_residual, backward_iterate,
-    backward_row_from_definition, cesaro, random_operator, scheme_row, zweier,
+    backward_row_from_definition, cesaro, random_operator, zweier,
 )
 
 print("=== closed forms vs the defining formula ===")
 for scheme in (cesaro(1), cesaro(2), zweier(), abel()):
     back = backward_iterate(scheme)
     n = max(back.min_n, 5)
-    closed = scheme_row(back, n)
+    closed = back.row(n)
     formula = backward_row_from_definition(scheme, n)
     m = min(closed.weights.size, formula.weights.size)
     gap = np.max(np.abs(closed.weights[:m] - formula.weights[:m]))
@@ -29,9 +29,9 @@ for scheme in (cesaro(1), cesaro(2), zweier(), abel()):
 print()
 print("=== the shift structure of the Cesaro family ===")
 print("  backward of cesaro(1), row 5: ",
-      np.round(scheme_row(backward_iterate(cesaro(1)), 5).weights, 4))
+      np.round(backward_iterate(cesaro(1)).row(5).weights, 4))
 print("  cesaro(2), row 4:            ",
-      np.round(scheme_row(cesaro(2), 4).weights, 4))
+      np.round(cesaro(2).row(4).weights, 4))
 
 print()
 print("=== the intertwining identity on a random contraction ===")

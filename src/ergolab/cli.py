@@ -35,6 +35,7 @@ def list_builtins():
     return [
         "diag:<v1,v2,...>",
         "dirichlet:<alpha>:<N>:<forward|backward>",
+        "identity_minus_volterra:<N>",
         "jordan:<d>:<eig>",
         "random:<dim>:<radius>:<seed>",
         "volterra:<N>",
@@ -100,8 +101,8 @@ def _scenario_identities(cfg):
 
     def mean(p, n):
         if p == 0:
-            return linop.power(a, n)
-        return means.apply_mean(means.cesaro(p), a, n)
+            return linop.power(op, n)
+        return means.apply_mean(means.cesaro(p), op, n)
 
     for p in range(1, pmax + 1):
         for n in range(1, nmax + 1):
@@ -116,7 +117,7 @@ def _scenario_identities(cfg):
             worst["identity3"] = max(worst["identity3"], op.norm(r3))
     back_res = max(means.backit_identity_residual(scheme, op, n)
                    for n in range(max(scheme.min_n, 1) + 1, nmax + 1))
-    block_res = means.block_mean_residual(a, np.ones(op.dim), 1.0, scheme,
+    block_res = means.block_mean_residual(op, np.ones(op.dim), 1.0, scheme,
                                           max(scheme.min_n + 1, 4))
     values = dict(worst, backward_identity=back_res, block_identity=block_res)
     checks = [_check(k, v, tol) for k, v in values.items()]
@@ -403,7 +404,6 @@ def _add_common(sub):
     sub.add_argument("--degree", type=int)
     sub.add_argument("--check", help="h1 sub-check: 3iso|pairing|inequality|meannorm|all")
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--tail-eps", dest="tail_eps", type=float)
     sub.add_argument("--config", help="JSON config file; overrides flags")
     sub.add_argument("--out", help="report path (.json, or .csv for growth)")
 
@@ -445,7 +445,7 @@ def main(argv=None) -> int:
     scenario = args.example_scenario if args.command == "example" else args.command
     config = {"scenario": scenario}
     for key in ("operator", "scheme", "nmax", "r", "p", "kmax", "angles",
-                "norm", "degree", "check", "seed", "tail_eps"):
+                "norm", "degree", "check", "seed"):
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value

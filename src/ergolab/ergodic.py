@@ -16,12 +16,12 @@ checked instead of assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from .linop import OperatorModel, geom, mat, op_norm, power
+from .linop import OperatorModel, as_matrix, as_operator, power
 from .means import MeanScheme, VectorPowerCache, apply_mean, apply_mean_vector
 
 _OVERFLOW_LIMIT = 1e300
@@ -106,31 +106,50 @@ def fitted(report: GrowthReport, window_fraction: float = 0.5) -> GrowthReport:
                    window=(int(report.ns[start]), int(report.ns[-1])))
 
 
+def _power_norms(op: OperatorModel, ns: list, mode: str, label: str) -> GrowthReport:
+    """||T^n|| at the ascending indices ``ns`` (all >= 1) from one walk.
+
+    The walk carries T^n from one index to the next, multiplying by the
+    binary squares T^(2^k) of the gap; the squares are memoized and extended
+    only as far as the largest gap needs.  It stops (and records where) at
+    the first power with a non-finite entry or a norm above 1e300.
+    """
+    squares = [op.matrix]
+    p = None
+    prev = 0
+    vals = []
+    overflow_at = None
+    # overflowing products are expected here and flagged, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in ns:
+            gap, bit = n - prev, 0
+            while gap:
+                if bit == len(squares):
+                    squares.append(squares[-1] @ squares[-1])
+                if gap & 1:
+                    p = squares[bit] if p is None else p @ squares[bit]
+                gap >>= 1
+                bit += 1
+            prev = n
+            v = op.norm(p, mode=mode) if np.all(np.isfinite(p)) else math.inf
+            if not np.isfinite(v) or v > _OVERFLOW_LIMIT:
+                overflow_at = n
+                break
+            vals.append(v)
+    return GrowthReport(label, np.asarray(ns[:len(vals)]), np.asarray(vals),
+                        overflow_at=overflow_at)
+
+
 def power_norm_sequence(t, nmax: int, mode: str = "spectral",
                         window_fraction: float = 0.5) -> GrowthReport:
     """(n, ||T^n||) for n = 1..nmax by incremental multiplication, with the
-    default trailing-half exponent fit.  Stops early (and records where) if
-    a norm exceeds 1e300."""
+    default trailing-half exponent fit.  Stops early (and records where) on
+    overflow: a non-finite entry or a norm above 1e300."""
     if nmax < 2:
         raise ValueError("need nmax >= 2")
-    a = mat(t)
-    g = geom(t)
-    ns, vals = [], []
-    p = a.copy()
-    overflow_at = None
-    for n in range(1, nmax + 1):
-        if n > 1:
-            p = p @ a
-        v = op_norm(p, g, g, mode=mode)
-        if not np.isfinite(v) or v > _OVERFLOW_LIMIT:
-            overflow_at = n
-            break
-        ns.append(n)
-        vals.append(v)
-    label = t.label if isinstance(t, OperatorModel) else "operator"
-    report = GrowthReport(label=f"||{label}^n|| ({mode})",
-                          ns=np.asarray(ns), values=np.asarray(vals),
-                          overflow_at=overflow_at)
+    op = as_operator(t)
+    report = _power_norms(op, list(range(1, nmax + 1)), mode,
+                          f"||{op.label}^n|| ({mode})")
     return fitted(report, window_fraction)
 
 
@@ -138,36 +157,11 @@ def power_norm_samples(t, ns, mode: str = "spectral",
                        window_fraction: float = 0.5) -> GrowthReport:
     """||T^n|| at the given sample indices via memoized binary powering;
     cheap enough for large dimensions where a full sweep is not."""
-    a = mat(t)
-    g = geom(t)
+    op = as_operator(t)
     ns = sorted(int(n) for n in ns)
     if len(ns) < 2 or ns[0] < 1:
         raise ValueError("need at least two sample indices, all >= 1")
-    squares = [a]
-    while 1 << len(squares) <= ns[-1]:
-        squares.append(squares[-1] @ squares[-1])
-    vals = []
-    kept = []
-    overflow_at = None
-    for n in ns:
-        p = None
-        k = n
-        bit = 0
-        while k:
-            if k & 1:
-                p = squares[bit] if p is None else p @ squares[bit]
-            k >>= 1
-            bit += 1
-        v = op_norm(p, g, g, mode=mode)
-        if not np.isfinite(v) or v > _OVERFLOW_LIMIT:
-            overflow_at = n
-            break
-        kept.append(n)
-        vals.append(v)
-    label = t.label if isinstance(t, OperatorModel) else "operator"
-    report = GrowthReport(label=f"||{label}^n|| ({mode}, sampled)",
-                          ns=np.asarray(kept), values=np.asarray(vals),
-                          overflow_at=overflow_at)
+    report = _power_norms(op, ns, mode, f"||{op.label}^n|| ({mode}, sampled)")
     return fitted(report, window_fraction)
 
 
@@ -179,7 +173,7 @@ def ergodic_projection(t, tol: float = 1e-9) -> np.ndarray:
     1e-8 (otherwise 1 is a defective eigenvalue and NonSimplePole is
     raised).  Returns the zero matrix when 1 is not in the spectrum.
     """
-    a = mat(t)
+    a = as_operator(t).matrix
     d = a.shape[0]
     ts, z, sdim = scipy.linalg.schur(a, output="complex",
                                      sort=lambda lam: abs(lam - 1.0) <= tol)
@@ -204,16 +198,14 @@ def ergodic_projection(t, tol: float = 1e-9) -> np.ndarray:
 def mean_convergence_report(s: MeanScheme, t, nmax: int,
                             tail_eps: float = 1e-12) -> GrowthReport:
     """(n, || T_n - P ||) for n up to nmax, P the ergodic projection."""
-    a = mat(t)
-    g = geom(t)
-    proj = ergodic_projection(t)
+    op = as_operator(t)
+    proj = ergodic_projection(op)
     ns, vals = [], []
     for n in range(max(s.min_n, 0), nmax + 1):
-        mean = apply_mean(s, a, n, 1.0, tail_eps)
+        mean = apply_mean(s, op, n, 1.0, tail_eps)
         ns.append(n)
-        vals.append(op_norm(mean - proj, g, g))
-    label = t.label if isinstance(t, OperatorModel) else "operator"
-    return GrowthReport(label=f"||mean_n({label}) - P||",
+        vals.append(op.norm(mean - proj))
+    return GrowthReport(label=f"||mean_n({op.label}) - P||",
                         ns=np.asarray(ns), values=np.asarray(vals))
 
 
@@ -228,18 +220,16 @@ def alternating_sum_residual(s: MeanScheme, t, k: int, m: int, n0: int,
     if k < m:
         raise ValueError("need k >= m")
     q = k - m
-    a = mat(t)
-    cache = VectorPowerCache(a, x)
-    lhs = power(a - np.eye(a.shape[0], dtype=complex), q) @ \
-        apply_mean_vector(s, t, n, x, 1.0, tail_eps, cache)
-    rhs = np.zeros(a.shape[0], dtype=complex)
+    op = as_operator(t)
+    cache = VectorPowerCache(op.matrix, x)
+    lhs = power(op.matrix - np.eye(op.dim, dtype=complex), q) @ \
+        apply_mean_vector(s, op, n, x, 1.0, tail_eps, cache)
+    rhs = np.zeros(op.dim, dtype=complex)
     for ell in range(q + 1):
         coeff = (-1.0) ** ell * math.comb(q, ell)
-        rhs += coeff * apply_mean_vector(s, t, n + (q - ell) * n0, x, 1.0,
+        rhs += coeff * apply_mean_vector(s, op, n + (q - ell) * n0, x, 1.0,
                                          tail_eps, cache)
-    if isinstance(t, OperatorModel):
-        return t.vector_norm(lhs - rhs)
-    return float(np.linalg.norm(lhs - rhs))
+    return op.vector_norm(lhs - rhs)
 
 
 @dataclass
@@ -284,19 +274,15 @@ def gamma_quotient(t, s: MeanScheme, m: int, n_window, kernel_tol: float = 1e-8,
     if hi - lo < 16:
         raise WindowTooSmall("gamma window needs hi - lo >= 16")
     lo = max(lo, s.min_n)
-    a = mat(t)
-    g = geom(t)
-    d = a.shape[0]
-    eye = np.eye(d, dtype=complex)
-    b = power(a - eye, m)
-    w_factor = None
-    if g is not None:
-        w_factor = g.factor() if not g.is_diagonal else np.diag(g.factor())
+    op = as_operator(t)
+    a = op.matrix
+    d = op.dim
+    b = power(a - np.eye(d, dtype=complex), m)
     maps = []
     for n in range(lo, hi + 1):
-        c = apply_mean(s, a, n, 1.0, tail_eps) @ b
-        if w_factor is not None:
-            c = w_factor @ c
+        c = apply_mean(s, op, n, 1.0, tail_eps) @ b
+        if op.geometry is not None:
+            c = op.geometry.apply_factor(c)
         maps.append(c)
     gram = np.zeros((d, d), dtype=complex)
     for c in maps:
@@ -345,12 +331,12 @@ def almost_convergence_defect(s: MeanScheme, t, p, k: int, n_sup: int, x,
     P is supplied (typically the ergodic projection); rows from the scheme's
     first valid index through n_sup + k are used.
     """
-    a = mat(t)
-    proj = mat(p) if np.ndim(p) == 2 else np.asarray(p, dtype=complex)
+    op = as_operator(t)
+    proj = as_matrix(p) if np.ndim(p) == 2 else np.asarray(p, dtype=complex)
     target = proj @ np.asarray(x, dtype=complex)
-    cache = VectorPowerCache(a, x)
+    cache = VectorPowerCache(op.matrix, x)
     start = s.min_n
-    means = [apply_mean_vector(s, t, n, x, 1.0, tail_eps, cache)
+    means = [apply_mean_vector(s, op, n, x, 1.0, tail_eps, cache)
              for n in range(start, n_sup + k + 1)]
     prefix = np.cumsum(np.asarray(means), axis=0)
 
@@ -361,10 +347,5 @@ def almost_convergence_defect(s: MeanScheme, t, p, k: int, n_sup: int, x,
 
     worst = 0.0
     for n in range(start, n_sup + 1):
-        delta = window_avg(n) - target
-        if isinstance(t, OperatorModel):
-            val = t.vector_norm(delta)
-        else:
-            val = float(np.linalg.norm(delta))
-        worst = max(worst, val)
+        worst = max(worst, op.vector_norm(window_avg(n) - target))
     return worst

@@ -1,8 +1,9 @@
 """Dense complex operators with optional Gram-weighted geometry.
 
 Everything downstream (summability means, resolvent functionals, growth
-reports) works on plain numpy matrices; this module supplies the norm
-engine, the JSON wire formats, and constructors for the standard test
+reports) coerces its operator argument once with ``as_operator`` and takes
+norms, eigenvalues and labels from the resulting model; this module supplies
+the norm engine, the JSON wire formats, and constructors for the standard test
 operators: Jordan blocks, weighted Dirichlet shifts, and the discretized
 Volterra operator.
 
@@ -170,15 +171,12 @@ class OperatorModel:
         return self.geometry.vector_norm(x)
 
 
-def mat(t) -> np.ndarray:
-    """Matrix of an OperatorModel, or ``t`` itself validated as a matrix."""
+def as_operator(t) -> OperatorModel:
+    """``t`` itself if it is an OperatorModel, else the square matrix ``t``
+    in the Euclidean geometry with the label "operator"."""
     if isinstance(t, OperatorModel):
-        return t.matrix
-    return as_matrix(t)
-
-
-def geom(t) -> GramGeometry | None:
-    return t.geometry if isinstance(t, OperatorModel) else None
+        return t
+    return OperatorModel(t, label="operator")
 
 
 def op_norm(a, dom: GramGeometry | None = None, cod: GramGeometry | None = None,
@@ -277,9 +275,7 @@ def power(t, n: int) -> np.ndarray:
     """n-th power by repeated squaring; ``power(t, 0)`` is the identity."""
     if n < 0:
         raise ValueError("power exponent must be >= 0")
-    a = mat(t)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("power needs a square matrix")
+    a = as_operator(t).matrix
     result = np.eye(a.shape[0], dtype=complex)
     base = a
     k = n

@@ -20,8 +20,11 @@ the truncation defect stays visible in tests.
 
 ``backward_iterate`` produces the scheme with coefficients
 ``s_nk = (sum_{j>=k+1} t_nj) / (sum_{j>=1} j t_nj)``; closed forms are used
-for the Cesaro / Abel / Zweier / power-series families and the defining
-formula otherwise.
+for the Cesaro / Abel / Zweier families and the defining formula otherwise.
+
+Every function taking an operator coerces it once with ``as_operator`` and
+passes the model on, so the eigenvalues behind the spectral-radius check of
+the infinite-row kinds are computed once per operator.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .linop import OperatorModel, geom, mat, op_norm, power
+from .linop import OperatorModel, as_operator, op_norm, power
 
 DEFAULT_TAIL_EPS = 1e-12
 
@@ -114,10 +117,10 @@ class _Cesaro(MeanScheme):
 
 
 class _Abel(MeanScheme):
-    def __init__(self, min_n: int = 1):
+    def __init__(self):
         self.kind = "abel"
         self.name = "abel"
-        self.min_n = min_n
+        self.min_n = 1
         self.finite_rows = False
 
     def _row(self, n, tail_eps):
@@ -259,7 +262,7 @@ class _CesaroBackward(MeanScheme):
     """Backward iterate of cesaro(p): row n equals row n-1 of cesaro(p+1)."""
 
     def __init__(self, p: int):
-        self.kind = "cesaro"
+        self.kind = "cesaro_backward"
         self.name = f"cesaro(p={p + 1})<<1"
         self.p = p
         self._inner = _Cesaro(p + 1)
@@ -269,6 +272,16 @@ class _CesaroBackward(MeanScheme):
     def _row(self, n, tail_eps):
         inner = self._inner._row(n - 1, tail_eps)
         return MeanRow(n, inner.indices, inner.weights)
+
+
+class _AbelBackward(_Abel):
+    """Backward iterate of abel(): the Abel rows themselves from row 2 on."""
+
+    def __init__(self):
+        super().__init__()
+        self.kind = "abel_backward"
+        self.name = "abel^(-1)"
+        self.min_n = 2
 
 
 class _ZweierBackward(MeanScheme):
@@ -286,22 +299,6 @@ class _ZweierBackward(MeanScheme):
         return MeanRow(n, np.arange(n), w)
 
 
-class _PowerSeriesBackward(MeanScheme):
-    """Backward iterate of a power-series scheme:
-    s_nk = (sum_{j>=k+1} f_j r^j) / (sum_j j f_j r^j)."""
-
-    def __init__(self, base: _PowerSeries):
-        self.kind = "power_series"
-        self.name = base.name + "^(-1)"
-        self._base = base
-        self.min_n = max(base.min_n, 2 if base._radius(1) == 0.0 else base.min_n)
-        self.finite_rows = base.finite_rows
-
-    def _row(self, n, tail_eps):
-        base_row = self._base.row(n, _inner_eps(tail_eps))
-        return _backward_row(base_row, tail_eps)
-
-
 class _FormulaBackward(MeanScheme):
     """Backward iterate computed from the defining formula on the base row."""
 
@@ -313,7 +310,7 @@ class _FormulaBackward(MeanScheme):
         self.finite_rows = base.finite_rows
 
     def _row(self, n, tail_eps):
-        return _backward_row(self._base.row(n, _inner_eps(tail_eps)), tail_eps)
+        return backward_row_from_definition(self._base, n, tail_eps)
 
 
 def _inner_eps(tail_eps: float) -> float:
@@ -365,18 +362,12 @@ def identity_powers() -> MeanScheme:
     return _IdentityPowers()
 
 
-def scheme_row(s: MeanScheme, n: int, tail_eps: float = DEFAULT_TAIL_EPS) -> MeanRow:
-    """Row n of the scheme; finite-support kinds are exact, infinite kinds are
-    truncated at geometric tail mass < tail_eps (recorded, never renormalized)."""
-    return s.row(n, tail_eps)
-
-
 def backward_row_from_definition(s: MeanScheme, n: int,
                                  tail_eps: float = DEFAULT_TAIL_EPS) -> MeanRow:
     """The defining formula s_nk = (sum_{j>=k+1} t_nj)/(sum_{j>=1} j t_nj),
     evaluated on the row of ``s`` (truncated well below tail_eps so the
-    result itself is tail_eps-accurate).  Used to validate the closed-form
-    backward schemes."""
+    result itself is tail_eps-accurate).  Rows of the formula-based backward
+    schemes, and the oracle for the closed-form ones."""
     return _backward_row(s.row(n, _inner_eps(tail_eps)), tail_eps)
 
 
@@ -384,19 +375,20 @@ def backward_iterate(s: MeanScheme) -> MeanScheme:
     """Scheme of the backward-iterate coefficients of ``s``.
 
     Closed forms: cesaro(p) -> cesaro(p+1) shifted one row; abel -> abel
-    (first valid row 2); zweier -> the two-level uniform rows; power series ->
-    the difference-quotient generating function.  Other kinds fall back to the
-    defining formula row by row.
+    (first valid row 2); zweier -> the two-level uniform rows.  Other kinds,
+    power series included, apply the defining formula row by row; the kind
+    of every backward scheme is ``"<base kind>_backward"``.
     """
     if isinstance(s, _Cesaro):
         return _CesaroBackward(s.p)
     if isinstance(s, _Abel):
-        return _Abel(min_n=2)
+        return _AbelBackward()
     if isinstance(s, _Zweier):
         return _ZweierBackward()
-    if isinstance(s, _PowerSeries):
-        return _PowerSeriesBackward(s)
-    return _FormulaBackward(s, min_n=max(s.min_n, 1))
+    min_n = max(s.min_n, 1)
+    if isinstance(s, _PowerSeries) and s._radius(1) == 0.0:
+        min_n = max(min_n, 2)  # row 1 is F(0 T)/F(0) = I, degenerate
+    return _FormulaBackward(s, min_n)
 
 
 def _check_unimodular(lam: complex) -> complex:
@@ -406,13 +398,10 @@ def _check_unimodular(lam: complex) -> complex:
     return lam
 
 
-def _check_radius_for(s: MeanScheme, t) -> None:
+def _check_radius_for(s: MeanScheme, op: OperatorModel) -> None:
     if s.finite_rows:
         return
-    if isinstance(t, OperatorModel):
-        rho = t.spectral_radius()
-    else:
-        rho = float(np.max(np.abs(np.linalg.eigvals(mat(t)))))
+    rho = op.spectral_radius()
     if rho > 1.0 + 1e-9:
         raise SpectralRadiusTooLarge(
             f"{s.name} needs spectral radius <= 1, got {rho:.6g}")
@@ -432,8 +421,9 @@ def apply_mean(s: MeanScheme, t, n: int, lam: complex = 1.0,
     the plain mean.  Infinite-row kinds require spectral radius <= 1.
     """
     lam = _check_unimodular(lam)
-    _check_radius_for(s, t)
-    a = mat(t)
+    op = as_operator(t)
+    _check_radius_for(s, op)
+    a = op.matrix
     row = s.row(n, tail_eps)
     b = lam * a
     acc = np.zeros_like(a)
@@ -465,8 +455,9 @@ def apply_mean_vector(s: MeanScheme, t, n: int, x, lam: complex = 1.0,
                       cache: VectorPowerCache | None = None) -> np.ndarray:
     """T_n x without forming the mean matrix (power-vector accumulation)."""
     lam = _check_unimodular(lam)
-    _check_radius_for(s, t)
-    a = mat(t)
+    op = as_operator(t)
+    _check_radius_for(s, op)
+    a = op.matrix
     if cache is None:
         cache = VectorPowerCache(lam * a, x)
     row = s.row(n, tail_eps)
@@ -492,15 +483,14 @@ def backit_identity_residual(s: MeanScheme, t, n: int,
     An algebraic identity, so the residual is rounding-level for finite rows
     and tail_eps-level for truncated ones.
     """
-    a = mat(t)
-    g = geom(t)
-    eye = np.eye(a.shape[0], dtype=complex)
+    op = as_operator(t)
+    eye = np.eye(op.dim, dtype=complex)
     back = backward_iterate(s)
-    lhs = apply_mean(back, t, n, 1.0, tail_eps) @ (a - eye)
+    lhs = apply_mean(back, op, n, 1.0, tail_eps) @ (op.matrix - eye)
     row = s.row(n, tail_eps)
     denom = float(np.sum(row.indices * row.weights))
-    rhs = (apply_mean(s, t, n, 1.0, tail_eps) - eye) / denom
-    return op_norm(lhs - rhs, g, g)
+    rhs = (apply_mean(s, op, n, 1.0, tail_eps) - eye) / denom
+    return op.norm(lhs - rhs)
 
 
 def block_mean_residual(a, b_col, mu: complex, s: MeanScheme, n: int,
@@ -513,7 +503,8 @@ def block_mean_residual(a, b_col, mu: complex, s: MeanScheme, n: int,
     power sums.  Returns the operator norm of the difference.
     """
     mu = _check_unimodular(mu)
-    a = mat(a)
+    op = as_operator(a)
+    a = op.matrix
     b_col = np.asarray(b_col, dtype=complex).reshape(-1)
     d = a.shape[0]
     if b_col.shape[0] != d:
@@ -527,7 +518,7 @@ def block_mean_residual(a, b_col, mu: complex, s: MeanScheme, n: int,
     row = s.row(n, tail_eps)
     # off-diagonal column of M^j: c_{j+1} = A c_j + mu^j b
     blockwise = np.zeros_like(big)
-    blockwise[:d, :d] = apply_mean(s, a, n, 1.0, tail_eps)
+    blockwise[:d, :d] = apply_mean(s, op, n, 1.0, tail_eps)
     blockwise[d, d] = scalar_mean(s, n, mu, tail_eps)
     c = np.zeros(d, dtype=complex)
     col = np.zeros(d, dtype=complex)
@@ -550,13 +541,11 @@ def regularity_defect(s: MeanScheme, t, n0: int, x, n: int,
     The probe x is expected to lie in the relevant range space already;
     callers apply (T - I)^m themselves.
     """
-    a = mat(t)
-    cache = VectorPowerCache(a, x)
-    lhs = a @ apply_mean_vector(s, t, n, x, 1.0, tail_eps, cache)
-    rhs = apply_mean_vector(s, t, n + n0, x, 1.0, tail_eps, cache)
-    if isinstance(t, OperatorModel):
-        return t.vector_norm(lhs - rhs)
-    return float(np.linalg.norm(lhs - rhs))
+    op = as_operator(t)
+    cache = VectorPowerCache(op.matrix, x)
+    lhs = op.matrix @ apply_mean_vector(s, op, n, x, 1.0, tail_eps, cache)
+    rhs = apply_mean_vector(s, op, n + n0, x, 1.0, tail_eps, cache)
+    return op.vector_norm(lhs - rhs)
 
 
 def parse_scheme(spec: str) -> MeanScheme:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linop import OperatorModel, geom, mat, op_norm
-from .means import cesaro
+from .linop import as_operator
+from .means import SpectralRadiusTooLarge
 
 _SINGULAR_TOL = 1e-12
 
@@ -51,11 +51,6 @@ class AnnulusGrid:
     def angle_values(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.angles) / self.angles
 
-    def points(self):
-        for i, rho in enumerate(self.radii):
-            for m, theta in enumerate(self.angle_values()):
-                yield i, m, rho * np.exp(1j * theta)
-
 
 @dataclass
 class FunctionalReport:
@@ -70,43 +65,36 @@ class FunctionalReport:
     refinement_ratio: float | None = None
     tail_value: float | None = None
     skipped: int = 0
-    samples: list | None = None
 
 
 def resolvent_norm(t, lam: complex) -> float:
     """Norm of (T - lambda I)^{-1} in T's geometry, by dense solve."""
-    a = mat(t)
+    op = as_operator(t)
     lam = complex(lam)
-    if isinstance(t, OperatorModel):
-        eigs = t.eigenvalues()
-    else:
-        eigs = np.linalg.eigvals(a)
-    if np.min(np.abs(eigs - lam)) < _SINGULAR_TOL:
+    if np.min(np.abs(op.eigenvalues() - lam)) < _SINGULAR_TOL:
         raise SingularResolvent(f"lambda = {lam} within {_SINGULAR_TOL} of the spectrum")
-    eye = np.eye(a.shape[0], dtype=complex)
+    eye = np.eye(op.dim, dtype=complex)
     try:
-        inv = np.linalg.solve(a - lam * eye, eye)
+        inv = np.linalg.solve(op.matrix - lam * eye, eye)
     except np.linalg.LinAlgError as exc:
         raise SingularResolvent(f"solve failed at lambda = {lam}") from exc
-    g = geom(t)
-    return op_norm(inv, g, g)
+    return op.norm(inv)
 
 
 def _kreiss_weight(rho: float, r: int) -> float:
     return (rho - 1.0) ** (r + 1) / rho ** r
 
 
-def kreiss_functional(t, r: int, grid: AnnulusGrid,
-                      keep_samples: bool = False) -> FunctionalReport:
+def kreiss_functional(t, r: int, grid: AnnulusGrid) -> FunctionalReport:
     """Grid sup of ((|lambda|-1)^{r+1} / |lambda|^r) ||(T - lambda I)^{-1}||.
 
     Grid points inside the (numerical) spectrum are skipped and counted.
     The refinement ratio compares the sup with and without the innermost
     radius ring.
     """
+    op = as_operator(t)
     best = -math.inf
     argmax = {}
-    samples = [] if keep_samples else None
     per_radius = [(-math.inf)] * len(grid.radii)
     skipped = 0
     angles = grid.angle_values()
@@ -115,19 +103,16 @@ def kreiss_functional(t, r: int, grid: AnnulusGrid,
         for m, theta in enumerate(angles):
             lam = rho * np.exp(1j * theta)
             try:
-                val = w * resolvent_norm(t, lam)
+                val = w * resolvent_norm(op, lam)
             except SingularResolvent:
                 skipped += 1
                 continue
-            if samples is not None:
-                samples.append((rho, float(theta), val))
             if val > per_radius[i]:
                 per_radius[i] = val
             if val > best:
                 best = val
                 argmax = {"radius": rho, "angle": float(theta)}
-    report = FunctionalReport(value=best, argmax=argmax, skipped=skipped,
-                              samples=samples)
+    report = FunctionalReport(value=best, argmax=argmax, skipped=skipped)
     report.radius_profile = [(rho, v) for rho, v in zip(grid.radii, per_radius)]
     if len(per_radius) >= 2:
         coarse = max(per_radius[:-1])
@@ -145,9 +130,9 @@ def partial_sum_functional(t, r: int, nmax: int, grid: AnnulusGrid) -> Functiona
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    a = mat(t)
-    g = geom(t)
-    eye = np.eye(a.shape[0], dtype=complex)
+    op = as_operator(t)
+    a = op.matrix
+    eye = np.eye(op.dim, dtype=complex)
     best = -math.inf
     argmax = {}
     n_best = np.full(nmax + 1, -math.inf)
@@ -162,7 +147,7 @@ def partial_sum_functional(t, r: int, nmax: int, grid: AnnulusGrid) -> Functiona
                 if n > 0:
                     p = p @ b
                     acc = acc + p
-                val = w * op_norm(acc, g, g) / rho
+                val = w * op.norm(acc) / rho
                 if val > n_best[n]:
                     n_best[n] = val
                 if val > best:
@@ -184,10 +169,9 @@ def cesaro_mean_sequence(t, p: int, nmax: int, lam: complex = 1.0):
     """
     if p < 1:
         raise ValueError("cesaro order p must be >= 1")
-    a = mat(t)
-    d = a.shape[0]
-    b = complex(lam) * a
-    eye = np.eye(d, dtype=complex)
+    op = as_operator(t)
+    b = complex(lam) * op.matrix
+    eye = np.eye(op.dim, dtype=complex)
     accs = [eye.copy() for _ in range(p + 1)]
     pow_n = eye.copy()
     binom = 1.0
@@ -211,16 +195,16 @@ def mean_growth_functional(t, p: int, r: int, nmax: int, angles: int) -> Functio
     """
     if angles < 1:
         raise ValueError("need at least one angle")
-    g = geom(t)
+    op = as_operator(t)
     n_best = np.full(nmax + 1, -math.inf)
     best = -math.inf
     argmax = {}
     for m in range(angles):
         lam = np.exp(2j * np.pi * m / angles)
-        for n, mean in cesaro_mean_sequence(t, p, nmax, lam):
+        for n, mean in cesaro_mean_sequence(op, p, nmax, lam):
             if n == 0:
                 continue
-            val = op_norm(mean, g, g) / n ** r
+            val = op.norm(mean) / n ** r
             if val > n_best[n]:
                 n_best[n] = val
             if val > best:
@@ -241,30 +225,23 @@ def resolvent_series_residual(t, p: int, lam: complex, rho: float,
     """
     if not (0.0 < rho <= 0.9):
         raise ValueError("rho must lie in (0, 0.9] for a negligible tail")
-    if isinstance(t, OperatorModel):
-        radius = t.spectral_radius()
-    else:
-        radius = float(np.max(np.abs(np.linalg.eigvals(mat(t)))))
-    if radius > 1.0 + 1e-9:
-        from .means import SpectralRadiusTooLarge
+    op = as_operator(t)
+    if op.spectral_radius() > 1.0 + 1e-9:
         raise SpectralRadiusTooLarge("series identity needs spectral radius <= 1")
     if nterms is None:
         nterms = int(math.ceil(40.0 / (1.0 - rho)))
-    a = mat(t)
-    g = geom(t)
-    d = a.shape[0]
-    eye = np.eye(d, dtype=complex)
-    lhs = np.linalg.solve(eye - rho * complex(lam) * a, eye)
+    eye = np.eye(op.dim, dtype=complex)
+    lhs = np.linalg.solve(eye - rho * complex(lam) * op.matrix, eye)
     scale = (1.0 - rho) ** p
-    rhs = np.zeros_like(a)
+    rhs = np.zeros_like(eye)
     binom = 1.0  # C(n+p, p)
     rho_n = 1.0
-    for n, mean in cesaro_mean_sequence(t, p, nterms, lam):
+    for n, mean in cesaro_mean_sequence(op, p, nterms, lam):
         if n > 0:
             binom *= (n + p) / n
             rho_n *= rho
         rhs += scale * binom * rho_n * mean
-    return op_norm(lhs - rhs, g, g)
+    return op.norm(lhs - rhs)
 
 
 def abel_summation_residual(t, lam: complex, rho: float, n: int) -> float:
@@ -279,12 +256,11 @@ def abel_summation_residual(t, lam: complex, rho: float, n: int) -> float:
         raise ValueError("rho must lie in (0, 1]")
     if n < 1:
         raise ValueError("n must be >= 1")
-    a = mat(t)
-    g = geom(t)
-    b = complex(lam) * a
-    eye = np.eye(a.shape[0], dtype=complex)
-    lhs = np.zeros_like(a)
-    rhs = np.zeros_like(a)
+    op = as_operator(t)
+    b = complex(lam) * op.matrix
+    eye = np.eye(op.dim, dtype=complex)
+    lhs = np.zeros_like(eye)
+    rhs = np.zeros_like(eye)
     p = eye.copy()          # (lam T)^k
     partial = eye.copy()    # (k+1) M_k = sum_{j<=k} (lam T)^j
     rho_k = 1.0
@@ -297,7 +273,7 @@ def abel_summation_residual(t, lam: complex, rho: float, n: int) -> float:
         if k <= n - 1:
             rhs += (1.0 - rho) * rho_k * partial
     rhs += rho_k * partial  # rho^n (n+1) M_n
-    return op_norm(lhs - rhs, g, g)
+    return op.norm(lhs - rhs)
 
 
 def uniform_kreiss_mean_bound(t, r: int, nmax: int, angles: int,
@@ -310,18 +286,18 @@ def uniform_kreiss_mean_bound(t, r: int, nmax: int, angles: int,
     constants used in the derivation it should contain radii 1 + 1/n for the
     n of interest.
     """
-    c_report = partial_sum_functional(t, r, nmax, grid)
+    op = as_operator(t)
+    c_report = partial_sum_functional(op, r, nmax, grid)
     c_value = c_report.value
     bound = 2.0 ** r * (2.0 * math.e - 1.0) * c_value
-    g = geom(t)
     worst = -math.inf
     arg = {}
     for m in range(angles):
         mu = np.exp(2j * np.pi * m / angles)
-        for n, mean in cesaro_mean_sequence(t, 1, nmax, mu):
+        for n, mean in cesaro_mean_sequence(op, 1, nmax, mu):
             if n == 0:
                 continue
-            ratio = op_norm(mean, g, g) / (bound * n ** r)
+            ratio = op.norm(mean) / (bound * n ** r)
             if ratio > worst:
                 worst = ratio
                 arg = {"n": n, "angle": float(2.0 * np.pi * m / angles)}

@@ -34,7 +34,6 @@ from ergolab.means import (
     backward_iterate,
     cesaro,
     identity_powers,
-    scheme_row,
     zweier,
 )
 from ergolab.spaces import (
@@ -75,7 +74,7 @@ def _stacked_powers(a, count):
 def _mean_from_powers(powers, p, n):
     if p == 0:
         return powers[n]
-    row = scheme_row(cesaro(p), n)
+    row = cesaro(p).row(n)
     return np.tensordot(row.weights, powers[: n + 1], axes=1)
 
 
@@ -117,13 +116,13 @@ def test_criterion_02_backward_iterate_suite():
         back = backward_iterate(cesaro(p))
         up = cesaro(p + 1)
         for n in range(1, 65):
-            delta = scheme_row(back, n).weights - scheme_row(up, n - 1).weights
+            delta = back.row(n).weights - up.row(n - 1).weights
             shift_worst = max(shift_worst, float(np.max(np.abs(delta))))
     abel_back = backward_iterate(abel())
     abel_worst = 0.0
     for n in (2, 3, 10, 50):
-        got = scheme_row(abel_back, n, tail_eps)
-        ref = scheme_row(abel(), n, tail_eps)
+        got = abel_back.row(n, tail_eps)
+        ref = abel().row(n, tail_eps)
         m = min(got.weights.size, ref.weights.size)
         abel_worst = max(abel_worst, float(np.max(np.abs(got.weights[:m] - ref.weights[:m]))))
     zw_back = backward_iterate(zweier())
@@ -131,7 +130,7 @@ def test_criterion_02_backward_iterate_suite():
     for n in range(2, 65):
         expected = np.full(n, 2.0 / (2 * n - 1))
         expected[-1] *= 0.5
-        zw_exact &= bool(np.array_equal(scheme_row(zw_back, n).weights, expected))
+        zw_exact &= bool(np.array_equal(zw_back.row(n).weights, expected))
     elapsed = time.time() - start
     ok = (backit_worst <= 1e-10 and shift_worst <= 1e-12
           and abel_worst <= 1e-12 + tail_eps and zw_exact and elapsed < 2.0)

@@ -11,6 +11,7 @@ def test_list_builtins():
     catalog = list_builtins()
     assert any("volterra" in item for item in catalog)
     assert any("dirichlet" in item for item in catalog)
+    assert "identity_minus_volterra:<N>" in catalog
     assert catalog == sorted(catalog)
     assert catalog == list_builtins()  # stable across calls
 
@@ -93,6 +94,22 @@ def test_main_exit_codes(tmp_path):
     assert code == 1
     code = cli.main(["growth", "--op", "bogus:1", "--out", str(out)])
     assert code == 2
+
+
+def test_growth_overflow_is_flagged_in_the_report(tmp_path):
+    # nmax > 1024 selects the sampled walk; 3^n overflows long before n = 1200
+    out = tmp_path / "growth.json"
+    code = cli.main(["growth", "--op", "jordan:3:3", "--nmax", "1200",
+                     "--out", str(out)])
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"non-finite number {token} in report")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    assert report["values"]["overflow_at"] is not None
+    assert report["values"]["points"]
+    assert report["values"]["points"][-1][0] < report["values"]["overflow_at"]
 
 
 def test_main_rows_and_builtins(tmp_path, capsys):

@@ -21,6 +21,7 @@ from ergolab.linop import (
     diag_operator,
     identity_operator,
     jordan_block,
+    op_norm,
     power,
     random_operator,
 )
@@ -37,12 +38,28 @@ def test_power_norm_sequence_values():
     assert np.allclose(rep.values, oracle, rtol=1e-12)
     rep = power_norm_sequence(diag_operator([2.0]), 20)
     assert np.allclose(rep.values, 2.0 ** rep.ns.astype(float), rtol=1e-12)
+    # the walk over 1..nmax is the incremental product, bit for bit
+    t = random_operator(16, 1.0, seed=5)
+    rep = power_norm_sequence(t, 200)
+    p = t.matrix.copy()
+    oracle = [op_norm(p)]
+    for _ in range(199):
+        p = p @ t.matrix
+        oracle.append(op_norm(p))
+    assert np.array_equal(rep.values, oracle)
 
 
 def test_power_norm_overflow_flag():
     rep = power_norm_sequence(diag_operator([2.0]), 1100)
     assert rep.overflow_at is not None
     assert rep.ns[-1] < 1100
+    assert np.all(np.isfinite(rep.values))
+    # the CLI's 33 growth samples up to n = 1200: a gap jumps past 1e300 to inf
+    ns = sorted({int(round(2.0 ** e)) for e in np.linspace(1, np.log2(1200), 33)})
+    rep = power_norm_samples(jordan_block(3, 3), ns)
+    assert rep.overflow_at is not None
+    assert 0 < rep.ns.size < len(ns)
+    assert rep.ns[-1] < rep.overflow_at
     assert np.all(np.isfinite(rep.values))
 
 

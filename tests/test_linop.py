@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from ergolab import linop
+from ergolab.ergodic import almost_convergence_defect, alternating_sum_residual
 from ergolab.linop import (
     BadDimension,
     DimensionMismatch,
     GramGeometry,
     NonPositiveDefiniteGram,
     OperatorModel,
+    as_operator,
     dirichlet_shift,
     jordan_block,
     op_norm,
@@ -17,6 +19,14 @@ from ergolab.linop import (
     random_operator,
     volterra_operator,
 )
+from ergolab.means import (
+    SpectralRadiusTooLarge,
+    abel,
+    apply_mean,
+    cesaro,
+    regularity_defect,
+)
+from ergolab.spectral import resolvent_norm
 
 
 def test_op_norm_identity():
@@ -202,3 +212,54 @@ def test_operator_model_validation():
         OperatorModel(np.eye(2), geometry=GramGeometry.diagonal([1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         linop.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_as_operator():
+    t = jordan_block(2, 0.5)
+    assert as_operator(t) is t
+    wrapped = as_operator([[1.0, 2.0], [0.0, 1.0]])
+    assert wrapped.label == "operator"
+    assert wrapped.geometry is None
+    assert np.array_equal(wrapped.matrix, [[1.0, 2.0], [0.0, 1.0]])
+    with pytest.raises(DimensionMismatch):
+        as_operator(np.ones((2, 3)))
+
+
+_FORM_WEIGHTS = np.array([1.0, 4.0, 9.0, 16.0])
+
+
+def _operator_forms(m):
+    return {
+        "matrix": m,
+        "model": OperatorModel(m),
+        "gram_model": OperatorModel(m, geometry=GramGeometry.diagonal(_FORM_WEIGHTS)),
+    }
+
+
+def _coerced_values(t, x):
+    s = cesaro(1)
+    return [
+        regularity_defect(s, t, 1, x, 8),
+        alternating_sum_residual(s, t, 2, 0, 1, x, 8),
+        almost_convergence_defect(s, t, np.zeros((4, 4)), 3, 8, x),
+        resolvent_norm(t, 1.5 + 0.5j),
+    ]
+
+
+@pytest.mark.parametrize("form", ["matrix", "model", "gram_model"])
+def test_every_operator_form_takes_one_route(form):
+    m = random_operator(4, 0.9, seed=11).matrix
+    x = np.array([1.0, -2.0, 0.5j, 1.0])
+    got = _coerced_values(_operator_forms(m)[form], x)
+    euclidean = _coerced_values(m, x)
+    if form == "gram_model":
+        # the diagonal Gram D^2 turns T into D T D^-1 on D x in Euclidean terms
+        d = np.sqrt(_FORM_WEIGHTS)
+        conjugated = _coerced_values(d[:, None] * m / d[None, :], d * x)
+        assert got == pytest.approx(conjugated, rel=1e-10)
+        assert all(abs(g - e) > 1e-6 * e for g, e in zip(got, euclidean))
+    else:
+        assert got == euclidean
+    hot = _operator_forms(m * (1.1 / 0.9))[form]
+    with pytest.raises(SpectralRadiusTooLarge):
+        apply_mean(abel(), hot, 4)

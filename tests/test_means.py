@@ -30,7 +30,6 @@ from ergolab.means import (
     power_series,
     regularity_defect,
     scalar_mean,
-    scheme_row,
     zweier,
 )
 
@@ -47,25 +46,25 @@ def cesaro_row_factorial(p, n):
 
 
 def test_cesaro_row_examples():
-    row = scheme_row(cesaro(2), 2)
+    row = cesaro(2).row(2)
     assert np.allclose(row.weights, [0.5, 1.0 / 3.0, 1.0 / 6.0], atol=1e-15)
     assert np.allclose(row.weights, cesaro_row_factorial(2, 2), atol=1e-15)
     for n in (0, 1, 5, 17):
-        row = scheme_row(cesaro(1), n)
+        row = cesaro(1).row(n)
         assert np.allclose(row.weights, 1.0 / (n + 1), atol=1e-15)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_cesaro_rows_match_factorial_oracle(p):
     for n in (0, 1, 2, 7, 23):
-        row = scheme_row(cesaro(p), n)
+        row = cesaro(p).row(n)
         assert np.allclose(row.weights, cesaro_row_factorial(p, n), atol=1e-13)
 
 
 def test_abel_row_degenerate_and_truncation():
-    row = scheme_row(abel(), 1)
+    row = abel().row(1)
     assert row.indices.tolist() == [0] and row.weights.tolist() == [1.0]
-    row = scheme_row(abel(), 10, tail_eps=1e-8)
+    row = abel().row(10, tail_eps=1e-8)
     q = 0.9
     assert np.allclose(row.weights, 0.1 * q ** row.indices.astype(float))
     assert row.tail_mass_bound < 1e-8
@@ -73,13 +72,13 @@ def test_abel_row_degenerate_and_truncation():
 
 
 def test_zweier_rows():
-    row = scheme_row(zweier(), 5)
+    row = zweier().row(5)
     assert row.indices.tolist() == [4, 5] and row.weights.tolist() == [0.5, 0.5]
 
 
 def test_binomial_rows_against_comb():
     for n in (0, 1, 6, 30):
-        row = scheme_row(binomial(), n)
+        row = binomial().row(n)
         oracle = np.array([math.comb(n, j) for j in range(n + 1)], dtype=float) / 2.0**n
         assert np.allclose(row.weights, oracle, atol=1e-13)
 
@@ -88,7 +87,7 @@ def test_power_series_finite_rows_exact():
     s = power_series([1.0, 2.0, 3.0])
     r = 1.0 - 1.0 / 4.0
     u = np.array([1.0, 2.0 * r, 3.0 * r**2])
-    row = scheme_row(s, 4)
+    row = s.row(4)
     assert np.allclose(row.weights, u / u.sum(), atol=1e-15)
     assert row.tail_mass_bound == 0.0
 
@@ -96,8 +95,8 @@ def test_power_series_finite_rows_exact():
 def test_power_series_callable_matches_abel():
     s = power_series(lambda j: 1.0)  # geometric generating function
     for n in (3, 9, 31):
-        got = scheme_row(s, n)
-        ref = scheme_row(abel(), n)
+        got = s.row(n)
+        ref = abel().row(n)
         m = min(got.weights.size, ref.weights.size)
         assert np.allclose(got.weights[:m], ref.weights[:m], atol=1e-13)
 
@@ -119,20 +118,20 @@ def test_row_stochasticity_all_schemes():
         for n in sample_ns:
             if n < s.min_n:
                 continue
-            row = scheme_row(s, n, tail_eps)
+            row = s.row(n, tail_eps)
             assert np.all(row.weights >= 0.0), s.name
             assert abs(row.total() - 1.0) <= tail_eps + 1e-12, (s.name, n)
 
 
 def test_row_out_of_range_and_tail_eps_validation():
     with pytest.raises(RowOutOfRange):
-        scheme_row(zweier(), 0)
+        zweier().row(0)
     with pytest.raises(RowOutOfRange):
-        scheme_row(backward_iterate(abel()), 1)
+        backward_iterate(abel()).row(1)
     with pytest.raises(ValueError):
-        scheme_row(cesaro(1), 2, tail_eps=1e-3)
+        cesaro(1).row(2, tail_eps=1e-3)
     with pytest.raises(ValueError):
-        scheme_row(cesaro(1), 2, tail_eps=0.0)
+        cesaro(1).row(2, tail_eps=0.0)
     with pytest.raises(ValueError):
         cesaro(0)
 
@@ -217,12 +216,12 @@ def test_backward_cesaro_is_shifted_higher_order():
         back = backward_iterate(cesaro(p))
         up = cesaro(p + 1)
         for n in (1, 2, 5, 21, 64):
-            got = scheme_row(back, n)
-            ref = scheme_row(up, n - 1)
+            got = back.row(n)
+            ref = up.row(n - 1)
             assert np.array_equal(got.indices, ref.indices)
             assert np.max(np.abs(got.weights - ref.weights)) <= 1e-12
     # spot value: row 2 equals cesaro(2) row 1 = (2/3, 1/3)
-    row = scheme_row(backward_iterate(cesaro(1)), 2)
+    row = backward_iterate(cesaro(1)).row(2)
     assert np.allclose(row.weights, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
 
 
@@ -230,18 +229,18 @@ def test_backward_abel_is_abel():
     back = backward_iterate(abel())
     assert back.min_n == 2
     for n in (2, 5, 40):
-        got = scheme_row(back, n)
-        ref = scheme_row(abel(), n)
+        got = back.row(n)
+        ref = abel().row(n)
         m = min(got.weights.size, ref.weights.size)
         assert np.max(np.abs(got.weights[:m] - ref.weights[:m])) <= 1e-12 + 1e-12
 
 
 def test_backward_zweier_closed_form():
     back = backward_iterate(zweier())
-    row = scheme_row(back, 3)
+    row = back.row(3)
     assert np.allclose(row.weights, [0.4, 0.4, 0.2], atol=1e-15)
     for n in (1, 2, 3, 9, 31):
-        row = scheme_row(back, n)
+        row = back.row(n)
         expected = np.full(n, 2.0 / (2 * n - 1))
         expected[-1] *= 0.5
         assert np.array_equal(row.weights, expected)
@@ -250,7 +249,7 @@ def test_backward_zweier_closed_form():
 def test_backward_identity_powers_is_uniform():
     back = backward_iterate(identity_powers())
     for n in (1, 4, 12):
-        row = scheme_row(back, n)
+        row = back.row(n)
         assert np.allclose(row.weights, 1.0 / n, atol=1e-15)
         assert row.indices.tolist() == list(range(n))
 
@@ -261,10 +260,12 @@ def test_backward_closed_forms_match_defining_formula():
         for n in (2, 3, 9, 33):
             if n < back.min_n:
                 continue
-            got = scheme_row(back, n)
+            got = back.row(n)
             ref = backward_row_from_definition(s, n)
             m = min(got.weights.size, ref.weights.size)
             assert np.max(np.abs(got.weights[:m] - ref.weights[:m])) <= 1e-12, s.name
+    for s in (cesaro(2), abel(), zweier(), power_series([1.0, 2.0, 3.0])):
+        assert backward_iterate(s).kind == s.kind + "_backward"
 
 
 def test_backward_degenerate_row():
@@ -272,10 +273,10 @@ def test_backward_degenerate_row():
         backward_row_from_definition(binomial(), 0)
     # below the backward scheme's first valid row the range error fires first
     with pytest.raises(RowOutOfRange):
-        scheme_row(backward_iterate(binomial()), 0)
+        backward_iterate(binomial()).row(0)
     # a constant generating function is degenerate at every row
     with pytest.raises(DegenerateRow):
-        scheme_row(backward_iterate(power_series([1.0])), 3)
+        backward_iterate(power_series([1.0])).row(3)
 
 
 def test_backit_identity_residual():
