@@ -4,7 +4,9 @@ Scenarios: identities, kreiss, uniform_kreiss, growth, nevanlinna, shields,
 h1, quotient, convergence (plus the ``example`` alias group for shields/h1
 and the ``rows`` dump utility).  Reports are deterministic for a fixed
 config: byte-identical JSON, seeds fixed, no timestamps.  Exit codes:
-0 all declared checks pass, 1 a check failed, 2 configuration error.
+0 all declared checks pass, 1 a check failed (a missing diagnostic, such as
+an unfittable growth exponent, fails its check), 2 configuration error or
+an input the library rejects (one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -77,16 +80,19 @@ def parse_operator(spec: str) -> linop.OperatorModel:
 
 
 def _check(name, value, threshold, op="<="):
-    ok = {"<=": value <= threshold, ">=": value >= threshold,
-          "<": value < threshold, ">": value > threshold}[op]
+    """A named comparison; a ``None`` value (a missing diagnostic) fails it."""
+    compare = {"<=": operator.le, ">=": operator.ge,
+               "<": operator.lt, ">": operator.gt}[op]
+    ok = value is not None and compare(value, threshold)
     return {"name": name, "value": value, "op": op,
             "threshold": threshold, "pass": bool(ok)}
 
 
 def _band_check(name, value, band):
     lo, hi = band
+    ok = value is not None and lo <= value <= hi
     return {"name": name, "value": value, "op": "in",
-            "threshold": [lo, hi], "pass": bool(lo <= value <= hi)}
+            "threshold": [lo, hi], "pass": bool(ok)}
 
 
 def _scenario_identities(cfg):
@@ -140,8 +146,9 @@ def _scenario_kreiss(cfg):
     }
     checks = []
     if "expect_stable_tol" in cfg:
+        ratio = report.refinement_ratio
         checks.append(_check("refinement_stability",
-                             abs(report.refinement_ratio - 1.0),
+                             None if ratio is None else abs(ratio - 1.0),
                              cfg["expect_stable_tol"]))
     if "expect_ratio_band" in cfg:
         tail = ratios[-3:]
@@ -461,6 +468,9 @@ def main(argv=None) -> int:
         report = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     out = args.out or config.get("out")
     if out:

@@ -10,7 +10,9 @@ Volterra operator.
 With a Gram geometry ``G`` on the domain and ``H`` on the codomain, the
 operator norm of ``A`` is the largest singular value of ``L_H A L_G^{-1}``,
 where ``L`` is any factor with ``L* L = Gram`` (Cholesky for dense Grams,
-elementwise square root for diagonal ones).  ``mode="colsum"`` and
+the O(n) banded Cholesky for real tridiagonal ones, elementwise square root
+for diagonal ones).  A real operand in real geometries is normed in real
+arithmetic; operator matrices are always complex.  ``mode="colsum"`` and
 ``mode="rowsum"`` select the max-column-sum / max-row-sum norms instead,
 i.e. the l1- and linf-induced operator norms.
 """
@@ -40,8 +42,10 @@ _HERMITIAN_TOL = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and return ``a`` as a 2-D complex matrix with finite entries."""
-    m = np.asarray(a, dtype=complex)
+    """Validate and return ``a`` as a 2-D matrix with finite entries:
+    complex if ``a`` is complex, real (float) otherwise."""
+    m = np.asarray(a)
+    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise DimensionMismatch(f"expected a 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -52,17 +56,21 @@ def as_matrix(a) -> np.ndarray:
 class GramGeometry:
     """Positive-definite weighting under which vector/operator norms are taken.
 
-    Holds either a diagonal weight vector (``diag``) or a dense Hermitian
-    positive-definite matrix.  Vector norms are ``||L x||_2`` with
-    ``L* L = gram``.
+    Holds a diagonal weight vector (``diag``), a dense Hermitian
+    positive-definite matrix (``dense``), or the diagonal and off-diagonal
+    of a real symmetric tridiagonal one (``bands``).  A tridiagonal Gram is
+    factored in O(n) by the banded Cholesky and then kept, with its
+    upper-bidiagonal factor, as a dense real array, so it shares every
+    method (and the wire format) of the dense kind.  Vector norms are
+    ``||L x||_2`` with ``L* L = gram``.
     """
 
-    def __init__(self, dim, diag=None, dense=None):
+    def __init__(self, dim, diag=None, dense=None, bands=None):
         self.dim = int(dim)
         if self.dim < 1:
             raise BadDimension("geometry dimension must be >= 1")
-        if (diag is None) == (dense is None):
-            raise ValueError("provide exactly one of diag= or dense=")
+        if sum(arg is not None for arg in (diag, dense, bands)) != 1:
+            raise ValueError("provide exactly one of diag=, dense= or bands=")
         if diag is not None:
             w = np.asarray(diag, dtype=float)
             if w.shape != (self.dim,):
@@ -72,6 +80,21 @@ class GramGeometry:
             self.diag = w
             self.dense = None
             self._factor = np.sqrt(w)
+        elif bands is not None:
+            d, e = (np.asarray(b, dtype=float) for b in bands)
+            if d.shape != (self.dim,) or e.shape != (self.dim - 1,):
+                raise DimensionMismatch("tridiagonal band lengths != (dim, dim - 1)")
+            upper = np.zeros((2, self.dim))
+            upper[0, 1:] = e
+            upper[1] = d
+            try:
+                u = scipy.linalg.cholesky_banded(upper)
+            except np.linalg.LinAlgError as exc:
+                raise NonPositiveDefiniteGram("Gram matrix is not positive definite") from exc
+            self.diag = None
+            self.dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+            # upper-bidiagonal L with L^T L = G
+            self._factor = np.diag(u[1]) + np.diag(u[0, 1:], 1)
         else:
             g = as_matrix(dense)
             if g.shape != (self.dim, self.dim):
@@ -97,6 +120,13 @@ class GramGeometry:
     def hermitian(cls, gram) -> "GramGeometry":
         g = as_matrix(gram)
         return cls(g.shape[0], dense=g)
+
+    @classmethod
+    def tridiagonal(cls, diag, off) -> "GramGeometry":
+        """Real symmetric tridiagonal Gram: ``diag`` on the diagonal, ``off``
+        on both off-diagonals."""
+        d = np.asarray(diag, dtype=float)
+        return cls(d.shape[0], bands=(d, off))
 
     @property
     def is_diagonal(self) -> bool:
@@ -142,7 +172,7 @@ class OperatorModel:
     _eigvals: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.matrix = as_matrix(self.matrix)
+        self.matrix = as_matrix(np.asarray(self.matrix, dtype=complex))
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise DimensionMismatch("OperatorModel matrix must be square")
         if self.geometry is not None and self.geometry.dim != self.matrix.shape[0]:

@@ -93,21 +93,28 @@ def h1_star_norm(p) -> float:
                            + np.sum(np.abs(deriv_scaled) ** 2)))
 
 
-def h1_gram(n: int) -> np.ndarray:
-    """Tridiagonal Gram of the monomials z^0..z^n in the 3-isometry norm:
-    diag_k = 1 + (k+2)^2, off_k = -(k+2)(k+3)/2.  Positive definite."""
+def _h1_bands(n: int):
+    """Diagonal and off-diagonal of the h1 Gram of z^0..z^n (closed form)."""
     if n < 1:
         raise ValueError("need n >= 1")
     k = np.arange(n + 1, dtype=float)
     diag = 1.0 + (k + 2.0) ** 2
     off = -(k[:-1] + 2.0) * (k[:-1] + 3.0) / 2.0
+    return diag, off
+
+
+def h1_gram(n: int) -> np.ndarray:
+    """Tridiagonal Gram of the monomials z^0..z^n in the 3-isometry norm:
+    diag_k = 1 + (k+2)^2, off_k = -(k+2)(k+3)/2.  Positive definite."""
+    diag, off = _h1_bands(n)
     gram = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     np.linalg.cholesky(gram)  # construction-time positive-definiteness check
     return gram
 
 
 def h1_geometry(n: int) -> GramGeometry:
-    return GramGeometry.hermitian(h1_gram(n))
+    """The h1 Gram of z^0..z^n as a tridiagonal geometry (O(n) factor)."""
+    return GramGeometry.tridiagonal(*_h1_bands(n))
 
 
 def m_isometry_defect(norm, shift, order: int, p) -> float:

@@ -96,6 +96,47 @@ def test_main_exit_codes(tmp_path):
     assert code == 2
 
 
+def test_library_error_exits_2_with_one_stderr_line(tmp_path, capsys):
+    # the ergodic projection rejects a defective eigenvalue 1 (NonSimplePole)
+    code = cli.main(["convergence", "--op", "jordan:2:1", "--nmax", "16",
+                     "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert not (tmp_path / "r.json").exists()
+
+
+def _main_with_config(tmp_path, argv, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "r.json"
+    code = cli.main(argv + ["--config", str(cfg), "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_kreiss_without_refinement_ratio_fails_its_check(tmp_path):
+    # kmax = 1 leaves one radius ring, so no refinement ratio exists
+    code, report = _main_with_config(tmp_path, ["kreiss", "--op", "jordan:2:1"],
+                                     {"kmax": 1, "angles": 16,
+                                      "expect_stable_tol": 0.1})
+    assert code == 1
+    assert report["values"]["refinement_ratio"] is None
+    [check] = report["checks"]
+    assert check["value"] is None and check["pass"] is False
+
+
+def test_growth_without_fit_fails_its_check(tmp_path):
+    # three points leave no fittable window, so no exponent exists
+    code, report = _main_with_config(tmp_path,
+                                     ["growth", "--op", "jordan:2:1", "--nmax", "3"],
+                                     {"expect_exponent_band": [0.5, 1.5]})
+    assert code == 1
+    assert report["values"]["fit_exponent"] is None
+    [check] = report["checks"]
+    assert check["value"] is None and check["pass"] is False
+
+
 def test_growth_overflow_is_flagged_in_the_report(tmp_path):
     # nmax > 1024 selects the sampled walk; 3^n overflows long before n = 1200
     out = tmp_path / "growth.json"

@@ -97,6 +97,62 @@ def test_gram_factor_property():
     assert np.allclose(ell.conj().T @ ell, g.dense, atol=1e-12)
 
 
+def _tridiagonal_bands(n, seed=7):
+    """Bands of a random diagonally dominant (so positive definite) real
+    symmetric tridiagonal matrix."""
+    rng = np.random.default_rng(seed)
+    off = rng.standard_normal(n - 1)
+    diag = np.abs(np.concatenate([off, [0.0]])) + np.abs(np.concatenate([[0.0], off]))
+    return diag + rng.uniform(0.5, 2.0, n), off
+
+
+def test_tridiagonal_geometry_factor_reproduces_gram():
+    # route: bands -> banded Cholesky -> dense upper-bidiagonal real factor
+    diag, off = _tridiagonal_bands(9)
+    g = GramGeometry.tridiagonal(diag, off)
+    ell = g.factor()
+    assert not np.iscomplexobj(ell) and not np.iscomplexobj(g.matrix())
+    assert np.array_equal(ell, np.triu(np.tril(ell, 1)))
+    assert np.allclose(ell.T @ ell, g.matrix(), rtol=0, atol=1e-12)
+    assert np.array_equal(g.matrix(),
+                          np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    one = GramGeometry.tridiagonal([4.0], [])
+    assert one.factor()[0, 0] == 2.0
+
+
+def test_tridiagonal_geometry_rejects_bad_bands():
+    # route: bands -> banded Cholesky failure -> NonPositiveDefiniteGram
+    with pytest.raises(NonPositiveDefiniteGram):
+        GramGeometry.tridiagonal([1.0, 1.0], [2.0])  # eigenvalues 3 and -1
+    with pytest.raises(NonPositiveDefiniteGram):
+        GramGeometry.tridiagonal([1.0, -1.0, 1.0], [0.0, 0.0])
+    with pytest.raises(DimensionMismatch):
+        GramGeometry.tridiagonal([1.0, 1.0, 1.0], [0.1])
+    with pytest.raises(ValueError):
+        GramGeometry(2, diag=[1.0, 1.0], bands=([1.0, 1.0], [0.0]))
+
+
+def _real_gram_geometry(kind, n, seed):
+    if kind == "diagonal":
+        return GramGeometry.diagonal(np.arange(1.0, n + 1.0))
+    if kind == "dense":
+        b = np.random.default_rng(seed).standard_normal((n, n))
+        return GramGeometry.hermitian(b.T @ b + np.eye(n))
+    return GramGeometry.tridiagonal(*_tridiagonal_bands(n, seed))
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense", "tridiagonal"])
+def test_real_operand_matches_its_complex_copy(kind):
+    # route: real operand -> real factor products -> real SVD, against the
+    # complex operand's complex route, in each geometry kind
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((14, 10))
+    dom, cod = _real_gram_geometry(kind, 10, 1), _real_gram_geometry(kind, 14, 2)
+    real = op_norm(a, dom, cod)
+    assert real == pytest.approx(op_norm(a.astype(complex), dom, cod), rel=1e-14)
+    assert real == pytest.approx(op_norm(a + 0j, dom, cod), rel=1e-14)
+
+
 def test_jordan_block_values():
     assert np.allclose(jordan_block(1, 0.5).matrix, [[0.5]])
     j2 = jordan_block(2, 1.0)

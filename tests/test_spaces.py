@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ergolab.ergodic import log_fit
+from ergolab.linop import GramGeometry, op_norm
 from ergolab.spaces import (
     BadTruncation,
     TooFewNodes,
@@ -185,6 +186,31 @@ def test_h1_mean_norm_plateau():
 def test_h1_geometry_matches_gram():
     g = h1_geometry(5)
     assert np.allclose(g.dense, h1_gram(5))
+
+
+@pytest.mark.parametrize("n, k", [(1, 16), (4, 64), (16, 128)])
+def test_h1_tridiagonal_mean_norm_matches_dense_route(n, k):
+    # route: h1_geometry (banded Cholesky, real SVD) against the dense
+    # complex route (dense Cholesky of h1_gram, complex SVD)
+    m = np.zeros((k + n + 1, k + 1))
+    for j in range(k + 1):
+        m[j: j + n + 1, j] = 1.0 / (n + 1)
+    fast = op_norm(m, dom=h1_geometry(k), cod=h1_geometry(k + n))
+
+    def dense(d):
+        return GramGeometry.hermitian(h1_gram(d).astype(complex))
+
+    slow = op_norm(m.astype(complex), dom=dense(k), cod=dense(k + n))
+    assert fast == pytest.approx(slow, rel=1e-12)
+    assert h1_mean_norm(n, k) == fast
+
+
+def test_h1_geometry_vector_norm_matches_closed_form():
+    # route: h1_geometry factor applied to p against the closed form h1_norm
+    rng = np.random.default_rng(20)
+    for degree in (1, 7, 40):
+        p = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        assert h1_geometry(degree).vector_norm(p) == pytest.approx(h1_norm(p), rel=1e-13)
 
 
 def test_xr_norm_values():
