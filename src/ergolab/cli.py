@@ -5,8 +5,9 @@ h1, quotient, convergence (plus the ``example`` alias group for shields/h1
 and the ``rows`` dump utility).  Reports are deterministic for a fixed
 config: byte-identical JSON, seeds fixed, no timestamps.  Exit codes:
 0 all declared checks pass, 1 a check failed (a missing diagnostic, such as
-an unfittable growth exponent, fails its check), 2 configuration error or
-an input the library rejects (one line on stderr, no traceback).
+an unfittable growth exponent, fails its check), 2 configuration error,
+numerical overflow or an input the library rejects (one line on stderr, no
+traceback).
 """
 
 from __future__ import annotations
@@ -95,12 +96,20 @@ def _band_check(name, value, band):
             "threshold": [lo, hi], "pass": bool(ok)}
 
 
+def _require_nmax(nmax, least):
+    """``nmax`` itself, or ConfigError when it is below ``least``."""
+    if nmax < least:
+        raise ConfigError(f"nmax must be >= {least}, got {nmax}")
+    return nmax
+
+
 def _scenario_identities(cfg):
     op = parse_operator(cfg["operator"])
     tol = cfg.get("tol", 1e-10)
-    nmax = cfg.get("nmax", 32)
     pmax = cfg.get("p", 2)
     scheme = means.parse_scheme(cfg.get("scheme", "cesaro:p=1"))
+    # the backward-identity sweep starts at row max(min_n, 1) + 1
+    nmax = _require_nmax(cfg.get("nmax", 32), max(scheme.min_n, 1) + 1)
     a = op.matrix
     eye = np.eye(op.dim, dtype=complex)
     worst = {"identity1": 0.0, "identity2": 0.0, "identity3": 0.0}
@@ -180,6 +189,7 @@ def _growth_report(cfg):
     if cfg.get("scheme"):
         # growth of the means ||T_n|| instead of the powers ||T^n||
         scheme = means.parse_scheme(cfg["scheme"])
+        _require_nmax(nmax, max(scheme.min_n, 1))
         if scheme.kind == "cesaro":
             pairs = [(n, op.norm(m, mode=mode))
                      for n, m in spectral.cesaro_mean_sequence(op, scheme.p, nmax)
@@ -235,11 +245,13 @@ def _scenario_nevanlinna(cfg):
 
 def _scenario_shields(cfg):
     r = cfg.get("r", 0)
-    nmax = cfg.get("nmax", 4096)
+    nmax = _require_nmax(cfg.get("nmax", 4096), 2)
     lo = cfg.get("fit_from", 64)
     mean_rep, power_rep, inner_rep = spaces.shields_report(
         r, nmax, cfg.get("quad_nodes"))
     mask = mean_rep.ns >= lo
+    if not mask.any():
+        raise ConfigError(f"no sample n in [fit_from, nmax] = [{lo}, {nmax}]")
     c, d, rel = ergodic.log_fit(mean_rep.ns[mask], mean_rep.values[mask])
     quotients = mean_rep.values[mask] / np.log(mean_rep.ns[mask])
     exact = np.array([math.prod(1.0 - j / n for j in range(1, r + 1))
@@ -295,8 +307,8 @@ def _scenario_h1(cfg):
         checks.append(_check("inequality_violations", violations, 0))
     if which in ("meannorm", "all"):
         n_trunc = cfg.get("n_trunc", 256)
-        sup = max(spaces.h1_mean_norm(n, n_trunc)
-                  for n in range(1, cfg.get("nmax", 16) + 1))
+        nmax = _require_nmax(cfg.get("nmax", 16), 1)
+        sup = max(spaces.h1_mean_norm(n, n_trunc) for n in range(1, nmax + 1))
         values["mean_norm_sup"] = sup
         checks.append(_check("mean_norm_sup", sup, cfg.get("sup_max", 10.0)))
     return values, checks
@@ -330,7 +342,7 @@ def _scenario_quotient(cfg):
 def _scenario_convergence(cfg):
     op = parse_operator(cfg["operator"])
     scheme = means.parse_scheme(cfg.get("scheme", "cesaro:p=1"))
-    nmax = cfg.get("nmax", 256)
+    nmax = _require_nmax(cfg.get("nmax", 256), max(scheme.min_n, 1))
     report = ergodic.mean_convergence_report(scheme, op, nmax)
     rates = [(n, n * v) for n, v in report.points if n >= 1]
     c_measured = max(r for _, r in rates)
@@ -451,11 +463,9 @@ def main(argv=None) -> int:
         return 0
     scenario = args.example_scenario if args.command == "example" else args.command
     config = {"scenario": scenario}
-    for key in ("operator", "scheme", "nmax", "r", "p", "kmax", "angles",
-                "norm", "degree", "check", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
+    config.update((key, value) for key, value in vars(args).items()
+                  if value is not None
+                  and key not in ("command", "example_scenario", "config", "out"))
     if args.config:
         try:
             with open(args.config) as fh:
@@ -469,7 +479,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = args.out or config.get("out")

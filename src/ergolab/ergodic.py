@@ -21,10 +21,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .linop import OperatorModel, as_matrix, as_operator, power
+from .linop import OperatorModel, as_matrix, as_operator, op_norm, power
 from .means import MeanScheme, VectorPowerCache, apply_mean, apply_mean_vector
 
 _OVERFLOW_LIMIT = 1e300
+_FIXED_TOL = 1e-9  # eigenvalues within this distance of 1 form the fixed cluster
 _PROBE_SEED = 0x5EED
 
 
@@ -165,10 +166,10 @@ def power_norm_samples(t, ns, mode: str = "spectral",
     return fitted(report, window_fraction)
 
 
-def ergodic_projection(t, tol: float = 1e-9) -> np.ndarray:
+def ergodic_projection(t) -> np.ndarray:
     """Spectral projection onto N(T - I) along R(T - I).
 
-    Schur-sorts the eigenvalue cluster within ``tol`` of 1 to the front; the
+    Schur-sorts the eigenvalue cluster within 1e-9 of 1 to the front; the
     restriction of T to that invariant subspace must be the identity up to
     1e-8 (otherwise 1 is a defective eigenvalue and NonSimplePole is
     raised).  Returns the zero matrix when 1 is not in the spectrum.
@@ -176,13 +177,13 @@ def ergodic_projection(t, tol: float = 1e-9) -> np.ndarray:
     a = as_operator(t).matrix
     d = a.shape[0]
     ts, z, sdim = scipy.linalg.schur(a, output="complex",
-                                     sort=lambda lam: abs(lam - 1.0) <= tol)
+                                     sort=lambda lam: abs(lam - 1.0) <= _FIXED_TOL)
     if sdim == 0:
         return np.zeros_like(a)
     a11 = ts[:sdim, :sdim]
     defect = a11 - np.eye(sdim, dtype=complex)
     # semisimple <=> the cluster block is the identity (rank of defect = 0)
-    if np.linalg.norm(defect, 2) > 1e-8 * max(1.0, np.linalg.norm(a, 2)):
+    if op_norm(defect) > 1e-8 * max(1.0, op_norm(a)):
         raise NonSimplePole("eigenvalue 1 has a nontrivial Jordan block")
     if sdim == d:
         return np.eye(d, dtype=complex)
@@ -195,14 +196,13 @@ def ergodic_projection(t, tol: float = 1e-9) -> np.ndarray:
     return z @ proj @ z.conj().T
 
 
-def mean_convergence_report(s: MeanScheme, t, nmax: int,
-                            tail_eps: float = 1e-12) -> GrowthReport:
+def mean_convergence_report(s: MeanScheme, t, nmax: int) -> GrowthReport:
     """(n, || T_n - P ||) for n up to nmax, P the ergodic projection."""
     op = as_operator(t)
     proj = ergodic_projection(op)
     ns, vals = [], []
     for n in range(max(s.min_n, 0), nmax + 1):
-        mean = apply_mean(s, op, n, 1.0, tail_eps)
+        mean = apply_mean(s, op, n)
         ns.append(n)
         vals.append(op.norm(mean - proj))
     return GrowthReport(label=f"||mean_n({op.label}) - P||",
@@ -210,7 +210,7 @@ def mean_convergence_report(s: MeanScheme, t, nmax: int,
 
 
 def alternating_sum_residual(s: MeanScheme, t, k: int, m: int, n0: int,
-                             x, n: int, tail_eps: float = 1e-12) -> float:
+                             x, n: int) -> float:
     """Residual of the repeated-regularity expansion
     (T - I)^{k-m} T_n x  ~  sum_{l} (-1)^l C(k-m, l) T_{n + (k-m-l) n0} x.
 
@@ -223,12 +223,12 @@ def alternating_sum_residual(s: MeanScheme, t, k: int, m: int, n0: int,
     op = as_operator(t)
     cache = VectorPowerCache(op.matrix, x)
     lhs = power(op.matrix - np.eye(op.dim, dtype=complex), q) @ \
-        apply_mean_vector(s, op, n, x, 1.0, tail_eps, cache)
+        apply_mean_vector(s, op, n, x, cache=cache)
     rhs = np.zeros(op.dim, dtype=complex)
     for ell in range(q + 1):
         coeff = (-1.0) ** ell * math.comb(q, ell)
-        rhs += coeff * apply_mean_vector(s, op, n + (q - ell) * n0, x, 1.0,
-                                         tail_eps, cache)
+        rhs += coeff * apply_mean_vector(s, op, n + (q - ell) * n0, x,
+                                         cache=cache)
     return op.vector_norm(lhs - rhs)
 
 
@@ -257,8 +257,8 @@ def _probe_vectors(d: int) -> list:
     return probes
 
 
-def gamma_quotient(t, s: MeanScheme, m: int, n_window, kernel_tol: float = 1e-8,
-                   tail_eps: float = 1e-12) -> QuotientModel:
+def gamma_quotient(t, s: MeanScheme, m: int, n_window,
+                   kernel_tol: float = 1e-8) -> QuotientModel:
     """Window estimate of gamma(x) = limsup_n ||T_n (T - I)^m x|| and the
     operator induced on the quotient by its kernel.
 
@@ -280,7 +280,7 @@ def gamma_quotient(t, s: MeanScheme, m: int, n_window, kernel_tol: float = 1e-8,
     b = power(a - np.eye(d, dtype=complex), m)
     maps = []
     for n in range(lo, hi + 1):
-        c = apply_mean(s, op, n, 1.0, tail_eps) @ b
+        c = apply_mean(s, op, n) @ b
         if op.geometry is not None:
             c = op.geometry.apply_factor(c)
         maps.append(c)
@@ -324,8 +324,8 @@ def gamma_quotient(t, s: MeanScheme, m: int, n_window, kernel_tol: float = 1e-8,
                          isometry_defect=float(defect), threshold=float(threshold))
 
 
-def almost_convergence_defect(s: MeanScheme, t, p, k: int, n_sup: int, x,
-                              tail_eps: float = 1e-12) -> float:
+def almost_convergence_defect(s: MeanScheme, t, p, k: int, n_sup: int,
+                              x) -> float:
     """sup over n <= n_sup of || (1/(k+1)) sum_{j<=k} T_{n+j} x - P x ||.
 
     P is supplied (typically the ergodic projection); rows from the scheme's
@@ -336,7 +336,7 @@ def almost_convergence_defect(s: MeanScheme, t, p, k: int, n_sup: int, x,
     target = proj @ np.asarray(x, dtype=complex)
     cache = VectorPowerCache(op.matrix, x)
     start = s.min_n
-    means = [apply_mean_vector(s, op, n, x, 1.0, tail_eps, cache)
+    means = [apply_mean_vector(s, op, n, x, cache=cache)
              for n in range(start, n_sup + k + 1)]
     prefix = np.cumsum(np.asarray(means), axis=0)
 

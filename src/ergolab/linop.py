@@ -242,13 +242,12 @@ def op_norm(a, dom: GramGeometry | None = None, cod: GramGeometry | None = None,
     raise ValueError(f"unknown norm mode {mode!r}")
 
 
-def identity_operator(d: int, label: str = "identity") -> OperatorModel:
-    return OperatorModel(np.eye(d, dtype=complex), label=label)
+def identity_operator(d: int) -> OperatorModel:
+    return OperatorModel(np.eye(d, dtype=complex), label="identity")
 
 
-def diag_operator(values, geometry=None, label: str = "diag") -> OperatorModel:
-    v = np.asarray(values, dtype=complex)
-    return OperatorModel(np.diag(v), geometry=geometry, label=label)
+def diag_operator(values) -> OperatorModel:
+    return OperatorModel(np.diag(np.asarray(values, dtype=complex)), label="diag")
 
 
 def jordan_block(d: int, eig: complex) -> OperatorModel:

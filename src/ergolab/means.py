@@ -16,7 +16,8 @@ applied to the power sequence {T^j} gives the operator mean
 
 Rows of the infinite families (Abel, power series) are truncated at a
 geometric tail-mass bound below ``tail_eps`` and are *not* renormalized, so
-the truncation defect stays visible in tests.
+the truncation defect stays visible in tests.  Only ``MeanScheme.row``
+takes ``tail_eps``; every mean below uses rows at ``DEFAULT_TAIL_EPS``.
 
 ``backward_iterate`` produces the scheme with coefficients
 ``s_nk = (sum_{j>=k+1} t_nj) / (sum_{j>=1} j t_nj)``; closed forms are used
@@ -413,8 +414,7 @@ def _advance(p: np.ndarray, b: np.ndarray, gap: int) -> np.ndarray:
     return p @ power(b, gap)
 
 
-def apply_mean(s: MeanScheme, t, n: int, lam: complex = 1.0,
-               tail_eps: float = DEFAULT_TAIL_EPS) -> np.ndarray:
+def apply_mean(s: MeanScheme, t, n: int, lam: complex = 1.0) -> np.ndarray:
     """The mean ``sum_j t_nj (lam*T)^j`` over the row's support.
 
     Powers are accumulated incrementally along the support; ``lam = 1`` gives
@@ -424,7 +424,7 @@ def apply_mean(s: MeanScheme, t, n: int, lam: complex = 1.0,
     op = as_operator(t)
     _check_radius_for(s, op)
     a = op.matrix
-    row = s.row(n, tail_eps)
+    row = s.row(n)
     b = lam * a
     acc = np.zeros_like(a)
     p = power(b, int(row.indices[0]))
@@ -451,7 +451,6 @@ class VectorPowerCache:
 
 
 def apply_mean_vector(s: MeanScheme, t, n: int, x, lam: complex = 1.0,
-                      tail_eps: float = DEFAULT_TAIL_EPS,
                       cache: VectorPowerCache | None = None) -> np.ndarray:
     """T_n x without forming the mean matrix (power-vector accumulation)."""
     lam = _check_unimodular(lam)
@@ -460,41 +459,38 @@ def apply_mean_vector(s: MeanScheme, t, n: int, x, lam: complex = 1.0,
     a = op.matrix
     if cache is None:
         cache = VectorPowerCache(lam * a, x)
-    row = s.row(n, tail_eps)
+    row = s.row(n)
     acc = np.zeros(a.shape[0], dtype=complex)
     for idx, w in zip(row.indices, row.weights):
         acc += w * cache.get(int(idx))
     return acc
 
 
-def scalar_mean(s: MeanScheme, n: int, mu: complex,
-                tail_eps: float = DEFAULT_TAIL_EPS) -> complex:
+def scalar_mean(s: MeanScheme, n: int, mu: complex) -> complex:
     """The row's generating value sum_j t_nj mu^j (the mean of the 1x1
     operator [mu]); equals 1 at mu = 1 up to the truncated tail."""
     mu = _check_unimodular(mu)
-    row = s.row(n, tail_eps)
+    row = s.row(n)
     return complex(np.sum(row.weights * mu ** row.indices.astype(float)))
 
 
-def backit_identity_residual(s: MeanScheme, t, n: int,
-                             tail_eps: float = DEFAULT_TAIL_EPS) -> float:
+def backit_identity_residual(s: MeanScheme, t, n: int) -> float:
     """Norm of  T_n^{(-1)}(T - I) - (sum_j j t_nj)^{-1} (T_n - I).
 
     An algebraic identity, so the residual is rounding-level for finite rows
-    and tail_eps-level for truncated ones.
+    and tail-mass-level for truncated ones.
     """
     op = as_operator(t)
     eye = np.eye(op.dim, dtype=complex)
     back = backward_iterate(s)
-    lhs = apply_mean(back, op, n, 1.0, tail_eps) @ (op.matrix - eye)
-    row = s.row(n, tail_eps)
+    lhs = apply_mean(back, op, n) @ (op.matrix - eye)
+    row = s.row(n)
     denom = float(np.sum(row.indices * row.weights))
-    rhs = (apply_mean(s, op, n, 1.0, tail_eps) - eye) / denom
+    rhs = (apply_mean(s, op, n) - eye) / denom
     return op.norm(lhs - rhs)
 
 
-def block_mean_residual(a, b_col, mu: complex, s: MeanScheme, n: int,
-                        tail_eps: float = DEFAULT_TAIL_EPS) -> float:
+def block_mean_residual(a, b_col, mu: complex, s: MeanScheme, n: int) -> float:
     """Two-route check of the triangular-block structure of a mean.
 
     Route 1 applies the mean to the assembled operator [[A, b], [0, mu]];
@@ -513,13 +509,13 @@ def block_mean_residual(a, b_col, mu: complex, s: MeanScheme, n: int,
     big[:d, :d] = a
     big[:d, d] = b_col
     big[d, d] = mu
-    full = apply_mean(s, big, n, 1.0, tail_eps)
+    full = apply_mean(s, big, n)
 
-    row = s.row(n, tail_eps)
+    row = s.row(n)
     # off-diagonal column of M^j: c_{j+1} = A c_j + mu^j b
     blockwise = np.zeros_like(big)
-    blockwise[:d, :d] = apply_mean(s, op, n, 1.0, tail_eps)
-    blockwise[d, d] = scalar_mean(s, n, mu, tail_eps)
+    blockwise[:d, :d] = apply_mean(s, op, n)
+    blockwise[d, d] = scalar_mean(s, n, mu)
     c = np.zeros(d, dtype=complex)
     col = np.zeros(d, dtype=complex)
     pos = 0
@@ -534,8 +530,7 @@ def block_mean_residual(a, b_col, mu: complex, s: MeanScheme, n: int,
     return op_norm(full - blockwise)
 
 
-def regularity_defect(s: MeanScheme, t, n0: int, x, n: int,
-                      tail_eps: float = DEFAULT_TAIL_EPS) -> float:
+def regularity_defect(s: MeanScheme, t, n0: int, x, n: int) -> float:
     """|| T (T_n x) - T_{n+n0} x || in the operator's geometry.
 
     The probe x is expected to lie in the relevant range space already;
@@ -543,8 +538,8 @@ def regularity_defect(s: MeanScheme, t, n0: int, x, n: int,
     """
     op = as_operator(t)
     cache = VectorPowerCache(op.matrix, x)
-    lhs = op.matrix @ apply_mean_vector(s, op, n, x, 1.0, tail_eps, cache)
-    rhs = apply_mean_vector(s, op, n + n0, x, 1.0, tail_eps, cache)
+    lhs = op.matrix @ apply_mean_vector(s, op, n, x, cache=cache)
+    rhs = apply_mean_vector(s, op, n + n0, x, cache=cache)
     return op.vector_norm(lhs - rhs)
 
 
@@ -578,12 +573,12 @@ def parse_scheme(spec: str) -> MeanScheme:
     raise ValueError(f"unknown scheme spec {spec!r}")
 
 
-def rows_to_csv(s: MeanScheme, ns, path, tail_eps: float = DEFAULT_TAIL_EPS) -> None:
+def rows_to_csv(s: MeanScheme, ns, path) -> None:
     """Dump rows as CSV with columns n, j, t."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "j", "t"])
         for n in ns:
-            row = s.row(int(n), tail_eps)
+            row = s.row(int(n))
             for j, t in zip(row.indices, row.weights):
                 writer.writerow([int(n), int(j), repr(float(t))])

@@ -217,10 +217,10 @@ def _scaled_abs_mean(p, radius: float, nodes: int) -> float:
     return circle_abs_mean(scaled, nodes)
 
 
-def shields_report(r: int, nmax: int, quad_nodes=None, ns=None):
+def shields_report(r: int, nmax: int, quad_nodes=None):
     """Growth triple for the shift on the X_r space applied to f = 1.
 
-    Returns three GrowthReports over the sample indices (default: dyadic
+    Returns three GrowthReports over the sample indices (dyadic
     3-per-octave from 2 to nmax):
 
     * ``mean``  : n^{-r} ||F_n||_r, the scaled norm of the order-1 mean;
@@ -233,10 +233,9 @@ def shields_report(r: int, nmax: int, quad_nodes=None, ns=None):
         raise ValueError("r <= 3 supported")
     if nmax > 2 ** 14:
         raise ValueError("nmax capped at 2^14")
-    if ns is None:
-        ns = sorted({int(round(2.0 ** (k / 3.0)))
-                     for k in range(3, int(3 * math.log2(nmax)) + 1)})
-        ns = [n for n in ns if 2 <= n <= nmax]
+    ns = sorted({int(round(2.0 ** (k / 3.0)))
+                 for k in range(3, int(3 * math.log2(nmax)) + 1)})
+    ns = [n for n in ns if 2 <= n <= nmax]
     mean_vals, power_vals, inner_vals = [], [], []
     for n in ns:
         fn = cesaro_multiplier(n)

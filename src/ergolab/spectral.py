@@ -282,28 +282,17 @@ def uniform_kreiss_mean_bound(t, r: int, nmax: int, angles: int,
 
     Computes C as the grid sup of the weighted partial sums, then the max
     over n <= nmax and unimodular mu of
-    || M_n(mu T) || / (2^r (2e - 1) C n^r).  For the grid to dominate the
-    constants used in the derivation it should contain radii 1 + 1/n for the
-    n of interest.
+    || M_n(mu T) || / (2^r (2e - 1) C n^r), read off the order-1
+    ``mean_growth_functional``.  For the grid to dominate the constants used
+    in the derivation it should contain radii 1 + 1/n for the n of interest.
     """
     op = as_operator(t)
-    c_report = partial_sum_functional(op, r, nmax, grid)
-    c_value = c_report.value
+    c_value = partial_sum_functional(op, r, nmax, grid).value
     bound = 2.0 ** r * (2.0 * math.e - 1.0) * c_value
-    worst = -math.inf
-    arg = {}
-    for m in range(angles):
-        mu = np.exp(2j * np.pi * m / angles)
-        for n, mean in cesaro_mean_sequence(op, 1, nmax, mu):
-            if n == 0:
-                continue
-            ratio = op.norm(mean) / (bound * n ** r)
-            if ratio > worst:
-                worst = ratio
-                arg = {"n": n, "angle": float(2.0 * np.pi * m / angles)}
+    growth = mean_growth_functional(op, 1, r, nmax, angles)
     return {
         "partial_sum_constant": c_value,
         "bound_constant": bound,
-        "max_ratio": worst,
-        "argmax": arg,
+        "max_ratio": growth.value / bound,
+        "argmax": growth.argmax,
     }

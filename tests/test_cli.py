@@ -107,6 +107,35 @@ def test_library_error_exits_2_with_one_stderr_line(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["identities", "--op", "jordan:2:1", "--nmax", "0"],
+    ["identities", "--op", "jordan:2:1", "--nmax", "1"],
+    ["convergence", "--op", "diag:1,0.5", "--nmax", "0"],
+    ["h1", "--check", "meannorm", "--nmax", "0"],
+    ["growth", "--op", "jordan:2:1", "--scheme", "abel", "--nmax", "0"],
+    ["shields", "--nmax", "1"],
+    ["shields", "--nmax", "2"],
+])
+def test_nmax_out_of_range_is_a_config_error_naming_the_key(argv, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: ") and "nmax" in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kreiss", "--op", "jordan:2:1", "--r", "5000", "--kmax", "3", "--angles", "8"],
+    ["uniform_kreiss", "--op", "jordan:2:1", "--r", "400", "--nmax", "64",
+     "--angles", "8"],
+])
+def test_overflow_exits_2_with_one_stderr_line(argv, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 def _main_with_config(tmp_path, argv, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
