@@ -46,18 +46,24 @@ def list_builtins():
     ]
 
 
+_BUILTIN_KINDS = frozenset(item.split(":")[0] for item in list_builtins())
+
+
 def parse_operator(spec: str) -> linop.OperatorModel:
-    """Operator from a builtin spec string or an operator JSON file."""
+    """Operator from a builtin spec string or an operator JSON file; a spec
+    of a builtin kind is never looked up as a path."""
     spec = spec.strip()
     if spec.startswith("builtin:"):
         spec = spec[len("builtin:"):]
-    if spec.endswith(".json") or Path(spec).exists():
-        try:
-            return linop.load_operator(spec)
-        except (OSError, KeyError, ValueError) as exc:
-            raise ConfigError(f"cannot load operator file {spec!r}: {exc}") from exc
     parts = spec.split(":")
     kind = parts[0].lower()
+    if kind not in _BUILTIN_KINDS:
+        try:
+            if spec.endswith(".json") or Path(spec).exists():
+                return linop.load_operator(spec)
+        except (OSError, KeyError, ValueError) as exc:
+            raise ConfigError(f"cannot load operator file {spec!r}: {exc}") from exc
+        raise ConfigError(f"unknown operator spec {spec!r}")
     try:
         if kind == "jordan":
             return linop.jordan_block(int(parts[1]), complex(parts[2]))
@@ -70,20 +76,31 @@ def parse_operator(spec: str) -> linop.OperatorModel:
             return linop.volterra_operator(int(parts[1]))
         if kind == "identity_minus_volterra":
             v = linop.volterra_operator(int(parts[1]))
-            eye = np.eye(v.dim, dtype=complex)
-            return linop.OperatorModel(eye - v.matrix, label=f"I-V({parts[1]})")
-        if kind == "random":
-            seed = int(parts[3]) if len(parts) > 3 else DEFAULT_SEED
-            return linop.random_operator(int(parts[1]), float(parts[2]), seed)
+            return linop.OperatorModel(np.eye(v.dim) - v.matrix,
+                                       label=f"I-V({parts[1]})")
+        # the remaining builtin kind: random
+        seed = int(parts[3]) if len(parts) > 3 else DEFAULT_SEED
+        return linop.random_operator(int(parts[1]), float(parts[2]), seed)
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"bad operator spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown operator spec {spec!r}")
+
+
+def _json_safe(obj):
+    """``obj`` with every non-finite float replaced by ``None`` (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _json_safe(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(value) for value in obj]
+    return obj
 
 
 def _check(name, value, threshold, op="<="):
-    """A named comparison; a ``None`` value (a missing diagnostic) fails it."""
+    """A named comparison; a missing or non-finite diagnostic fails it."""
     compare = {"<=": operator.le, ">=": operator.ge,
                "<": operator.lt, ">": operator.gt}[op]
+    value = _json_safe(value)
     ok = value is not None and compare(value, threshold)
     return {"name": name, "value": value, "op": op,
             "threshold": threshold, "pass": bool(ok)}
@@ -91,6 +108,7 @@ def _check(name, value, threshold, op="<="):
 
 def _band_check(name, value, band):
     lo, hi = band
+    value = _json_safe(value)
     ok = value is not None and lo <= value <= hi
     return {"name": name, "value": value, "op": "in",
             "threshold": [lo, hi], "pass": bool(ok)}
@@ -111,7 +129,7 @@ def _scenario_identities(cfg):
     # the backward-identity sweep starts at row max(min_n, 1) + 1
     nmax = _require_nmax(cfg.get("nmax", 32), max(scheme.min_n, 1) + 1)
     a = op.matrix
-    eye = np.eye(op.dim, dtype=complex)
+    eye = np.eye(op.dim)
     worst = {"identity1": 0.0, "identity2": 0.0, "identity3": 0.0}
 
     def mean(p, n):
@@ -164,6 +182,9 @@ def _scenario_kreiss(cfg):
         for i, ratio in enumerate(tail):
             checks.append(_band_check(f"step_ratio_{i}", ratio,
                                       cfg["expect_ratio_band"]))
+    if report.skipped:
+        # grid points on the spectrum were left out of the supremum
+        checks.append(_check("evaluated_grid_points", report.skipped, 0))
     return values, checks
 
 
@@ -250,8 +271,9 @@ def _scenario_shields(cfg):
     mean_rep, power_rep, inner_rep = spaces.shields_report(
         r, nmax, cfg.get("quad_nodes"))
     mask = mean_rep.ns >= lo
-    if not mask.any():
-        raise ConfigError(f"no sample n in [fit_from, nmax] = [{lo}, {nmax}]")
+    if mask.sum() < 3:
+        raise ConfigError(f"the log fit needs at least 3 samples n in "
+                          f"[fit_from, nmax] = [{lo}, {nmax}], got {mask.sum()}")
     c, d, rel = ergodic.log_fit(mean_rep.ns[mask], mean_rep.values[mask])
     quotients = mean_rep.values[mask] / np.log(mean_rep.ns[mask])
     exact = np.array([math.prod(1.0 - j / n for j in range(1, r + 1))
@@ -388,7 +410,7 @@ def run(config: dict) -> dict:
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }
-    return report
+    return _json_safe(report)
 
 
 def write_report(report: dict, path) -> None:
@@ -407,7 +429,7 @@ def write_report(report: dict, path) -> None:
                 writer.writerow(["fit_residual", repr(report["values"]["fit_residual"])])
         return
     with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
+        json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -486,7 +508,7 @@ def main(argv=None) -> int:
     if out:
         write_report(report, out)
     else:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
     for check in report["checks"]:
         status = "pass" if check["pass"] else "FAIL"
         print(f"[{status}] {check['name']}: {check['value']} "

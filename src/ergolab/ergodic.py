@@ -181,19 +181,21 @@ def ergodic_projection(t) -> np.ndarray:
     if sdim == 0:
         return np.zeros_like(a)
     a11 = ts[:sdim, :sdim]
-    defect = a11 - np.eye(sdim, dtype=complex)
+    defect = a11 - np.eye(sdim)
     # semisimple <=> the cluster block is the identity (rank of defect = 0)
     if op_norm(defect) > 1e-8 * max(1.0, op_norm(a)):
         raise NonSimplePole("eigenvalue 1 has a nontrivial Jordan block")
     if sdim == d:
-        return np.eye(d, dtype=complex)
+        return np.eye(d)
     a12 = ts[:sdim, sdim:]
     a22 = ts[sdim:, sdim:]
     x = scipy.linalg.solve_sylvester(a11, -a22, a12)
-    proj = np.zeros((d, d), dtype=complex)
+    proj = np.zeros_like(ts)
     proj[:sdim, :sdim] = np.eye(sdim)
     proj[:sdim, sdim:] = x
-    return z @ proj @ z.conj().T
+    proj = z @ proj @ z.conj().T
+    # the spectral projection of a real matrix is real
+    return proj if np.iscomplexobj(a) else proj.real.copy()
 
 
 def mean_convergence_report(s: MeanScheme, t, nmax: int) -> GrowthReport:
@@ -222,9 +224,9 @@ def alternating_sum_residual(s: MeanScheme, t, k: int, m: int, n0: int,
     q = k - m
     op = as_operator(t)
     cache = VectorPowerCache(op.matrix, x)
-    lhs = power(op.matrix - np.eye(op.dim, dtype=complex), q) @ \
+    lhs = power(op.matrix - np.eye(op.dim), q) @ \
         apply_mean_vector(s, op, n, x, cache=cache)
-    rhs = np.zeros(op.dim, dtype=complex)
+    rhs = np.zeros_like(lhs)
     for ell in range(q + 1):
         coeff = (-1.0) ** ell * math.comb(q, ell)
         rhs += coeff * apply_mean_vector(s, op, n + (q - ell) * n0, x,
@@ -250,7 +252,7 @@ class QuotientModel:
 
 def _probe_vectors(d: int) -> list:
     rng = np.random.default_rng(_PROBE_SEED)
-    probes = [np.eye(d, dtype=complex)[:, i] for i in range(d)]
+    probes = [np.eye(d)[:, i] for i in range(d)]
     for _ in range(8):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         probes.append(v / np.linalg.norm(v))
@@ -277,17 +279,14 @@ def gamma_quotient(t, s: MeanScheme, m: int, n_window,
     op = as_operator(t)
     a = op.matrix
     d = op.dim
-    b = power(a - np.eye(d, dtype=complex), m)
+    b = power(a - np.eye(d), m)
     maps = []
     for n in range(lo, hi + 1):
         c = apply_mean(s, op, n) @ b
         if op.geometry is not None:
             c = op.geometry.apply_factor(c)
         maps.append(c)
-    gram = np.zeros((d, d), dtype=complex)
-    for c in maps:
-        gram += c.conj().T @ c
-    gram /= len(maps)
+    gram = sum(c.conj().T @ c for c in maps) / len(maps)
 
     def gamma_of(x, member=None):
         sel = maps if member is None else member
@@ -313,7 +312,7 @@ def gamma_quotient(t, s: MeanScheme, m: int, n_window,
     kept_sigma = sigma[~kernel_mask]
     quotient_map = kept_sigma[:, None] * kept.conj().T
     if kept.shape[1] == 0:
-        induced = np.zeros((0, 0), dtype=complex)
+        induced = np.zeros((0, 0))
         defect = 0.0
     else:
         pseudo_inverse = kept / kept_sigma[None, :]
@@ -332,8 +331,7 @@ def almost_convergence_defect(s: MeanScheme, t, p, k: int, n_sup: int,
     first valid index through n_sup + k are used.
     """
     op = as_operator(t)
-    proj = as_matrix(p) if np.ndim(p) == 2 else np.asarray(p, dtype=complex)
-    target = proj @ np.asarray(x, dtype=complex)
+    target = as_matrix(p) @ np.asarray(x)
     cache = VectorPowerCache(op.matrix, x)
     start = s.min_n
     means = [apply_mean_vector(s, op, n, x, cache=cache)

@@ -1,4 +1,4 @@
-"""Dense complex operators with optional Gram-weighted geometry.
+"""Dense operators with optional Gram-weighted geometry.
 
 Everything downstream (summability means, resolvent functionals, growth
 reports) coerces its operator argument once with ``as_operator`` and takes
@@ -11,8 +11,9 @@ With a Gram geometry ``G`` on the domain and ``H`` on the codomain, the
 operator norm of ``A`` is the largest singular value of ``L_H A L_G^{-1}``,
 where ``L`` is any factor with ``L* L = Gram`` (Cholesky for dense Grams,
 the O(n) banded Cholesky for real tridiagonal ones, elementwise square root
-for diagonal ones).  A real operand in real geometries is normed in real
-arithmetic; operator matrices are always complex.  ``mode="colsum"`` and
+for diagonal ones).  An operator is real unless its entries are not: an
+imaginary part that is identically zero is dropped, and complex arithmetic
+enters only with a complex scalar or complex data.  ``mode="colsum"`` and
 ``mode="rowsum"`` select the max-column-sum / max-row-sum norms instead,
 i.e. the l1- and linf-induced operator norms.
 """
@@ -135,7 +136,7 @@ class GramGeometry:
     def matrix(self) -> np.ndarray:
         """The Gram matrix as a dense array."""
         if self.is_diagonal:
-            return np.diag(self.diag).astype(complex)
+            return np.diag(self.diag)
         return self.dense
 
     def factor(self) -> np.ndarray:
@@ -156,7 +157,7 @@ class GramGeometry:
         return scipy.linalg.solve_triangular(self._factor.T, a.T, lower=True).T
 
     def vector_norm(self, x) -> float:
-        x = np.asarray(x, dtype=complex)
+        x = np.asarray(x)
         if x.shape[0] != self.dim:
             raise DimensionMismatch("vector length != geometry dim")
         return float(np.linalg.norm(self.apply_factor(x)))
@@ -172,7 +173,9 @@ class OperatorModel:
     _eigvals: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.matrix = as_matrix(np.asarray(self.matrix, dtype=complex))
+        self.matrix = as_matrix(self.matrix)
+        if np.iscomplexobj(self.matrix) and not np.any(self.matrix.imag):
+            self.matrix = self.matrix.real.copy()
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise DimensionMismatch("OperatorModel matrix must be square")
         if self.geometry is not None and self.geometry.dim != self.matrix.shape[0]:
@@ -197,7 +200,7 @@ class OperatorModel:
 
     def vector_norm(self, x) -> float:
         if self.geometry is None:
-            return float(np.linalg.norm(np.asarray(x, dtype=complex)))
+            return float(np.linalg.norm(x))
         return self.geometry.vector_norm(x)
 
 
@@ -243,20 +246,18 @@ def op_norm(a, dom: GramGeometry | None = None, cod: GramGeometry | None = None,
 
 
 def identity_operator(d: int) -> OperatorModel:
-    return OperatorModel(np.eye(d, dtype=complex), label="identity")
+    return OperatorModel(np.eye(d), label="identity")
 
 
 def diag_operator(values) -> OperatorModel:
-    return OperatorModel(np.diag(np.asarray(values, dtype=complex)), label="diag")
+    return OperatorModel(np.diag(values), label="diag")
 
 
 def jordan_block(d: int, eig: complex) -> OperatorModel:
     """d x d upper bidiagonal block: ``eig`` on the diagonal, ones above."""
     if d < 1:
         raise BadDimension("Jordan block needs d >= 1")
-    m = np.eye(d, dtype=complex) * complex(eig)
-    if d > 1:
-        m += np.diag(np.ones(d - 1, dtype=complex), 1)
+    m = eig * np.eye(d) + np.eye(d, k=1)
     return OperatorModel(m, label=f"jordan({d},{eig})")
 
 
@@ -276,7 +277,7 @@ def dirichlet_shift(alpha: float, n: int, direction: str = "forward") -> Operato
         raise ValueError("direction must be 'forward' or 'backward'")
     k = np.arange(n - 1, dtype=float)
     w = ((k + 2.0) / (k + 1.0)) ** ((1.0 - alpha) / 2.0)
-    m = np.diag(w.astype(complex), -1)
+    m = np.diag(w, -1)
     if direction == "backward":
         m = m.T.copy()
     return OperatorModel(m, label=f"dirichlet({alpha},{n},{direction})")
@@ -292,11 +293,9 @@ def volterra_operator(n: int) -> OperatorModel:
     if n < 2:
         raise BadDimension("volterra discretization needs N >= 2")
     h = 1.0 / n
-    m = np.zeros((n + 1, n + 1), dtype=complex)
-    for i in range(1, n + 1):
-        m[i, : i + 1] = h
-        m[i, 0] = 0.5 * h
-        m[i, i] = 0.5 * h
+    m = h * (np.tril(np.ones((n + 1, n + 1))) - 0.5 * np.eye(n + 1))
+    m[1:, 0] = 0.5 * h
+    m[0, 0] = 0.0
     return OperatorModel(m, label=f"volterra({n})")
 
 
@@ -305,7 +304,7 @@ def power(t, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("power exponent must be >= 0")
     a = as_operator(t).matrix
-    result = np.eye(a.shape[0], dtype=complex)
+    result = np.eye(a.shape[0], dtype=a.dtype)
     base = a
     k = n
     while k:

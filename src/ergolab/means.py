@@ -100,14 +100,13 @@ class MeanScheme:
 
 
 class _Cesaro(MeanScheme):
+    kind = "cesaro"
+
     def __init__(self, p: int):
         if p < 1:
             raise ValueError("cesaro order p must be >= 1")
         self.p = int(p)
-        self.kind = "cesaro"
         self.name = f"cesaro(p={p})"
-        self.min_n = 0
-        self.finite_rows = True
 
     def _row(self, n, tail_eps):
         j = np.arange(n + 1, dtype=float)
@@ -118,11 +117,9 @@ class _Cesaro(MeanScheme):
 
 
 class _Abel(MeanScheme):
-    def __init__(self):
-        self.kind = "abel"
-        self.name = "abel"
-        self.min_n = 1
-        self.finite_rows = False
+    kind = name = "abel"
+    min_n = 1
+    finite_rows = False
 
     def _row(self, n, tail_eps):
         if n == 1:
@@ -137,11 +134,8 @@ class _Abel(MeanScheme):
 
 
 class _Zweier(MeanScheme):
-    def __init__(self):
-        self.kind = "zweier"
-        self.name = "zweier"
-        self.min_n = 1
-        self.finite_rows = True
+    kind = name = "zweier"
+    min_n = 1
 
     def _row(self, n, tail_eps):
         if n == 1:
@@ -150,11 +144,7 @@ class _Zweier(MeanScheme):
 
 
 class _Binomial(MeanScheme):
-    def __init__(self):
-        self.kind = "binomial"
-        self.name = "binomial"
-        self.min_n = 0
-        self.finite_rows = True
+    kind = name = "binomial"
 
     def _row(self, n, tail_eps):
         j = np.arange(n + 1, dtype=float)
@@ -170,11 +160,10 @@ class _PowerSeries(MeanScheme):
     ``radii`` is a callable n -> r_n, defaulting to 1 - 1/n.
     """
 
+    kind = name = "power_series"
     _MAX_TERMS = 2_000_000
 
     def __init__(self, coeffs, radii=None):
-        self.kind = "power_series"
-        self.name = "power_series"
         if callable(coeffs):
             self._coeff_fn = coeffs
             self._coeff_vec = None
@@ -249,11 +238,8 @@ class _PowerSeries(MeanScheme):
 
 
 class _IdentityPowers(MeanScheme):
-    def __init__(self):
-        self.kind = "identity_powers"
-        self.name = "powers"
-        self.min_n = 0
-        self.finite_rows = True
+    kind = "identity_powers"
+    name = "powers"
 
     def _row(self, n, tail_eps):
         return MeanRow(n, np.array([n]), np.array([1.0]))
@@ -262,13 +248,13 @@ class _IdentityPowers(MeanScheme):
 class _CesaroBackward(MeanScheme):
     """Backward iterate of cesaro(p): row n equals row n-1 of cesaro(p+1)."""
 
+    kind = "cesaro_backward"
+    min_n = 1
+
     def __init__(self, p: int):
-        self.kind = "cesaro_backward"
         self.name = f"cesaro(p={p + 1})<<1"
         self.p = p
         self._inner = _Cesaro(p + 1)
-        self.min_n = 1
-        self.finite_rows = True
 
     def _row(self, n, tail_eps):
         inner = self._inner._row(n - 1, tail_eps)
@@ -278,21 +264,17 @@ class _CesaroBackward(MeanScheme):
 class _AbelBackward(_Abel):
     """Backward iterate of abel(): the Abel rows themselves from row 2 on."""
 
-    def __init__(self):
-        super().__init__()
-        self.kind = "abel_backward"
-        self.name = "abel^(-1)"
-        self.min_n = 2
+    kind = "abel_backward"
+    name = "abel^(-1)"
+    min_n = 2
 
 
 class _ZweierBackward(MeanScheme):
     """Closed form (2/(2n-1)) * (sum_{k<=n-2} T^k + T^{n-1}/2)."""
 
-    def __init__(self):
-        self.kind = "zweier_backward"
-        self.name = "zweier^(-1)"
-        self.min_n = 1
-        self.finite_rows = True
+    kind = "zweier_backward"
+    name = "zweier^(-1)"
+    min_n = 1
 
     def _row(self, n, tail_eps):
         w = np.full(n, 2.0 / (2 * n - 1))
@@ -393,7 +375,6 @@ def backward_iterate(s: MeanScheme) -> MeanScheme:
 
 
 def _check_unimodular(lam: complex) -> complex:
-    lam = complex(lam)
     if abs(abs(lam) - 1.0) > 1e-12:
         raise ValueError("rotation parameter must have modulus 1")
     return lam
@@ -423,10 +404,9 @@ def apply_mean(s: MeanScheme, t, n: int, lam: complex = 1.0) -> np.ndarray:
     lam = _check_unimodular(lam)
     op = as_operator(t)
     _check_radius_for(s, op)
-    a = op.matrix
     row = s.row(n)
-    b = lam * a
-    acc = np.zeros_like(a)
+    b = lam * op.matrix
+    acc = np.zeros_like(b)
     p = power(b, int(row.indices[0]))
     acc += row.weights[0] * p
     prev = int(row.indices[0])
@@ -442,7 +422,7 @@ class VectorPowerCache:
 
     def __init__(self, b: np.ndarray, x: np.ndarray):
         self.b = b
-        self.values = [np.asarray(x, dtype=complex)]
+        self.values = [np.asarray(x)]
 
     def get(self, j: int) -> np.ndarray:
         while len(self.values) <= j:
@@ -456,11 +436,10 @@ def apply_mean_vector(s: MeanScheme, t, n: int, x, lam: complex = 1.0,
     lam = _check_unimodular(lam)
     op = as_operator(t)
     _check_radius_for(s, op)
-    a = op.matrix
     if cache is None:
-        cache = VectorPowerCache(lam * a, x)
+        cache = VectorPowerCache(lam * op.matrix, x)
     row = s.row(n)
-    acc = np.zeros(a.shape[0], dtype=complex)
+    acc = np.zeros(op.dim, dtype=np.result_type(cache.b, cache.values[0]))
     for idx, w in zip(row.indices, row.weights):
         acc += w * cache.get(int(idx))
     return acc
@@ -471,7 +450,7 @@ def scalar_mean(s: MeanScheme, n: int, mu: complex) -> complex:
     operator [mu]); equals 1 at mu = 1 up to the truncated tail."""
     mu = _check_unimodular(mu)
     row = s.row(n)
-    return complex(np.sum(row.weights * mu ** row.indices.astype(float)))
+    return np.sum(row.weights * mu ** row.indices.astype(float))
 
 
 def backit_identity_residual(s: MeanScheme, t, n: int) -> float:
@@ -481,7 +460,7 @@ def backit_identity_residual(s: MeanScheme, t, n: int) -> float:
     and tail-mass-level for truncated ones.
     """
     op = as_operator(t)
-    eye = np.eye(op.dim, dtype=complex)
+    eye = np.eye(op.dim)
     back = backward_iterate(s)
     lhs = apply_mean(back, op, n) @ (op.matrix - eye)
     row = s.row(n)
@@ -501,11 +480,12 @@ def block_mean_residual(a, b_col, mu: complex, s: MeanScheme, n: int) -> float:
     mu = _check_unimodular(mu)
     op = as_operator(a)
     a = op.matrix
-    b_col = np.asarray(b_col, dtype=complex).reshape(-1)
+    b_col = np.asarray(b_col).reshape(-1)
     d = a.shape[0]
     if b_col.shape[0] != d:
         raise ValueError("column length must match A")
-    big = np.zeros((d + 1, d + 1), dtype=complex)
+    dtype = np.result_type(a, b_col, mu)
+    big = np.zeros((d + 1, d + 1), dtype=dtype)
     big[:d, :d] = a
     big[:d, d] = b_col
     big[d, d] = mu
@@ -516,10 +496,10 @@ def block_mean_residual(a, b_col, mu: complex, s: MeanScheme, n: int) -> float:
     blockwise = np.zeros_like(big)
     blockwise[:d, :d] = apply_mean(s, op, n)
     blockwise[d, d] = scalar_mean(s, n, mu)
-    c = np.zeros(d, dtype=complex)
-    col = np.zeros(d, dtype=complex)
+    c = np.zeros(d, dtype=dtype)
+    col = np.zeros(d, dtype=dtype)
     pos = 0
-    mu_pow = 1.0 + 0.0j
+    mu_pow = 1.0
     for idx, w in zip(row.indices, row.weights):
         while pos < int(idx):
             c = a @ c + mu_pow * b_col

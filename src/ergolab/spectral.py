@@ -70,10 +70,9 @@ class FunctionalReport:
 def resolvent_norm(t, lam: complex) -> float:
     """Norm of (T - lambda I)^{-1} in T's geometry, by dense solve."""
     op = as_operator(t)
-    lam = complex(lam)
     if np.min(np.abs(op.eigenvalues() - lam)) < _SINGULAR_TOL:
         raise SingularResolvent(f"lambda = {lam} within {_SINGULAR_TOL} of the spectrum")
-    eye = np.eye(op.dim, dtype=complex)
+    eye = np.eye(op.dim)
     try:
         inv = np.linalg.solve(op.matrix - lam * eye, eye)
     except np.linalg.LinAlgError as exc:
@@ -132,7 +131,7 @@ def partial_sum_functional(t, r: int, nmax: int, grid: AnnulusGrid) -> Functiona
         raise ValueError("nmax must be >= 1")
     op = as_operator(t)
     a = op.matrix
-    eye = np.eye(op.dim, dtype=complex)
+    eye = np.eye(op.dim)
     best = -math.inf
     argmax = {}
     n_best = np.full(nmax + 1, -math.inf)
@@ -170,8 +169,8 @@ def cesaro_mean_sequence(t, p: int, nmax: int, lam: complex = 1.0):
     if p < 1:
         raise ValueError("cesaro order p must be >= 1")
     op = as_operator(t)
-    b = complex(lam) * op.matrix
-    eye = np.eye(op.dim, dtype=complex)
+    b = lam * op.matrix
+    eye = np.eye(op.dim)
     accs = [eye.copy() for _ in range(p + 1)]
     pow_n = eye.copy()
     binom = 1.0
@@ -230,10 +229,10 @@ def resolvent_series_residual(t, p: int, lam: complex, rho: float,
         raise SpectralRadiusTooLarge("series identity needs spectral radius <= 1")
     if nterms is None:
         nterms = int(math.ceil(40.0 / (1.0 - rho)))
-    eye = np.eye(op.dim, dtype=complex)
-    lhs = np.linalg.solve(eye - rho * complex(lam) * op.matrix, eye)
+    eye = np.eye(op.dim)
+    lhs = np.linalg.solve(eye - rho * lam * op.matrix, eye)
     scale = (1.0 - rho) ** p
-    rhs = np.zeros_like(eye)
+    rhs = np.zeros_like(lhs)
     binom = 1.0  # C(n+p, p)
     rho_n = 1.0
     for n, mean in cesaro_mean_sequence(op, p, nterms, lam):
@@ -257,10 +256,10 @@ def abel_summation_residual(t, lam: complex, rho: float, n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     op = as_operator(t)
-    b = complex(lam) * op.matrix
-    eye = np.eye(op.dim, dtype=complex)
-    lhs = np.zeros_like(eye)
-    rhs = np.zeros_like(eye)
+    b = lam * op.matrix
+    eye = np.eye(op.dim)
+    lhs = np.zeros_like(b)
+    rhs = np.zeros_like(b)
     p = eye.copy()          # (lam T)^k
     partial = eye.copy()    # (k+1) M_k = sum_{j<=k} (lam T)^j
     rho_k = 1.0

@@ -115,6 +115,9 @@ def test_library_error_exits_2_with_one_stderr_line(tmp_path, capsys):
     ["growth", "--op", "jordan:2:1", "--scheme", "abel", "--nmax", "0"],
     ["shields", "--nmax", "1"],
     ["shields", "--nmax", "2"],
+    # one and two samples in [fit_from, nmax] = [64, nmax]: no log fit
+    ["shields", "--nmax", "64"],
+    ["shields", "--nmax", "100"],
 ])
 def test_nmax_out_of_range_is_a_config_error_naming_the_key(argv, capsys):
     assert cli.main(argv) == 2
@@ -134,6 +137,51 @@ def test_overflow_exits_2_with_one_stderr_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+def test_long_builtin_spec_is_not_probed_as_a_path(tmp_path):
+    # 400 characters: longer than a file name may be
+    spec = "diag:" + ",".join(["0.5"] * 100)
+    out = tmp_path / "r.json"
+    assert cli.main(["growth", "--op", spec, "--nmax", "16", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["values"]["points"][0] == [1, 0.5]
+
+
+def test_long_non_builtin_spec_is_a_config_error(capsys):
+    assert cli.main(["growth", "--op", "x" * 300, "--nmax", "16"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in the report")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_kreiss_with_every_grid_point_skipped_fails(tmp_path, capsys):
+    # the 8 grid points of the one ring 1.5 e^{2 pi i k / 8} are the spectrum
+    ring = 1.5 * np.exp(2j * np.pi * np.arange(8) / 8)
+    spec = "diag:" + ",".join(repr(complex(z)).strip("()") for z in ring)
+    out = tmp_path / "r.json"
+    argv = ["kreiss", "--op", spec, "--kmax", "1", "--angles", "8"]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    report = _strict_json(out.read_text())
+    assert report["values"]["value"] is None
+    assert report["values"]["radius_profile"] == [[1.5, None]]
+    [check] = report["checks"]
+    assert check["name"] == "evaluated_grid_points"
+    assert check["value"] == 8 and check["pass"] is False
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert _strict_json(capsys.readouterr().out) == report
+
+
+def test_kreiss_without_skipped_points_adds_no_check(tmp_path):
+    out = tmp_path / "r.json"
+    assert cli.main(["kreiss", "--op", "jordan:2:1", "--kmax", "3", "--angles", "8",
+                     "--out", str(out)]) == 0
+    assert _strict_json(out.read_text())["checks"] == []
 
 
 def _main_with_config(tmp_path, argv, config):
