@@ -121,6 +121,14 @@ def _require_nmax(nmax, least):
     return nmax
 
 
+def _ring_weight_checks(grid, r):
+    """The failing check ``zero_weight_rings`` (value: their count) when
+    the weight of some radius ring underflowed to 0, so that ring added
+    nothing to the supremum; no check otherwise."""
+    zero = grid.kreiss_weights(r).count(0.0)
+    return [_check("zero_weight_rings", zero, 0)] if zero else []
+
+
 def _scenario_identities(cfg):
     op = parse_operator(cfg["operator"])
     tol = cfg.get("tol", 1e-10)
@@ -185,7 +193,7 @@ def _scenario_kreiss(cfg):
     if report.skipped:
         # grid points on the spectrum were left out of the supremum
         checks.append(_check("evaluated_grid_points", report.skipped, 0))
-    return values, checks
+    return values, checks + _ring_weight_checks(grid, r)
 
 
 def _scenario_uniform_kreiss(cfg):
@@ -199,7 +207,7 @@ def _scenario_uniform_kreiss(cfg):
     result = spectral.uniform_kreiss_mean_bound(op, r, nmax, angles, grid)
     checks = [_check("mean_bound_ratio", result["max_ratio"],
                      cfg.get("tol", 1.0 + 1e-6))]
-    return result, checks
+    return result, checks + _ring_weight_checks(grid, r)
 
 
 def _growth_report(cfg):

@@ -43,12 +43,13 @@ _HERMITIAN_TOL = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and return ``a`` as a 2-D matrix with finite entries:
-    complex if ``a`` is complex, real (float) otherwise."""
+    """Validate and return ``a`` as a matrix, or a stack ``(..., m, n)`` of
+    matrices, with finite entries: complex if ``a`` is complex, real (float)
+    otherwise."""
     m = np.asarray(a)
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise DimensionMismatch(f"expected a 2-D matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-2] < 1 or m.shape[-1] < 1:
+        raise DimensionMismatch(f"expected a matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
@@ -144,17 +145,19 @@ class GramGeometry:
         return self._factor
 
     def apply_factor(self, a: np.ndarray) -> np.ndarray:
-        """Left-multiply by the factor: L @ a (columns of a are vectors)."""
+        """Left-multiply by the factor: L @ a (columns of a are vectors;
+        ``a`` may be a stack of matrices)."""
         if self.is_diagonal:
-            return self._factor[:, None] * a if a.ndim == 2 else self._factor * a
+            return self._factor[:, None] * a if a.ndim >= 2 else self._factor * a
         return self._factor @ a
 
     def apply_factor_inverse_right(self, a: np.ndarray) -> np.ndarray:
-        """Right-multiply a matrix by L^{-1}: a @ L^{-1}."""
+        """Right-multiply a matrix, or each of a stack, by L^{-1}: a @ L^{-1}."""
         if self.is_diagonal:
             return a / self._factor[None, :]
         # solve X L = a  <=>  L^T X^T = a^T  (plain transpose; L upper triangular)
-        return scipy.linalg.solve_triangular(self._factor.T, a.T, lower=True).T
+        x_t = scipy.linalg.solve_triangular(self._factor.T, a.swapaxes(-1, -2), lower=True)
+        return x_t.swapaxes(-1, -2)
 
     def vector_norm(self, x) -> float:
         x = np.asarray(x)
@@ -176,7 +179,7 @@ class OperatorModel:
         self.matrix = as_matrix(self.matrix)
         if np.iscomplexobj(self.matrix) and not np.any(self.matrix.imag):
             self.matrix = self.matrix.real.copy()
-        if self.matrix.shape[0] != self.matrix.shape[1]:
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise DimensionMismatch("OperatorModel matrix must be square")
         if self.geometry is not None and self.geometry.dim != self.matrix.shape[0]:
             raise DimensionMismatch("geometry dim != matrix size")
@@ -194,7 +197,8 @@ class OperatorModel:
         return float(np.max(np.abs(self.eigenvalues()))) if self.dim else 0.0
 
     def norm(self, a=None, mode="spectral") -> float:
-        """Norm of ``a`` (default: the operator itself) in this geometry."""
+        """Norm of ``a`` (default: the operator itself) in this geometry;
+        the array of norms for a stack ``a``."""
         target = self.matrix if a is None else a
         return op_norm(target, self.geometry, self.geometry, mode=mode)
 
@@ -214,12 +218,14 @@ def as_operator(t) -> OperatorModel:
 
 def op_norm(a, dom: GramGeometry | None = None, cod: GramGeometry | None = None,
             mode: str = "spectral") -> float:
-    """Gram-weighted operator norm of a dense matrix.
+    """Gram-weighted operator norm of a dense matrix, or of each matrix of a
+    stack.
 
     Parameters
     ----------
     a : array_like
-        Matrix, possibly rectangular.
+        Matrix, possibly rectangular, or a stack ``(..., m, n)`` of them; a
+        matrix gives a float, a stack the array of its norms.
     dom, cod : GramGeometry, optional
         Geometries on the domain (columns) and codomain (rows).  When absent
         the Euclidean geometry is used on that side.
@@ -228,21 +234,23 @@ def op_norm(a, dom: GramGeometry | None = None, cod: GramGeometry | None = None,
         (max-column-sum, l1-induced) or "rowsum" (max-row-sum, linf-induced).
     """
     b = as_matrix(a)
-    if dom is not None and dom.dim != b.shape[1]:
+    if dom is not None and dom.dim != b.shape[-1]:
         raise DimensionMismatch("domain geometry dim != number of columns")
-    if cod is not None and cod.dim != b.shape[0]:
+    if cod is not None and cod.dim != b.shape[-2]:
         raise DimensionMismatch("codomain geometry dim != number of rows")
     if cod is not None:
         b = cod.apply_factor(b)
     if dom is not None:
         b = dom.apply_factor_inverse_right(b)
     if mode == "spectral":
-        return float(np.linalg.svd(b, compute_uv=False)[0])
-    if mode == "colsum":
-        return float(np.max(np.sum(np.abs(b), axis=0)))
-    if mode == "rowsum":
-        return float(np.max(np.sum(np.abs(b), axis=1)))
-    raise ValueError(f"unknown norm mode {mode!r}")
+        norms = np.linalg.svd(b, compute_uv=False)[..., 0]
+    elif mode == "colsum":
+        norms = np.max(np.sum(np.abs(b), axis=-2), axis=-1)
+    elif mode == "rowsum":
+        norms = np.max(np.sum(np.abs(b), axis=-1), axis=-1)
+    else:
+        raise ValueError(f"unknown norm mode {mode!r}")
+    return float(norms) if b.ndim == 2 else norms
 
 
 def identity_operator(d: int) -> OperatorModel:
@@ -338,6 +346,8 @@ def random_operator(dim: int, spectral_radius: float = 0.9,
 
 def matrix_to_obj(a) -> dict:
     m = as_matrix(a)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D matrix, got shape {m.shape}")
     return {
         "rows": m.shape[0],
         "cols": m.shape[1],

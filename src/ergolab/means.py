@@ -432,15 +432,18 @@ class VectorPowerCache:
 
 def apply_mean_vector(s: MeanScheme, t, n: int, x, lam: complex = 1.0,
                       cache: VectorPowerCache | None = None) -> np.ndarray:
-    """T_n x without forming the mean matrix (power-vector accumulation)."""
+    """T_n x for the mean of lam*T, without forming the mean matrix
+    (power-vector accumulation).  A ``cache`` holds the vectors T^j x of the
+    unrotated T; the rotation enters through the row weights t_nj lam^j."""
     lam = _check_unimodular(lam)
     op = as_operator(t)
     _check_radius_for(s, op)
     if cache is None:
-        cache = VectorPowerCache(lam * op.matrix, x)
+        cache = VectorPowerCache(op.matrix, x)
     row = s.row(n)
-    acc = np.zeros(op.dim, dtype=np.result_type(cache.b, cache.values[0]))
-    for idx, w in zip(row.indices, row.weights):
+    weights = row.weights * lam ** row.indices
+    acc = np.zeros(op.dim, dtype=np.result_type(weights, cache.b, cache.values[0]))
+    for idx, w in zip(row.indices, weights):
         acc += w * cache.get(int(idx))
     return acc
 

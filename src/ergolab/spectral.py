@@ -20,6 +20,10 @@ from .linop import as_operator
 from .means import SpectralRadiusTooLarge
 
 _SINGULAR_TOL = 1e-12
+# Matrix cells (points x dim x dim) in one stacked solve, product or SVD:
+# whole rings at small dim, one point per stack at dim 128, and a peak
+# memory close to that of one point at a time.
+_STACK_CELLS = 1 << 14
 
 
 class SingularResolvent(ValueError):
@@ -51,6 +55,18 @@ class AnnulusGrid:
     def angle_values(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.angles) / self.angles
 
+    def kreiss_weights(self, r: int) -> list:
+        """(rho - 1)^{r+1} / rho^r for each radius rho.  Where rho^r
+        overflows the weight is taken in log form, so a weight too small
+        for a float is 0 instead of an error."""
+        weights = []
+        for rho in self.radii:
+            try:
+                weights.append((rho - 1.0) ** (r + 1) / rho ** r)
+            except OverflowError:
+                weights.append(math.exp((r + 1) * math.log(rho - 1.0) - r * math.log(rho)))
+        return weights
+
 
 @dataclass
 class FunctionalReport:
@@ -67,52 +83,71 @@ class FunctionalReport:
     skipped: int = 0
 
 
-def resolvent_norm(t, lam: complex) -> float:
-    """Norm of (T - lambda I)^{-1} in T's geometry, by dense solve."""
+def _chunks(count: int, dim: int) -> list:
+    """Slices covering range(count) whose stacks of dim x dim matrices hold
+    at most _STACK_CELLS cells (at least one matrix each)."""
+    step = max(1, _STACK_CELLS // (dim * dim))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def resolvent_norm(t, lam):
+    """Norm of (T - lambda I)^{-1} in T's geometry, by dense solve.
+
+    ``lam`` is one point or an array of points.  A point within
+    _SINGULAR_TOL of an eigenvalue, or one whose solve fails, is skipped:
+    for one point that raises SingularResolvent, for an array it leaves NaN
+    there.  An array is solved in stacks of at most _STACK_CELLS matrix
+    cells, one stacked solve and one stacked norm each; a stack whose solve
+    fails is solved again point by point, so exactly the failing points are
+    skipped.
+    """
     op = as_operator(t)
-    if np.min(np.abs(op.eigenvalues() - lam)) < _SINGULAR_TOL:
-        raise SingularResolvent(f"lambda = {lam} within {_SINGULAR_TOL} of the spectrum")
+    lams = np.asarray(lam)
+    flat = lams.reshape(-1)
+    out = np.full(flat.shape, np.nan)
+    dist = np.min(np.abs(op.eigenvalues()[None, :] - flat[:, None]), axis=1)
+    solvable = np.flatnonzero(~(dist < _SINGULAR_TOL))
     eye = np.eye(op.dim)
-    try:
-        inv = np.linalg.solve(op.matrix - lam * eye, eye)
-    except np.linalg.LinAlgError as exc:
-        raise SingularResolvent(f"solve failed at lambda = {lam}") from exc
-    return op.norm(inv)
-
-
-def _kreiss_weight(rho: float, r: int) -> float:
-    return (rho - 1.0) ** (r + 1) / rho ** r
+    for part in _chunks(solvable.size, op.dim):
+        at = solvable[part]
+        shifted = op.matrix - flat[at, None, None] * eye
+        try:
+            out[at] = op.norm(np.linalg.solve(shifted, eye))
+        except np.linalg.LinAlgError:
+            for j, s in zip(at, shifted):
+                try:
+                    out[j] = op.norm(np.linalg.solve(s, eye))
+                except np.linalg.LinAlgError:
+                    pass
+    if lams.ndim:
+        return out.reshape(lams.shape)
+    if np.isnan(out[0]):
+        raise SingularResolvent(f"lambda = {lam} is (numerically) in the spectrum")
+    return float(out[0])
 
 
 def kreiss_functional(t, r: int, grid: AnnulusGrid) -> FunctionalReport:
     """Grid sup of ((|lambda|-1)^{r+1} / |lambda|^r) ||(T - lambda I)^{-1}||.
 
-    Grid points inside the (numerical) spectrum are skipped and counted.
-    The refinement ratio compares the sup with and without the innermost
-    radius ring.
+    Each radius ring is one ``resolvent_norm`` call.  Grid points inside
+    the (numerical) spectrum are skipped and counted.  The refinement ratio
+    compares the sup with and without the innermost radius ring.
     """
     op = as_operator(t)
-    best = -math.inf
-    argmax = {}
-    per_radius = [(-math.inf)] * len(grid.radii)
-    skipped = 0
     angles = grid.angle_values()
-    for i, rho in enumerate(grid.radii):
-        w = _kreiss_weight(rho, r)
-        for m, theta in enumerate(angles):
-            lam = rho * np.exp(1j * theta)
-            try:
-                val = w * resolvent_norm(op, lam)
-            except SingularResolvent:
-                skipped += 1
-                continue
-            if val > per_radius[i]:
-                per_radius[i] = val
-            if val > best:
-                best = val
-                argmax = {"radius": rho, "angle": float(theta)}
-    report = FunctionalReport(value=best, argmax=argmax, skipped=skipped)
-    report.radius_profile = [(rho, v) for rho, v in zip(grid.radii, per_radius)]
+    norms = np.array([resolvent_norm(op, rho * np.exp(1j * angles)) for rho in grid.radii])
+    skipped = np.isnan(norms)
+    values = np.where(skipped, -math.inf, np.array(grid.kreiss_weights(r))[:, None] * norms)
+    # np.argmax takes the first maximum in (radius, angle) order
+    k = int(np.argmax(values))
+    best = float(values.flat[k])
+    argmax = {}
+    if best > -math.inf:
+        i, m = divmod(k, grid.angles)
+        argmax = {"radius": grid.radii[i], "angle": float(angles[m])}
+    per_radius = [float(v) for v in values.max(axis=1)]
+    report = FunctionalReport(value=best, argmax=argmax, skipped=int(skipped.sum()))
+    report.radius_profile = list(zip(grid.radii, per_radius))
     if len(per_radius) >= 2:
         coarse = max(per_radius[:-1])
         if coarse > 0:
@@ -124,53 +159,56 @@ def partial_sum_functional(t, r: int, nmax: int, grid: AnnulusGrid) -> Functiona
     """Grid sup over n <= nmax of the weighted partial sums
     ((|lambda|-1)^{r+1} / |lambda|^r) || sum_{k<=n} lambda^{-k-1} T^k ||.
 
-    Per grid point the sums are accumulated incrementally in powers of
-    T/lambda, so the whole n-range costs one matrix product per step.
+    The sums are accumulated incrementally in powers of T/lambda for a
+    stack of angles at once, so the whole n-range costs one stacked matrix
+    product and one stacked norm per step.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     op = as_operator(t)
-    a = op.matrix
     eye = np.eye(op.dim)
+    angles = grid.angle_values()
     best = -math.inf
     argmax = {}
     n_best = np.full(nmax + 1, -math.inf)
-    for i, rho in enumerate(grid.radii):
-        w = _kreiss_weight(rho, r)
-        for m, theta in enumerate(grid.angle_values()):
-            lam = rho * np.exp(1j * theta)
-            b = a / lam
-            p = eye.copy()
-            acc = eye.copy()
+    for rho, w in zip(grid.radii, grid.kreiss_weights(r)):
+        lams = rho * np.exp(1j * angles)
+        values = np.empty((grid.angles, nmax + 1))
+        for part in _chunks(grid.angles, op.dim):
+            b = op.matrix / lams[part, None, None]
+            p = acc = np.broadcast_to(eye, b.shape)
             for n in range(0, nmax + 1):
                 if n > 0:
                     p = p @ b
                     acc = acc + p
-                val = w * op.norm(acc) / rho
-                if val > n_best[n]:
-                    n_best[n] = val
-                if val > best:
-                    best = val
-                    argmax = {"radius": rho, "angle": float(theta), "n": n}
+                values[part, n] = w * op.norm(acc) / rho
+        k = int(np.argmax(values))      # first maximum in (angle, n) order
+        if values.flat[k] > best:
+            best = float(values.flat[k])
+            m, n = divmod(k, nmax + 1)
+            argmax = {"radius": rho, "angle": float(angles[m]), "n": n}
+        n_best = np.maximum(n_best, values.max(axis=0))
     report = FunctionalReport(value=best, argmax=argmax)
     report.n_profile = [(n, float(v)) for n, v in enumerate(n_best)]
     return report
 
 
-def cesaro_mean_sequence(t, p: int, nmax: int, lam: complex = 1.0):
+def cesaro_mean_sequence(t, p: int, nmax: int, lam=1.0):
     """Yield (n, M_n of order p applied to lam*T) for n = 0..nmax.
 
-    Uses the cumulative (Pascal-triangle) recursion: the unnormalized
-    accumulators satisfy A_n^{(q)} = A_{n-1}^{(q)} + A_n^{(q-1)} with
-    A_n^{(0)} = (lam T)^n, and M_n^{(p)} = A_n^{(p)} / C(n+p, p).  One matrix
-    product per step regardless of p; validated against the row-coefficient
-    route in the test suite.
+    ``lam`` is one rotation or an array of them; an array yields stacks of
+    means, one per rotation.  Uses the cumulative (Pascal-triangle)
+    recursion: the unnormalized accumulators satisfy
+    A_n^{(q)} = A_{n-1}^{(q)} + A_n^{(q-1)} with A_n^{(0)} = (lam T)^n, and
+    M_n^{(p)} = A_n^{(p)} / C(n+p, p).  One matrix product per step
+    regardless of p; validated against the row-coefficient route in the
+    test suite.
     """
     if p < 1:
         raise ValueError("cesaro order p must be >= 1")
     op = as_operator(t)
-    b = lam * op.matrix
-    eye = np.eye(op.dim)
+    b = np.asarray(lam)[..., None, None] * op.matrix
+    eye = np.broadcast_to(np.eye(op.dim), b.shape)
     accs = [eye.copy() for _ in range(p + 1)]
     pow_n = eye.copy()
     binom = 1.0
@@ -188,29 +226,31 @@ def mean_growth_functional(t, p: int, r: int, nmax: int, angles: int) -> Functio
     """Sup over n in [1, nmax] and the angle grid of
     n^{-r} || M_n^{(p)}(lam T) ||.
 
-    The report's n_profile holds the per-n maxima over angles and tail_value
-    the maximum over the trailing half of the n-range (the plateau reading
-    for bounded cases; the left edge can dominate the raw sup).
+    The means of a stack of angles come from one ``cesaro_mean_sequence``.
+    Where n^r overflows, n^{-r} is taken as 0.  The report's n_profile
+    holds the per-n maxima over angles and tail_value the maximum over the
+    trailing half of the n-range (the plateau reading for bounded cases;
+    the left edge can dominate the raw sup).
     """
     if angles < 1:
         raise ValueError("need at least one angle")
+    if nmax < 1:
+        raise ValueError("nmax must be >= 1")
     op = as_operator(t)
-    n_best = np.full(nmax + 1, -math.inf)
-    best = -math.inf
-    argmax = {}
-    for m in range(angles):
-        lam = np.exp(2j * np.pi * m / angles)
-        for n, mean in cesaro_mean_sequence(op, p, nmax, lam):
-            if n == 0:
-                continue
-            val = op.norm(mean) / n ** r
-            if val > n_best[n]:
-                n_best[n] = val
-            if val > best:
-                best = val
-                argmax = {"n": n, "angle": float(2.0 * np.pi * m / angles)}
-    report = FunctionalReport(value=best, argmax=argmax)
-    report.n_profile = [(n, float(v)) for n, v in enumerate(n_best) if n >= 1]
+    thetas = 2.0 * np.pi * np.arange(angles) / angles
+    lams = np.exp(1j * thetas)
+    with np.errstate(over="ignore"):
+        n_pow_r = np.arange(1, nmax + 1, dtype=float) ** r
+    values = np.empty((angles, nmax))
+    for part in _chunks(angles, op.dim):
+        for n, means in cesaro_mean_sequence(op, p, nmax, lams[part]):
+            if n > 0:
+                values[part, n - 1] = op.norm(means) / n_pow_r[n - 1]
+    k = int(np.argmax(values))          # first maximum in (angle, n) order
+    m, n = divmod(k, nmax)
+    report = FunctionalReport(value=float(values.flat[k]),
+                              argmax={"n": n + 1, "angle": float(thetas[m])})
+    report.n_profile = [(n, float(v)) for n, v in enumerate(values.max(axis=0), start=1)]
     tail = [v for n, v in report.n_profile if n > nmax // 2]
     report.tail_value = max(tail) if tail else None
     return report

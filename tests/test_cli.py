@@ -126,17 +126,21 @@ def test_nmax_out_of_range_is_a_config_error_naming_the_key(argv, capsys):
     assert err[0].startswith("config error: ") and "nmax" in err[0]
 
 
-@pytest.mark.parametrize("argv", [
-    ["kreiss", "--op", "jordan:2:1", "--r", "5000", "--kmax", "3", "--angles", "8"],
-    ["uniform_kreiss", "--op", "jordan:2:1", "--r", "400", "--nmax", "64",
-     "--angles", "8"],
-])
-def test_overflow_exits_2_with_one_stderr_line(argv, tmp_path, capsys):
+@pytest.mark.parametrize("argv, zero_rings", [
+    (["kreiss", "--op", "jordan:2:1", "--r", "5000", "--kmax", "3", "--angles", "8"], 3),
+    (["uniform_kreiss", "--op", "jordan:2:1", "--r", "400", "--nmax", "8",
+      "--angles", "8"], 1),
+    (["uniform_kreiss", "--op", "jordan:2:1", "--r", "400", "--nmax", "64",
+      "--angles", "8"], 4),
+], ids=["kreiss_r5000", "uniform_kreiss_r400_nmax8", "uniform_kreiss_r400_nmax64"])
+def test_underflowed_ring_weight_fails_its_check(argv, zero_rings, tmp_path, capsys):
+    # rho^r overflows a float; the weight (rho-1)^{r+1}/rho^r underflows to 0
     out = tmp_path / "r.json"
-    assert cli.main(argv + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert not out.exists()
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    failed = [c for c in json.loads(out.read_text())["checks"] if not c["pass"]]
+    assert failed == [{"name": "zero_weight_rings", "value": zero_rings, "op": "<=",
+                       "threshold": 0, "pass": False}]
 
 
 def test_long_builtin_spec_is_not_probed_as_a_path(tmp_path):

@@ -153,6 +153,32 @@ def test_real_operand_matches_its_complex_copy(kind):
     assert real == pytest.approx(op_norm(a + 0j, dom, cod), rel=1e-14)
 
 
+@pytest.mark.parametrize("mode", ["spectral", "colsum", "rowsum"])
+@pytest.mark.parametrize("kind", [None, "diagonal", "dense", "tridiagonal"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_stacked_op_norm_equals_per_matrix_norms(kind, mode, dtype):
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((2, 3, 14, 10)).astype(dtype)
+    if dtype is complex:
+        stack += 1j * rng.standard_normal(stack.shape)
+    dom = cod = None
+    if kind is not None:
+        dom, cod = _real_gram_geometry(kind, 10, 1), _real_gram_geometry(kind, 14, 2)
+    got = op_norm(stack, dom, cod, mode=mode)
+    assert got.shape == (2, 3)
+    assert got.tolist() == [[op_norm(a, dom, cod, mode=mode) for a in row] for row in stack]
+    assert type(op_norm(stack[0, 0], dom, cod, mode=mode)) is float
+
+
+def test_operator_model_and_wire_format_reject_a_stack():
+    with pytest.raises(DimensionMismatch):
+        OperatorModel(np.zeros((2, 3, 3)))
+    with pytest.raises(DimensionMismatch):
+        linop.matrix_to_obj(np.zeros((2, 3, 3)))
+    with pytest.raises(DimensionMismatch):
+        op_norm(np.ones(3))
+
+
 def test_jordan_block_values():
     assert np.allclose(jordan_block(1, 0.5).matrix, [[0.5]])
     j2 = jordan_block(2, 1.0)

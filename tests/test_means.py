@@ -16,6 +16,7 @@ from ergolab.means import (
     DegenerateRow,
     RowOutOfRange,
     SpectralRadiusTooLarge,
+    VectorPowerCache,
     abel,
     apply_mean,
     apply_mean_vector,
@@ -182,6 +183,18 @@ def test_apply_mean_vector_matches_matrix():
         direct = apply_mean(s, t, n, lam=1j) @ x
         via_vec = apply_mean_vector(s, t, n, x, lam=1j)
         assert np.allclose(direct, via_vec, atol=1e-12)
+
+
+def test_apply_mean_vector_rotates_a_cache_of_the_unrotated_powers():
+    t = jordan_block(2, 0.5)
+    x = np.array([1.0, 1.0])
+    cache = VectorPowerCache(t.matrix, x)
+    got = apply_mean_vector(cesaro(1), t, 4, x, lam=1j, cache=cache)
+    assert np.allclose(got, [0.0625 + 0.125j, 0.1625 + 0.075j], rtol=0, atol=1e-15)
+    assert np.allclose(got, apply_mean(cesaro(1), t, 4, lam=1j) @ x, rtol=0, atol=1e-15)
+    # the same cache at lam = 1, the way the ergodic consumers call it
+    plain = apply_mean_vector(cesaro(1), t, 4, x, cache=cache)
+    assert np.allclose(plain, [1.0375, 0.3875], rtol=0, atol=1e-15)
 
 
 # --- Cesaro recurrence identities -----------------------------------------

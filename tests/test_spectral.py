@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from ergolab.linop import (
+    GramGeometry,
     OperatorModel,
+    as_operator,
     diag_operator,
     dirichlet_shift,
     identity_operator,
@@ -213,3 +215,171 @@ def test_dirichlet_halfweight_functionals_plateau_together():
     m_coarse = mean_growth_functional(t, 2, 0, 96, 4)
     m_fine = mean_growth_functional(t, 2, 0, 192, 4)
     assert abs(m_fine.value / m_coarse.value - 1.0) < 0.10
+
+
+# --- stacked sweeps against the per-point loop ------------------------------
+
+def _operator_form(m, form):
+    d = m.shape[0]
+    if form == "matrix":
+        return m
+    if form == "model":
+        return OperatorModel(m)
+    if form == "diag_gram":
+        return OperatorModel(m, geometry=GramGeometry.diagonal(np.linspace(0.5, 2.0, d)))
+    b = np.random.default_rng(d).standard_normal((d, d))
+    return OperatorModel(m, geometry=GramGeometry.hermitian(b.T @ b + np.eye(d)))
+
+
+def _kreiss_oracle(t, r, grid):
+    """Scalar resolvent_norm at every grid point in (radius, angle) order,
+    keeping the first strict maximum."""
+    best, argmax, profile, skipped = -np.inf, {}, [], 0
+    for rho, w in zip(grid.radii, grid.kreiss_weights(r)):
+        ring = -np.inf
+        for theta in grid.angle_values():
+            try:
+                val = w * resolvent_norm(t, rho * np.exp(1j * theta))
+            except SingularResolvent:
+                skipped += 1
+                continue
+            ring = max(ring, val)
+            if val > best:
+                best, argmax = val, {"radius": rho, "angle": float(theta)}
+        profile.append((rho, ring))
+    return best, argmax, profile, skipped
+
+
+def _partial_sum_oracle(t, r, nmax, grid):
+    """One angle at a time: 2-D products and norms, (radius, angle, n) order."""
+    op = as_operator(t)
+    eye = np.eye(op.dim)
+    best, argmax, n_best = -np.inf, {}, [-np.inf] * (nmax + 1)
+    for rho, w in zip(grid.radii, grid.kreiss_weights(r)):
+        for theta in grid.angle_values():
+            b = op.matrix / (rho * np.exp(1j * theta))
+            p = acc = eye
+            for n in range(nmax + 1):
+                if n:
+                    p = p @ b
+                    acc = acc + p
+                val = w * op.norm(acc) / rho
+                n_best[n] = max(n_best[n], val)
+                if val > best:
+                    best, argmax = val, {"radius": rho, "angle": float(theta), "n": n}
+    return best, argmax, list(enumerate(n_best))
+
+
+def _mean_growth_oracle(t, p, r, nmax, angles):
+    """Scalar-lambda cesaro_mean_sequence per angle, (angle, n) order."""
+    op = as_operator(t)
+    best, argmax, n_best = -np.inf, {}, [-np.inf] * (nmax + 1)
+    for m in range(angles):
+        theta = 2.0 * np.pi * m / angles
+        for n, mean in cesaro_mean_sequence(op, p, nmax, np.exp(1j * theta)):
+            if n:
+                val = op.norm(mean) / n ** r
+                n_best[n] = max(n_best[n], val)
+                if val > best:
+                    best, argmax = val, {"n": n, "angle": theta}
+    return best, argmax, list(enumerate(n_best))[1:]
+
+
+_FORMS = ["matrix", "model", "diag_gram", "dense_gram"]
+
+
+@pytest.mark.parametrize("form", _FORMS)
+@pytest.mark.parametrize("r", [0, 1])
+def test_stacked_kreiss_equals_per_point_loop(form, r):
+    t = _operator_form(random_operator(6, 0.9, seed=41).matrix, form)
+    grid = AnnulusGrid.dyadic(4, 16)
+    rep = kreiss_functional(t, r, grid)
+    assert (rep.value, rep.argmax, rep.radius_profile, rep.skipped) == \
+        _kreiss_oracle(t, r, grid)
+    # the scalar call is the parent's 2-D solve and norm, bit for bit
+    op = as_operator(t)
+    lam = 1.25 * np.exp(0.3j)
+    eye = np.eye(op.dim)
+    assert resolvent_norm(t, lam) == op.norm(np.linalg.solve(op.matrix - lam * eye, eye))
+
+
+@pytest.mark.parametrize("form", _FORMS)
+def test_stacked_partial_sums_equal_per_point_loop(form):
+    t = _operator_form(random_operator(5, 1.0, seed=43).matrix, form)
+    grid = AnnulusGrid.dyadic(3, 16)
+    rep = partial_sum_functional(t, 1, 12, grid)
+    assert (rep.value, rep.argmax, rep.n_profile) == _partial_sum_oracle(t, 1, 12, grid)
+
+
+@pytest.mark.parametrize("form", _FORMS)
+@pytest.mark.parametrize("p", [1, 2])
+def test_stacked_mean_growth_equals_per_angle_loop(form, p):
+    t = _operator_form(random_operator(5, 1.0, seed=47).matrix, form)
+    rep = mean_growth_functional(t, p, 1, 12, 16)
+    assert (rep.value, rep.argmax, rep.n_profile) == _mean_growth_oracle(t, p, 1, 12, 16)
+
+
+def test_stacked_sweeps_keep_the_first_of_tied_angles():
+    # the weighted shift is rotation invariant: its angles tie up to rounding
+    t = dirichlet_shift(0.5, 128, "forward")
+    grid = AnnulusGrid.dyadic(2, 16)
+    rep = kreiss_functional(t, 0, grid)
+    assert (rep.value, rep.argmax, rep.radius_profile, rep.skipped) == \
+        _kreiss_oracle(t, 0, grid)
+    growth = mean_growth_functional(t, 2, 0, 6, 4)
+    assert (growth.value, growth.argmax, growth.n_profile) == _mean_growth_oracle(t, 2, 0, 6, 4)
+
+
+def test_stacked_sweeps_cross_chunk_boundaries():
+    # d = 48 stacks 7 points: a 64-angle ring is 9 full stacks and 1 point
+    t = _operator_form(random_operator(48, 0.95, seed=53).matrix, "dense_gram")
+    grid = AnnulusGrid((1.25,), 64)
+    rep = kreiss_functional(t, 1, grid)
+    assert (rep.value, rep.argmax, rep.radius_profile, rep.skipped) == \
+        _kreiss_oracle(t, 1, grid)
+    sums = partial_sum_functional(t, 1, 2, grid)
+    assert (sums.value, sums.argmax, sums.n_profile) == _partial_sum_oracle(t, 1, 2, grid)
+    growth = mean_growth_functional(t, 1, 1, 2, 64)
+    assert (growth.value, growth.argmax, growth.n_profile) == _mean_growth_oracle(t, 1, 1, 2, 64)
+
+
+def test_failed_stacked_solve_skips_exactly_the_singular_point():
+    # eigenvalues 5e-6 from 1.5 pass the distance rule, but T - 1.5 I is
+    # singular in floating point, so a whole-ring stacked solve fails
+    t = np.array([[1.5, 1.0, 0.0], [-0.5, 2.0, 0.5], [0.5, 0.5, 1.0]])
+    grid = AnnulusGrid.dyadic(1, 8)
+    ring = 1.5 * np.exp(1j * grid.angle_values())
+    eye = np.eye(3)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(t - ring[:, None, None] * eye, eye)
+    rep = kreiss_functional(t, 0, grid)
+    assert rep.skipped == 1
+    assert (rep.value, rep.argmax, rep.radius_profile, rep.skipped) == \
+        _kreiss_oracle(t, 0, grid)
+    assert np.isnan(resolvent_norm(t, ring)).tolist() == [True] + [False] * 7
+
+
+def test_resolvent_norm_of_an_array_has_nan_at_skipped_points():
+    t = diag_operator([1.0, 0.5])
+    got = resolvent_norm(t, np.array([[1.0, 2.0], [0.5, -1.0]]))
+    assert got.shape == (2, 2)
+    assert np.isnan(got[0, 0]) and np.isnan(got[1, 0])
+    assert got[0, 1] == resolvent_norm(t, 2.0) == pytest.approx(1.0, rel=1e-15)
+    assert got[1, 1] == resolvent_norm(t, -1.0) == pytest.approx(1.0 / 1.5, rel=1e-15)
+
+
+def test_kreiss_weights_take_the_log_form_only_where_rho_r_overflows():
+    grid = AnnulusGrid((2.0, 1.5), 8)
+    assert grid.kreiss_weights(1) == [1.0 ** 2 / 2.0, 0.5 ** 2 / 1.5]
+    # 2^1050 overflows a float; the weight 2^-1050 is subnormal, not 0
+    heavy = grid.kreiss_weights(1050)
+    assert heavy[0] == pytest.approx(2.0 ** -1050, rel=1e-6)
+    assert heavy[1] == 0.0
+    assert kreiss_functional(jordan_block(2, 1), 5000, AnnulusGrid.dyadic(3, 8)).value == 0.0
+
+
+def test_mean_growth_lets_n_to_the_minus_r_underflow():
+    rep = mean_growth_functional(jordan_block(2, 1), 1, 400, 64, 8)
+    profile = dict(rep.n_profile)
+    assert profile[64] == 0.0          # 64^400 overflows a float
+    assert rep.value == profile[1] > 0.0
