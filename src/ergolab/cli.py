@@ -139,23 +139,20 @@ def _scenario_identities(cfg):
     a = op.matrix
     eye = np.eye(op.dim)
     worst = {"identity1": 0.0, "identity2": 0.0, "identity3": 0.0}
-
-    def mean(p, n):
-        if p == 0:
-            return linop.power(op, n)
-        return means.apply_mean(means.cesaro(p), op, n)
-
-    for p in range(1, pmax + 1):
-        for n in range(1, nmax + 1):
-            m_n = mean(p, n)
-            m_next = mean(p, n + 1)
-            m_lower = mean(p - 1, n + 1)
+    for part in linop._chunks(nmax, op.dim ** 2):
+        # rows n of this slice, and n + 1 for the means of the next row
+        n = np.arange(part.start + 1, part.stop + 1)[:, None, None]
+        rows = np.arange(part.start + 1, part.stop + 2)
+        lower = means.apply_mean(means.identity_powers(), op, rows)
+        for p in range(1, pmax + 1):
+            upper = means.apply_mean(means.cesaro(p), op, rows)
+            m_n, m_next, m_lower = upper[:-1], upper[1:], lower[1:]
             r1 = m_n @ (a - eye) - (p / (n + 1)) * (m_lower - eye)
             r2 = a @ m_n - ((n + p + 1) / (n + 1)) * m_next + (p / (n + 1)) * eye
             r3 = ((n + p + 1) / (n + 1)) * m_next - m_n - (p / (n + 1)) * m_lower
-            worst["identity1"] = max(worst["identity1"], op.norm(r1))
-            worst["identity2"] = max(worst["identity2"], op.norm(r2))
-            worst["identity3"] = max(worst["identity3"], op.norm(r3))
+            for key, r in zip(worst, (r1, r2, r3)):
+                worst[key] = max(worst[key], float(np.max(op.norm(r))))
+            lower = upper
     back_res = max(means.backit_identity_residual(scheme, op, n)
                    for n in range(max(scheme.min_n, 1) + 1, nmax + 1))
     block_res = means.block_mean_residual(op, np.ones(op.dim), 1.0, scheme,
@@ -223,12 +220,14 @@ def _growth_report(cfg):
             pairs = [(n, op.norm(m, mode=mode))
                      for n, m in spectral.cesaro_mean_sequence(op, scheme.p, nmax)
                      if n >= 1]
+            ns, vals = (np.asarray(seq) for seq in zip(*pairs))
         else:
-            pairs = [(n, op.norm(means.apply_mean(scheme, op, n), mode=mode))
-                     for n in range(max(scheme.min_n, 1), nmax + 1)]
-        ns, vals = zip(*pairs)
+            ns = np.arange(max(scheme.min_n, 1), nmax + 1)
+            vals = np.empty(ns.size)
+            for part in linop._chunks(ns.size, op.dim ** 2):
+                vals[part] = op.norm(means.apply_mean(scheme, op, ns[part]), mode=mode)
         report = ergodic.GrowthReport(label=f"||{scheme.name}({op.label})||",
-                                      ns=np.asarray(ns), values=np.asarray(vals))
+                                      ns=ns, values=vals)
         report = ergodic.fitted(report, window)
         return op, report
     if cfg.get("sampled", nmax > 1024):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .linop import OperatorModel, as_matrix, as_operator, op_norm, power
+from .linop import OperatorModel, _chunks, as_matrix, as_operator, op_norm, power
 from .means import MeanScheme, VectorPowerCache, apply_mean, apply_mean_vector
 
 _OVERFLOW_LIMIT = 1e300
@@ -199,16 +199,16 @@ def ergodic_projection(t) -> np.ndarray:
 
 
 def mean_convergence_report(s: MeanScheme, t, nmax: int) -> GrowthReport:
-    """(n, || T_n - P ||) for n up to nmax, P the ergodic projection."""
+    """(n, || T_n - P ||) for n up to nmax, P the ergodic projection; the
+    means come in stacks of at most _STACK_CELLS cells, one ``apply_mean``
+    call and one stacked norm each."""
     op = as_operator(t)
     proj = ergodic_projection(op)
-    ns, vals = [], []
-    for n in range(max(s.min_n, 0), nmax + 1):
-        mean = apply_mean(s, op, n)
-        ns.append(n)
-        vals.append(op.norm(mean - proj))
-    return GrowthReport(label=f"||mean_n({op.label}) - P||",
-                        ns=np.asarray(ns), values=np.asarray(vals))
+    ns = np.arange(max(s.min_n, 0), nmax + 1)
+    vals = np.empty(ns.size)
+    for part in _chunks(ns.size, op.dim ** 2):
+        vals[part] = op.norm(apply_mean(s, op, ns[part]) - proj)
+    return GrowthReport(label=f"||mean_n({op.label}) - P||", ns=ns, values=vals)
 
 
 def alternating_sum_residual(s: MeanScheme, t, k: int, m: int, n0: int,
@@ -250,13 +250,15 @@ class QuotientModel:
         return self.quotient_map.shape[0]
 
 
-def _probe_vectors(d: int) -> list:
+def _probe_vectors(d: int) -> np.ndarray:
+    """The probes as columns: the d unit vectors, then 8 random unit
+    vectors."""
     rng = np.random.default_rng(_PROBE_SEED)
     probes = [np.eye(d)[:, i] for i in range(d)]
     for _ in range(8):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         probes.append(v / np.linalg.norm(v))
-    return probes
+    return np.stack(probes, axis=1)
 
 
 def gamma_quotient(t, s: MeanScheme, m: int, n_window,
@@ -280,24 +282,23 @@ def gamma_quotient(t, s: MeanScheme, m: int, n_window,
     a = op.matrix
     d = op.dim
     b = power(a - np.eye(d), m)
-    maps = []
-    for n in range(lo, hi + 1):
-        c = apply_mean(s, op, n) @ b
-        if op.geometry is not None:
-            c = op.geometry.apply_factor(c)
-        maps.append(c)
-    gram = sum(c.conj().T @ c for c in maps) / len(maps)
+    maps = apply_mean(s, op, np.arange(lo, hi + 1)) @ b
+    if op.geometry is not None:
+        maps = op.geometry.apply_factor(maps)
+    flat = maps.reshape(-1, d)
+    gram = flat.conj().T @ flat / len(maps)
 
-    def gamma_of(x, member=None):
-        sel = maps if member is None else member
-        return max(float(np.linalg.norm(c @ x)) for c in sel)
+    def gammas(x):
+        """Per-map norms ||c x|| of each probe (the columns of x)."""
+        return np.linalg.norm(maps @ x, axis=-2)
 
     half = len(maps) // 2
     probes = _probe_vectors(d)
+    norms = gammas(probes)
     gamma_values = {
-        "window": [gamma_of(x) for x in probes],
-        "first_half": [gamma_of(x, maps[:half]) for x in probes],
-        "second_half": [gamma_of(x, maps[half:]) for x in probes],
+        "window": norms.max(axis=0).tolist(),
+        "first_half": norms[:half].max(axis=0).tolist(),
+        "second_half": norms[half:].max(axis=0).tolist(),
     }
     scale = max(gamma_values["window"], default=0.0)
     threshold = kernel_tol * scale
@@ -317,7 +318,7 @@ def gamma_quotient(t, s: MeanScheme, m: int, n_window,
     else:
         pseudo_inverse = kept / kept_sigma[None, :]
         induced = quotient_map @ a @ pseudo_inverse
-        defect = max(abs(gamma_of(a @ x) - gamma_of(x)) for x in probes)
+        defect = np.max(np.abs(gammas(a @ probes).max(axis=0) - norms.max(axis=0)))
     return QuotientModel(kernel_basis=kernel_basis, quotient_map=quotient_map,
                          induced_op=induced, gamma_values=gamma_values,
                          isometry_defect=float(defect), threshold=float(threshold))

@@ -40,6 +40,23 @@ class BadDimension(ValueError):
 
 
 _HERMITIAN_TOL = 1e-12
+# Matrix cells in one stacked solve, product, SVD or weight block: whole
+# resolvent rings and mean sweeps at small dim, one matrix per stack at dim
+# 128, and a peak memory close to that of one matrix at a time.
+_STACK_CELLS = 1 << 14
+
+
+def _stack_size(cells: int) -> int:
+    """Items of ``cells`` cells each in one stack: as many as _STACK_CELLS
+    cells hold, and at least one."""
+    return max(1, _STACK_CELLS // cells)
+
+
+def _chunks(count: int, cells: int) -> list:
+    """Slices covering range(count) whose stacks of items of ``cells``
+    cells each hold at most _STACK_CELLS cells (at least one item each)."""
+    step = _stack_size(cells)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def as_matrix(a) -> np.ndarray:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .linop import OperatorModel, as_operator, op_norm, power
+from .linop import OperatorModel, _chunks, _stack_size, as_operator, op_norm, power
 
 DEFAULT_TAIL_EPS = 1e-12
 
@@ -395,26 +395,70 @@ def _advance(p: np.ndarray, b: np.ndarray, gap: int) -> np.ndarray:
     return p @ power(b, gap)
 
 
-def apply_mean(s: MeanScheme, t, n: int, lam: complex = 1.0) -> np.ndarray:
-    """The mean ``sum_j t_nj (lam*T)^j`` over the row's support.
+def _row_groups(rows):
+    """Consecutive runs of ``rows`` whose weight blocks (rows x support
+    span) hold at most _STACK_CELLS cells, at least one row each."""
+    group, lo, hi = [], 0, 0
+    for row in rows:
+        first, last = int(row.indices[0]), int(row.indices[-1])
+        if group and len(group) >= _stack_size(max(hi, last) - min(lo, first) + 1):
+            yield group
+            group = []
+        lo, hi = (min(lo, first), max(hi, last)) if group else (first, last)
+        group.append(row)
+    if group:
+        yield group
 
-    Powers are accumulated incrementally along the support; ``lam = 1`` gives
-    the plain mean.  Infinite-row kinds require spectral radius <= 1.
+
+def _group_means(rows: list, b: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the means ``sum_j t_nj b^j``, one per row, from
+    one walk of the powers of ``b`` over the union of the rows' supports.
+    The powers are collected in stacks of at most _STACK_CELLS cells, and
+    each stack is contracted with its block of row weights in one
+    product."""
+    lo = min(int(row.indices[0]) for row in rows)
+    used = np.zeros(max(int(row.indices[-1]) for row in rows) - lo + 1, dtype=bool)
+    for row in rows:
+        used[row.indices - lo] = True
+    support = lo + np.flatnonzero(used)
+    column = np.cumsum(used) - 1
+    weights = np.zeros((len(rows), support.size))
+    for i, row in enumerate(rows):
+        weights[i, column[row.indices - lo]] = row.weights
+    d = b.shape[0]
+    acc = out.reshape(len(rows), d * d)
+    acc.fill(0.0)
+    p, prev = None, 0
+    for part in _chunks(support.size, d * d):
+        stack = np.empty((part.stop - part.start, d, d), dtype=b.dtype)
+        for k, j in enumerate(support[part].tolist()):
+            p = power(b, j) if p is None else _advance(p, b, j - prev)
+            prev = j
+            stack[k] = p
+        acc += weights[:, part] @ stack.reshape(-1, d * d)
+
+
+def apply_mean(s: MeanScheme, t, n, lam: complex = 1.0) -> np.ndarray:
+    """The mean ``sum_j t_nj (lam*T)^j`` over the support of row ``n``, or,
+    for an array ``n`` of row indices, the ``(len(n), d, d)`` stack of
+    means.
+
+    The rows are taken in groups whose weight blocks (rows x support span)
+    hold at most _STACK_CELLS cells; one walk per group carries the powers
+    of lam*T over the union of the group's supports.  ``lam = 1`` gives the
+    plain mean.  Infinite-row kinds require spectral radius <= 1.
     """
     lam = _check_unimodular(lam)
     op = as_operator(t)
     _check_radius_for(s, op)
-    row = s.row(n)
+    ns = np.asarray(n)
     b = lam * op.matrix
-    acc = np.zeros_like(b)
-    p = power(b, int(row.indices[0]))
-    acc += row.weights[0] * p
-    prev = int(row.indices[0])
-    for idx, w in zip(row.indices[1:], row.weights[1:]):
-        p = _advance(p, b, int(idx) - prev)
-        prev = int(idx)
-        acc += w * p
-    return acc
+    out = np.empty((ns.size,) + b.shape, dtype=b.dtype)
+    start = 0
+    for group in _row_groups(s.row(k) for k in ns.reshape(-1).tolist()):
+        _group_means(group, b, out[start:start + len(group)])
+        start += len(group)
+    return out.reshape(ns.shape + b.shape)
 
 
 class VectorPowerCache:

@@ -16,14 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linop import as_operator
+from .linop import _chunks, as_operator
 from .means import SpectralRadiusTooLarge
 
 _SINGULAR_TOL = 1e-12
-# Matrix cells (points x dim x dim) in one stacked solve, product or SVD:
-# whole rings at small dim, one point per stack at dim 128, and a peak
-# memory close to that of one point at a time.
-_STACK_CELLS = 1 << 14
 
 
 class SingularResolvent(ValueError):
@@ -83,13 +79,6 @@ class FunctionalReport:
     skipped: int = 0
 
 
-def _chunks(count: int, dim: int) -> list:
-    """Slices covering range(count) whose stacks of dim x dim matrices hold
-    at most _STACK_CELLS cells (at least one matrix each)."""
-    step = max(1, _STACK_CELLS // (dim * dim))
-    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
-
-
 def resolvent_norm(t, lam):
     """Norm of (T - lambda I)^{-1} in T's geometry, by dense solve.
 
@@ -108,7 +97,7 @@ def resolvent_norm(t, lam):
     dist = np.min(np.abs(op.eigenvalues()[None, :] - flat[:, None]), axis=1)
     solvable = np.flatnonzero(~(dist < _SINGULAR_TOL))
     eye = np.eye(op.dim)
-    for part in _chunks(solvable.size, op.dim):
+    for part in _chunks(solvable.size, op.dim ** 2):
         at = solvable[part]
         shifted = op.matrix - flat[at, None, None] * eye
         try:
@@ -174,7 +163,7 @@ def partial_sum_functional(t, r: int, nmax: int, grid: AnnulusGrid) -> Functiona
     for rho, w in zip(grid.radii, grid.kreiss_weights(r)):
         lams = rho * np.exp(1j * angles)
         values = np.empty((grid.angles, nmax + 1))
-        for part in _chunks(grid.angles, op.dim):
+        for part in _chunks(grid.angles, op.dim ** 2):
             b = op.matrix / lams[part, None, None]
             p = acc = np.broadcast_to(eye, b.shape)
             for n in range(0, nmax + 1):
@@ -242,7 +231,7 @@ def mean_growth_functional(t, p: int, r: int, nmax: int, angles: int) -> Functio
     with np.errstate(over="ignore"):
         n_pow_r = np.arange(1, nmax + 1, dtype=float) ** r
     values = np.empty((angles, nmax))
-    for part in _chunks(angles, op.dim):
+    for part in _chunks(angles, op.dim ** 2):
         for n, means in cesaro_mean_sequence(op, p, nmax, lams[part]):
             if n > 0:
                 values[part, n - 1] = op.norm(means) / n_pow_r[n - 1]

@@ -269,6 +269,34 @@ def test_convergence_scenario():
     assert points[50] == pytest.approx(2.0 / 51.0, rel=1e-12)
 
 
+def _numbers(obj):
+    if isinstance(obj, dict):
+        return [x for key in sorted(obj) for x in _numbers(obj[key])]
+    if isinstance(obj, list):
+        return [x for item in obj for x in _numbers(item)]
+    return [obj] if isinstance(obj, (int, float)) and not isinstance(obj, bool) else []
+
+
+@pytest.mark.parametrize("config", [
+    {"scenario": "identities", "operator": "random:3:1.1:7", "scheme": "zweier",
+     "p": 3, "nmax": 24},
+    {"scenario": "growth", "operator": "jordan:2:0.99", "scheme": "abel", "nmax": 40},
+    {"scenario": "growth", "operator": "jordan:3:1", "scheme": "zweier", "nmax": 64,
+     "norm": "colsum"},
+    {"scenario": "convergence", "operator": "diag:1,-1,1j,0.5", "scheme": "binomial",
+     "nmax": 40},
+    {"scenario": "quotient", "window": [64, 96]},
+], ids=["identities", "growth_abel", "growth_zweier", "convergence", "quotient"])
+def test_mean_sweeps_do_not_depend_on_the_cell_budget(monkeypatch, config):
+    wide = run(config)
+    # slices of a few means, stacks of a few powers, row groups of a few rows
+    monkeypatch.setattr(linop, "_STACK_CELLS", 40)
+    narrow = run(config)
+    assert narrow["pass"] == wide["pass"]
+    np.testing.assert_allclose(_numbers(narrow["values"]), _numbers(wide["values"]),
+                               rtol=1e-12, atol=1e-14)
+
+
 def test_uniform_kreiss_scenario():
     report = run({"scenario": "uniform_kreiss", "operator": "diag:1,0.5",
                   "nmax": 32, "angles": 8})

@@ -17,6 +17,7 @@ from ergolab.ergodic import (
     power_norm_sequence,
 )
 from ergolab.linop import (
+    GramGeometry,
     OperatorModel,
     diag_operator,
     identity_operator,
@@ -25,7 +26,7 @@ from ergolab.linop import (
     power,
     random_operator,
 )
-from ergolab.means import abel, apply_mean_vector, cesaro, identity_powers
+from ergolab.means import abel, apply_mean, apply_mean_vector, cesaro, identity_powers
 
 
 def test_power_norm_sequence_values():
@@ -196,6 +197,36 @@ def test_gamma_quotient_degenerate_cases():
     assert np.max(np.abs(full.induced_op - np.eye(3))) <= 1e-10
     with pytest.raises(WindowTooSmall):
         gamma_quotient(identity_operator(2), identity_powers(), 0, (8, 16))
+
+
+def test_gamma_quotient_matches_the_per_map_probe_loop():
+    # oracle: the window maps one at a time, each probe's gamma as a max of
+    # single vector norms, and the Gram as a sum of per-map products
+    a = np.diag([1.0, np.exp(2j * np.pi / 7.0), 0.6]) + 0.2 * np.eye(3, k=1)
+    t = OperatorModel(a, GramGeometry.diagonal([1.0, 2.0, 0.5]))
+    model = gamma_quotient(t, cesaro(2), 1, (40, 72))
+    b = a - np.eye(3)
+    factor = np.sqrt([1.0, 2.0, 0.5])[:, None]
+    maps = [factor * (apply_mean(cesaro(2), t, n) @ b) for n in range(40, 73)]
+    rng = np.random.default_rng(0x5EED)
+    probes = list(np.eye(3))
+    for _ in range(8):
+        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        probes.append(v / np.linalg.norm(v))
+
+    def gamma_of(x, sel):
+        return max(float(np.linalg.norm(c @ x)) for c in sel)
+
+    half = len(maps) // 2
+    for key, sel in (("window", maps), ("first_half", maps[:half]),
+                     ("second_half", maps[half:])):
+        np.testing.assert_allclose(model.gamma_values[key],
+                                   [gamma_of(x, sel) for x in probes], rtol=1e-12, atol=0.0)
+    gram = sum(c.conj().T @ c for c in maps) / len(maps)
+    sigma = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
+    assert model.quotient_dim == int(np.sum(sigma >= model.threshold)) == 2
+    defect = max(abs(gamma_of(a @ x, maps) - gamma_of(x, maps)) for x in probes)
+    assert model.isometry_defect == pytest.approx(defect, rel=1e-9, abs=1e-15)
 
 
 def test_direct_sum_consequence_for_cesaro():

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ergolab import means
+from ergolab import linop, means
 from ergolab.linop import (
+    GramGeometry,
     OperatorModel,
+    as_operator,
     diag_operator,
     identity_operator,
     jordan_block,
@@ -195,6 +197,97 @@ def test_apply_mean_vector_rotates_a_cache_of_the_unrotated_powers():
     # the same cache at lam = 1, the way the ergodic consumers call it
     plain = apply_mean_vector(cesaro(1), t, 4, x, cache=cache)
     assert np.allclose(plain, [1.0375, 0.3875], rtol=0, atol=1e-15)
+
+
+# --- stacked apply_mean against the per-row oracle --------------------------
+
+def row_mean(s, t, n, lam=1.0):
+    """Oracle: the mean of row n by the per-row incremental loop, one
+    product (or one gap power) per row term."""
+    row = s.row(n)
+    b = lam * as_operator(t).matrix
+    acc = np.zeros_like(b)
+    p = power(b, int(row.indices[0]))
+    acc += row.weights[0] * p
+    prev = int(row.indices[0])
+    for idx, w in zip(row.indices[1:], row.weights[1:]):
+        gap = int(idx) - prev
+        p = p @ b if gap == 1 else p @ power(b, gap)
+        prev = int(idx)
+        acc += w * p
+    return acc
+
+
+def assert_matches_oracle(s, t, ns, lam=1.0):
+    got = apply_mean(s, t, ns, lam)
+    assert got.shape == (len(ns),) + as_operator(t).matrix.shape
+    for mean, n in zip(got, ns):
+        ref = row_mean(s, t, n, lam)
+        assert mean.dtype == ref.dtype
+        np.testing.assert_allclose(mean, ref, rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+ORACLE_SCHEMES = [cesaro(1), cesaro(3), abel(), zweier(), binomial(), identity_powers(),
+                  power_series([1.0, 2.0, 3.0]),
+                  power_series(lambda j: 1.0 / (j + 1.0) ** 2),
+                  backward_iterate(cesaro(2)), backward_iterate(abel()),
+                  backward_iterate(zweier()), backward_iterate(binomial())]
+
+
+def _oracle_operators():
+    rng = np.random.default_rng(31)
+    real = rng.standard_normal((4, 4))
+    real *= 0.97 / np.max(np.abs(np.linalg.eigvals(real)))
+    gram = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    dense = OperatorModel(real, GramGeometry.hermitian(gram @ gram.conj().T + np.eye(4)))
+    return {"real": real, "complex": random_operator(3, 1.0, seed=32), "dense_gram": dense}
+
+
+@pytest.mark.parametrize("s", ORACLE_SCHEMES, ids=lambda s: s.name)
+@pytest.mark.parametrize("kind", ["real", "complex", "dense_gram"])
+@pytest.mark.parametrize("lam", [1.0, 1j], ids=["lam1", "lam1j"])
+def test_stacked_apply_mean_matches_row_oracle(s, kind, lam):
+    t = _oracle_operators()[kind]
+    lo = s.min_n
+    assert_matches_oracle(s, t, list(range(lo, lo + 10)), lam)
+    # starts above the first row, has gaps, repeats and runs backwards
+    assert_matches_oracle(s, t, [lo + 3, lo + 4, lo + 9, lo + 30, lo + 30, lo + 5], lam)
+
+
+def test_stacked_apply_mean_sparse_supports():
+    t = jordan_block(3, 0.9)
+    assert_matches_oracle(identity_powers(), t, [1, 2, 40, 41, 300, 7])
+    assert_matches_oracle(zweier(), t, [1, 2, 3, 50, 51, 900])
+    assert_matches_oracle(power_series([1.0, 0.0, 0.0, 0.0, 2.0]), t, [1, 3, 8], lam=-1.0)
+
+
+@pytest.mark.parametrize("cells", [1, 9, 40, 200])
+@pytest.mark.parametrize("s", [cesaro(2), abel(), zweier(), identity_powers(),
+                               backward_iterate(binomial())], ids=lambda s: s.name)
+def test_stacked_apply_mean_under_a_tiny_cell_budget(monkeypatch, s, cells):
+    # stacks of 0 to 50 powers and row groups of a few rows: every chunk and
+    # row-group boundary falls inside the sweep
+    groups = []
+    group_means = means._group_means
+    monkeypatch.setattr(means, "_group_means",
+                        lambda rows, b, out: (groups.append(len(rows)),
+                                              group_means(rows, b, out)))
+    monkeypatch.setattr(linop, "_STACK_CELLS", cells)
+    ns = list(range(s.min_n, s.min_n + 24))
+    assert_matches_oracle(s, random_operator(2, 1.0, seed=33), ns, lam=1j)
+    assert sum(groups) == len(ns)
+    assert len(groups) > 1
+
+
+def test_scalar_apply_mean_is_a_batch_of_one():
+    t = random_operator(3, 1.0, seed=34)
+    for s in (cesaro(2), abel(), zweier(), power_series(lambda j: 0.5 ** j)):
+        n = s.min_n + 6
+        single = apply_mean(s, t, n, lam=1j)
+        assert single.shape == (3, 3)
+        assert np.array_equal(single, apply_mean(s, t, [n], lam=1j)[0])
+        assert np.array_equal(single, apply_mean(s, t, np.array(n), lam=1j))
+    assert apply_mean(cesaro(1), t, []).shape == (0, 3, 3)
 
 
 # --- Cesaro recurrence identities -----------------------------------------
