@@ -114,11 +114,12 @@ def _band_check(name, value, band):
             "threshold": [lo, hi], "pass": bool(ok)}
 
 
-def _require_nmax(nmax, least):
-    """``nmax`` itself, or ConfigError when it is below ``least``."""
-    if nmax < least:
-        raise ConfigError(f"nmax must be >= {least}, got {nmax}")
-    return nmax
+def _require(key, value, least):
+    """``value`` itself, or ConfigError naming ``key`` when it is below
+    ``least``."""
+    if value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value}")
+    return value
 
 
 def _ring_weight_checks(grid, r):
@@ -132,10 +133,11 @@ def _ring_weight_checks(grid, r):
 def _scenario_identities(cfg):
     op = parse_operator(cfg["operator"])
     tol = cfg.get("tol", 1e-10)
-    pmax = cfg.get("p", 2)
+    pmax = _require("p", cfg.get("p", 2), 1)
     scheme = means.parse_scheme(cfg.get("scheme", "cesaro:p=1"))
-    # the backward-identity sweep starts at row max(min_n, 1) + 1
-    nmax = _require_nmax(cfg.get("nmax", 32), max(scheme.min_n, 1) + 1)
+    # the backward-identity sweep runs over the rows first..nmax
+    first = max(scheme.min_n, 1) + 1
+    nmax = _require("nmax", cfg.get("nmax", 32), first)
     a = op.matrix
     eye = np.eye(op.dim)
     worst = {"identity1": 0.0, "identity2": 0.0, "identity3": 0.0}
@@ -153,8 +155,10 @@ def _scenario_identities(cfg):
             for key, r in zip(worst, (r1, r2, r3)):
                 worst[key] = max(worst[key], float(np.max(op.norm(r))))
             lower = upper
-    back_res = max(means.backit_identity_residual(scheme, op, n)
-                   for n in range(max(scheme.min_n, 1) + 1, nmax + 1))
+    back_rows = np.arange(first, nmax + 1)
+    back_res = max(
+        float(np.max(means.backit_identity_residual(scheme, op, back_rows[part])))
+        for part in linop._chunks(back_rows.size, op.dim ** 2))
     block_res = means.block_mean_residual(op, np.ones(op.dim), 1.0, scheme,
                                           max(scheme.min_n + 1, 4))
     values = dict(worst, backward_identity=back_res, block_identity=block_res)
@@ -215,7 +219,7 @@ def _growth_report(cfg):
     if cfg.get("scheme"):
         # growth of the means ||T_n|| instead of the powers ||T^n||
         scheme = means.parse_scheme(cfg["scheme"])
-        _require_nmax(nmax, max(scheme.min_n, 1))
+        _require("nmax", nmax, max(scheme.min_n, 1))
         if scheme.kind == "cesaro":
             pairs = [(n, op.norm(m, mode=mode))
                      for n, m in spectral.cesaro_mean_sequence(op, scheme.p, nmax)
@@ -273,7 +277,7 @@ def _scenario_nevanlinna(cfg):
 
 def _scenario_shields(cfg):
     r = cfg.get("r", 0)
-    nmax = _require_nmax(cfg.get("nmax", 4096), 2)
+    nmax = _require("nmax", cfg.get("nmax", 4096), 2)
     lo = cfg.get("fit_from", 64)
     mean_rep, power_rep, inner_rep = spaces.shields_report(
         r, nmax, cfg.get("quad_nodes"))
@@ -336,7 +340,7 @@ def _scenario_h1(cfg):
         checks.append(_check("inequality_violations", violations, 0))
     if which in ("meannorm", "all"):
         n_trunc = cfg.get("n_trunc", 256)
-        nmax = _require_nmax(cfg.get("nmax", 16), 1)
+        nmax = _require("nmax", cfg.get("nmax", 16), 1)
         sup = max(spaces.h1_mean_norm(n, n_trunc) for n in range(1, nmax + 1))
         values["mean_norm_sup"] = sup
         checks.append(_check("mean_norm_sup", sup, cfg.get("sup_max", 10.0)))
@@ -371,7 +375,7 @@ def _scenario_quotient(cfg):
 def _scenario_convergence(cfg):
     op = parse_operator(cfg["operator"])
     scheme = means.parse_scheme(cfg.get("scheme", "cesaro:p=1"))
-    nmax = _require_nmax(cfg.get("nmax", 256), max(scheme.min_n, 1))
+    nmax = _require("nmax", cfg.get("nmax", 256), max(scheme.min_n, 1))
     report = ergodic.mean_convergence_report(scheme, op, nmax)
     rates = [(n, n * v) for n, v in report.points if n >= 1]
     c_measured = max(r for _, r in rates)

@@ -500,19 +500,21 @@ def scalar_mean(s: MeanScheme, n: int, mu: complex) -> complex:
     return np.sum(row.weights * mu ** row.indices.astype(float))
 
 
-def backit_identity_residual(s: MeanScheme, t, n: int) -> float:
-    """Norm of  T_n^{(-1)}(T - I) - (sum_j j t_nj)^{-1} (T_n - I).
+def backit_identity_residual(s: MeanScheme, t, n):
+    """Norm of  T_n^{(-1)}(T - I) - (sum_j j t_nj)^{-1} (T_n - I)  at row
+    ``n``, or, for an array ``n`` of row indices, the array of these norms
+    (one batched ``apply_mean`` per scheme and one stacked norm).
 
     An algebraic identity, so the residual is rounding-level for finite rows
     and tail-mass-level for truncated ones.
     """
     op = as_operator(t)
+    ns = np.asarray(n)
     eye = np.eye(op.dim)
-    back = backward_iterate(s)
-    lhs = apply_mean(back, op, n) @ (op.matrix - eye)
-    row = s.row(n)
-    denom = float(np.sum(row.indices * row.weights))
-    rhs = (apply_mean(s, op, n) - eye) / denom
+    lhs = apply_mean(backward_iterate(s), op, ns) @ (op.matrix - eye)
+    denom = np.array([float(np.sum(row.indices * row.weights))
+                      for row in map(s.row, ns.reshape(-1).tolist())])
+    rhs = (apply_mean(s, op, ns) - eye) / denom.reshape(ns.shape + (1, 1))
     return op.norm(lhs - rhs)
 
 

@@ -126,6 +126,15 @@ def test_nmax_out_of_range_is_a_config_error_naming_the_key(argv, capsys):
     assert err[0].startswith("config error: ") and "nmax" in err[0]
 
 
+@pytest.mark.parametrize("p", ["0", "-1"])
+def test_identities_with_no_cesaro_order_is_a_config_error(p, capsys):
+    # p < 1 evaluates no Cesaro order, so identity1..3 would read 0.0 unchecked
+    assert cli.main(["identities", "--op", "jordan:2:1", "--p", p]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: ") and "p must be >= 1" in err[0]
+
+
 @pytest.mark.parametrize("argv, zero_rings", [
     (["kreiss", "--op", "jordan:2:1", "--r", "5000", "--kmax", "3", "--angles", "8"], 3),
     (["uniform_kreiss", "--op", "jordan:2:1", "--r", "400", "--nmax", "8",

@@ -20,6 +20,7 @@ from ergolab.linop import (
     GramGeometry,
     OperatorModel,
     diag_operator,
+    dirichlet_shift,
     identity_operator,
     jordan_block,
     op_norm,
@@ -48,6 +49,39 @@ def test_power_norm_sequence_values():
         p = p @ t.matrix
         oracle.append(op_norm(p))
     assert np.array_equal(rep.values, oracle)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 2.0])
+def test_dirichlet_forward_power_norms_are_weight_products(alpha):
+    # T^n maps e_k to (w_k ... w_{k+n-1}) e_{k+n}, one entry per row and
+    # column, so ||T^n|| is the largest product of n consecutive weights;
+    # w_i = ((i+2)/(i+1))^beta telescopes to ((k+n+1)/(k+1))^beta
+    d, beta = 40, (1.0 - alpha) / 2.0
+    rep = power_norm_sequence(dirichlet_shift(alpha, d, "forward"), 60)
+    assert rep.ns.tolist() == list(range(1, 61))
+    for n, value in rep.points:
+        if n >= d:
+            assert value == 0.0
+        else:
+            oracle = max(((k + n + 1) / (k + 1)) ** beta for k in range(d - n))
+            assert value == pytest.approx(oracle, rel=1e-13)
+
+
+@pytest.mark.parametrize("d, eig", [(2, 1.0), (3, 1.0), (4, 1.0), (3, 0.5), (4, -0.9)])
+def test_jordan_power_norms_match_mpmath(d, eig):
+    mpmath = pytest.importorskip("mpmath")
+    rep = power_norm_sequence(jordan_block(d, eig), 64)
+    with mpmath.workdps(30):
+        j = mpmath.matrix(d)
+        for i in range(d):
+            j[i, i] = mpmath.mpf(eig)  # the binary value of eig, exactly
+            if i + 1 < d:
+                j[i, i + 1] = 1
+        p = mpmath.eye(d)
+        for n, value in rep.points:
+            p = p * j
+            oracle = max(mpmath.svd_r(p, compute_uv=False))
+            assert value == pytest.approx(float(oracle), rel=1e-13)
 
 
 def test_power_norm_overflow_flag():

@@ -170,6 +170,75 @@ def test_stacked_op_norm_equals_per_matrix_norms(kind, mode, dtype):
     assert type(op_norm(stack[0, 0], dom, cod, mode=mode)) is float
 
 
+def _with_zero_lines(rng, shape, dtype):
+    """A random matrix, or stack, with random zero rows and columns, plus
+    zero trailing rows and leading columns: those stay zero under the
+    triangular factors of the dense and tridiagonal geometries, so every
+    geometry kind leaves a core smaller than the matrix."""
+    a = rng.standard_normal(shape).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.standard_normal(shape)
+    m, n = shape[-2:]
+    a[..., rng.random(m) < 0.3, :] = 0.0
+    a[..., :, rng.random(n) < 0.3] = 0.0
+    a[..., m - 2:, :] = 0.0
+    a[..., :, :2] = 0.0
+    return a
+
+
+def _full_svd_norms(a, dom, cod):
+    """Oracle: the largest singular value of the whole conjugated matrix,
+    zero rows and columns included."""
+    b = a if cod is None else cod.apply_factor(a)
+    b = b if dom is None else dom.apply_factor_inverse_right(b)
+    assert not np.all(np.any(b != 0, axis=-1))  # some row is dropped
+    return np.linalg.svd(b, compute_uv=False)[..., 0]
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (14, 10), (9, 13)])
+@pytest.mark.parametrize("kind", [None, "diagonal", "dense", "tridiagonal"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_spectral_norm_of_the_nonzero_core_matches_the_full_svd(shape, kind, dtype):
+    rng = np.random.default_rng(sum(shape))
+    dom = cod = None
+    if kind is not None:
+        dom, cod = (_real_gram_geometry(kind, shape[1], 1),
+                    _real_gram_geometry(kind, shape[0], 2))
+    for _ in range(5):
+        a = _with_zero_lines(rng, shape, dtype)
+        assert op_norm(a, dom, cod) == pytest.approx(_full_svd_norms(a, dom, cod),
+                                                      rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", [None, "diagonal", "dense", "tridiagonal"])
+def test_stack_is_reduced_by_the_union_of_its_zero_patterns(kind):
+    rng = np.random.default_rng(5)
+    dom = cod = None
+    if kind is not None:
+        dom, cod = _real_gram_geometry(kind, 10, 1), _real_gram_geometry(kind, 12, 2)
+    # mixed patterns: each matrix is normed on the union core, to rounding
+    mixed = np.stack([_with_zero_lines(rng, (12, 10), float) for _ in range(6)])
+    got = op_norm(mixed, dom, cod)
+    assert got.shape == (6,)
+    for a, value in zip(mixed, got):
+        assert value == pytest.approx(_full_svd_norms(a, dom, cod), rel=1e-14)
+        assert value == pytest.approx(op_norm(a, dom, cod), rel=1e-14)
+    # one shared pattern: the stack is one call per matrix, bit for bit
+    shared = rng.standard_normal((6, 12, 10)) * (mixed[0] != 0)
+    assert op_norm(shared, dom, cod).tolist() == [op_norm(a, dom, cod) for a in shared]
+
+
+def test_all_zero_matrix_and_stack_have_norm_zero():
+    value = op_norm(np.zeros((3, 3)))
+    assert type(value) is float and value == 0.0
+    stack = op_norm(np.zeros((2, 4, 3, 5)), cod=GramGeometry.diagonal([1.0, 2.0, 3.0]))
+    assert stack.shape == (2, 4) and not np.any(stack)
+    # an all-zero matrix inside a stack is normed with the rest
+    mixed = np.zeros((3, 4, 4))
+    mixed[1, 0, 2] = -2.5
+    assert op_norm(mixed).tolist() == [0.0, 2.5, 0.0]
+
+
 def test_operator_model_and_wire_format_reject_a_stack():
     with pytest.raises(DimensionMismatch):
         OperatorModel(np.zeros((2, 3, 3)))

@@ -395,6 +395,22 @@ def test_backit_identity_residual():
     assert backit_identity_residual(abel(), t, 6) <= 1e-9
 
 
+@pytest.mark.parametrize("s", [cesaro(2), abel()], ids=["finite", "truncated"])
+def test_batched_backit_identity_residual_matches_the_per_row_loop(s):
+    t = random_operator(5, 0.9, seed=77)
+    ns = np.arange(2, 40)
+    batched = backit_identity_residual(s, t, ns)
+    loop = np.array([backit_identity_residual(s, t, int(n)) for n in ns])
+    assert batched.shape == ns.shape
+    # the residual is a difference of means of norm ~1, so the batched and
+    # per-row routes agree to rounding relative to those means, not to the
+    # (rounding- or tail-level) residual itself
+    scale = max(as_operator(t).norm(apply_mean(s, t, ns)))
+    np.testing.assert_allclose(batched, loop, rtol=1e-12, atol=1e-12 * scale)
+    assert backit_identity_residual(s, t, ns.reshape(2, -1)).shape == (2, 19)
+    assert type(backit_identity_residual(s, t, 7)) is float
+
+
 # --- scalar means, block structure, regularity ------------------------------
 
 def test_scalar_mean_values():
