@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 
 from .linop import OperatorModel, _chunks, as_matrix, as_operator, op_norm, power
 from .means import MeanScheme, VectorPowerCache, apply_mean, apply_mean_vector
@@ -107,15 +108,35 @@ def fitted(report: GrowthReport, window_fraction: float = 0.5) -> GrowthReport:
                    window=(int(report.ns[start]), int(report.ns[-1])))
 
 
+def _walk_product(a: np.ndarray):
+    """The product the power walk of ``a`` uses, and ``a`` as its operand.
+
+    A lower or upper triangular ``a`` (an exact-zero test) has triangular
+    powers, so each product is one BLAS trmm, at about half the flops of a
+    general product.  BLAS takes the transposes, ``x @ y = (y^T x^T)^T``:
+    the transpose of a C-ordered power is a Fortran-ordered view, so no
+    operand is copied, and the product comes back C-ordered.  Any other
+    ``a`` keeps ``@``.
+    """
+    a = np.ascontiguousarray(a)
+    lower = not np.triu(a, 1).any()
+    if lower or not np.tril(a, -1).any():
+        trmm = scipy.linalg.blas.get_blas_funcs("trmm", (a,))
+        return (lambda x, y: trmm(1.0, y.T, x.T, lower=not lower).T), a
+    return np.matmul, a
+
+
 def _power_norms(op: OperatorModel, ns: list, mode: str, label: str) -> GrowthReport:
     """||T^n|| at the ascending indices ``ns`` (all >= 1) from one walk.
 
     The walk carries T^n from one index to the next, multiplying by the
     binary squares T^(2^k) of the gap; the squares are memoized and extended
-    only as far as the largest gap needs.  It stops (and records where) at
-    the first power with a non-finite entry or a norm above 1e300.
+    only as far as the largest gap needs.  A triangular T is walked by BLAS
+    trmm, any other by ``@`` (see ``_walk_product``).  It stops (and records
+    where) at the first power with a non-finite entry or a norm above 1e300.
     """
-    squares = [op.matrix]
+    mul, a = _walk_product(op.matrix)
+    squares = [a]
     p = None
     prev = 0
     vals = []
@@ -126,9 +147,9 @@ def _power_norms(op: OperatorModel, ns: list, mode: str, label: str) -> GrowthRe
             gap, bit = n - prev, 0
             while gap:
                 if bit == len(squares):
-                    squares.append(squares[-1] @ squares[-1])
+                    squares.append(mul(squares[-1], squares[-1]))
                 if gap & 1:
-                    p = squares[bit] if p is None else p @ squares[bit]
+                    p = squares[bit] if p is None else mul(p, squares[bit])
                 gap >>= 1
                 bit += 1
             prev = n
@@ -272,7 +293,9 @@ def gamma_quotient(t, s: MeanScheme, m: int, n_window,
     quotient coordinates are scaled so the Euclidean norm there matches the
     Gram-estimated seminorm, and the induced operator is expressed in those
     coordinates.  gamma_values records per-probe estimates on the full
-    window and on its halves (window-sensitivity diagnostic).
+    window and on its halves (window-sensitivity diagnostic).  Raises
+    OverflowError, naming the window, when the window maps or their Gram
+    are not finite.
     """
     lo, hi = int(n_window[0]), int(n_window[1])
     if hi - lo < 16:
@@ -282,11 +305,16 @@ def gamma_quotient(t, s: MeanScheme, m: int, n_window,
     a = op.matrix
     d = op.dim
     b = power(a - np.eye(d), m)
-    maps = apply_mean(s, op, np.arange(lo, hi + 1)) @ b
-    if op.geometry is not None:
-        maps = op.geometry.apply_factor(maps)
-    flat = maps.reshape(-1, d)
-    gram = flat.conj().T @ flat / len(maps)
+    # an overflow is raised below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        maps = apply_mean(s, op, np.arange(lo, hi + 1)) @ b
+        if op.geometry is not None:
+            maps = op.geometry.apply_factor(maps)
+        flat = maps.reshape(-1, d)
+        gram = flat.conj().T @ flat / len(maps)
+    if not (np.all(np.isfinite(maps)) and np.all(np.isfinite(gram))):
+        raise OverflowError(f"the maps of the gamma window [{lo}, {hi}] "
+                            "or their Gram overflow")
 
     def gammas(x):
         """Per-map norms ||c x|| of each probe (the columns of x)."""

@@ -14,9 +14,12 @@ the O(n) banded Cholesky for real tridiagonal ones, elementwise square root
 for diagonal ones).  The SVD runs on the nonzero core of that matrix: its
 zero rows and columns (for a stack, those zero in every matrix) carry no
 singular value and are dropped, so the nilpotent powers of a truncated
-shift cost a fraction of a full SVD.  An operator is real unless its
-entries are not: an imaginary part that is identically zero is dropped,
-and complex arithmetic enters only with a complex scalar or complex data.
+shift cost a fraction of a full SVD.  A core with exactly one nonzero in
+each kept row and column (a weighted shift, its powers, a diagonal) is a
+scaled partial permutation and needs no SVD: its norm is its largest
+|entry|.  An operator is real unless its entries are not: an imaginary
+part that is identically zero is dropped, and complex arithmetic enters
+only with a complex scalar or complex data.
 ``mode="colsum"`` and ``mode="rowsum"`` select the max-column-sum /
 max-row-sum norms instead, i.e. the l1- and linf-induced operator norms.
 """
@@ -247,7 +250,10 @@ def op_norm(a, dom: GramGeometry | None = None, cod: GramGeometry | None = None,
     whole), and an all-zero ``a`` has norm 0.  A stack is thus reduced by
     the union of its matrices' zero patterns: it equals one call per matrix
     bit for bit when they share one pattern, and agrees with those calls to
-    rounding otherwise.
+    rounding otherwise.  When that union core holds exactly one nonzero per
+    row and per column (one popcount against the kept line counts), every
+    matrix of ``a`` is a scaled partial permutation, and its norm is its
+    largest |entry| with no SVD.
 
     Parameters
     ----------
@@ -276,6 +282,10 @@ def op_norm(a, dom: GramGeometry | None = None, cod: GramGeometry | None = None,
         rows, cols = pattern.any(axis=1), pattern.any(axis=0)
         if not rows.any():
             norms = np.zeros(b.shape[:-2])
+        elif np.count_nonzero(pattern) == rows.sum() == cols.sum():
+            # one nonzero per kept row and column: a scaled partial
+            # permutation, whose singular values are its |entries|
+            norms = np.max(np.abs(b), axis=(-2, -1))
         else:
             if not (rows.all() and cols.all()):
                 b = b[(Ellipsis,) + np.ix_(rows, cols)]

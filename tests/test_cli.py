@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -96,14 +97,21 @@ def test_main_exit_codes(tmp_path):
     assert code == 2
 
 
-def test_library_error_exits_2_with_one_stderr_line(tmp_path, capsys):
+@pytest.mark.parametrize("argv, fragment", [
     # the ergodic projection rejects a defective eigenvalue 1 (NonSimplePole)
-    code = cli.main(["convergence", "--op", "jordan:2:1", "--nmax", "16",
-                     "--out", str(tmp_path / "r.json")])
+    (["convergence", "--op", "jordan:2:1", "--nmax", "16"], "Jordan block"),
+    # 2^n over the default gamma window [256, 512]: the Gram of the window
+    # maps overflows, and the message names the window
+    (["quotient", "--op", "diag:2"], "[256, 512]"),
+], ids=["defective_pole", "quotient_overflow"])
+def test_library_error_exits_2_with_one_stderr_line(argv, fragment, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv + ["--out", str(tmp_path / "r.json")])
     assert code == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and fragment in err
     assert not (tmp_path / "r.json").exists()
 
 
@@ -238,7 +246,8 @@ def test_growth_overflow_is_flagged_in_the_report(tmp_path):
         raise ValueError(f"non-finite number {token} in report")
 
     report = json.loads(out.read_text(), parse_constant=reject)
-    assert report["values"]["overflow_at"] is not None
+    # the first sample whose norm passes 1e300, on the trmm walk as on @
+    assert report["values"]["overflow_at"] == 659
     assert report["values"]["points"]
     assert report["values"]["points"][-1][0] < report["values"]["overflow_at"]
 

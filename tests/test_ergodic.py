@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from ergolab import ergodic
 from ergolab.ergodic import (
     GrowthReport,
     NonPositiveValues,
     NonSimplePole,
     WindowTooSmall,
+    _walk_product,
     almost_convergence_defect,
     alternating_sum_residual,
     ergodic_projection,
@@ -96,6 +98,47 @@ def test_power_norm_overflow_flag():
     assert 0 < rep.ns.size < len(ns)
     assert rep.ns[-1] < rep.overflow_at
     assert np.all(np.isfinite(rep.values))
+
+
+def _triangular(kind, dtype, d=12, seed=3):
+    """A random triangular (or diagonal) operator with diagonal moduli in
+    [0.9, 1], whose power norms stay within 1e-9..1e6 up to n = 1000."""
+    rng = np.random.default_rng(seed)
+    diag = rng.uniform(0.9, 1.0, d)
+    a = 0.3 * rng.standard_normal((d, d))
+    if dtype is complex:
+        diag = diag * np.exp(2j * np.pi * rng.random(d))
+        a = a + 0.3j * rng.standard_normal((d, d))
+    a = {"lower": np.tril(a, -1), "upper": np.triu(a, 1), "diagonal": 0 * a}[kind]
+    return a + np.diag(diag)
+
+
+@pytest.mark.parametrize("kind", ["lower", "upper", "diagonal"])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("mode", ["spectral", "colsum"])
+def test_triangular_walk_matches_the_general_walk_on_a_permuted_copy(
+        kind, dtype, mode, monkeypatch):
+    # P T P^T has the powers P T^n P^T: the same singular values and the
+    # same column sums.  It is walked by @ (a permuted diagonal is still
+    # diagonal, so the oracle walk is pinned to @ for every kind).
+    a = _triangular(kind, dtype)
+    perm = np.random.default_rng(9).permutation(a.shape[0])
+    permuted = a[perm][:, perm]
+    assert _walk_product(a)[0] is not np.matmul
+    if kind != "diagonal":
+        assert _walk_product(permuted)[0] is np.matmul
+    t, tp = OperatorModel(a), OperatorModel(permuted)
+    assert tp.matrix.dtype == t.matrix.dtype == dtype
+    ns = [1, 2, 3, 7, 64, 65, 300, 1000]
+    got = [power_norm_sequence(t, 96, mode).values, power_norm_samples(t, ns, mode).values]
+    monkeypatch.setattr(ergodic, "_walk_product", lambda m: (np.matmul, m))
+    oracle = [power_norm_sequence(tp, 96, mode).values,
+              power_norm_samples(tp, ns, mode).values]
+    for values, expected in zip(got, oracle):
+        assert values == pytest.approx(expected, rel=1e-12)
+    # the walk's products are the powers
+    mul, operand = _walk_product(a)
+    assert np.allclose(mul(mul(operand, operand), operand), a @ a @ a, rtol=1e-13, atol=0)
 
 
 def test_power_norm_samples_match_sequence():

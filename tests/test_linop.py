@@ -239,6 +239,67 @@ def test_all_zero_matrix_and_stack_have_norm_zero():
     assert op_norm(mixed).tolist() == [0.0, 2.5, 0.0]
 
 
+def _partial_permutation(rng, shape, dtype, scale=1.0, stack=()):
+    """Weighted partial permutations (one shared pattern for a stack): k of
+    the rows, k of the columns, a random bijection between them and nonzero
+    weights of magnitude in [scale, 4 scale)."""
+    m, n = shape
+    k = int(rng.integers(1, min(m, n) + 1))
+    rows = rng.choice(m, k, replace=False)
+    cols = rng.choice(n, k, replace=False)
+    w = scale * rng.uniform(1.0, 4.0, stack + (k,)) * rng.choice([-1.0, 1.0], stack + (k,))
+    if dtype is complex:
+        w = w * np.exp(2j * np.pi * rng.random(stack + (k,)))
+    a = np.zeros(stack + shape, dtype=dtype)
+    a[..., rows, cols] = w
+    return a
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (11, 7), (6, 10)])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+def test_one_nonzero_per_line_core_matches_the_full_svd_without_taking_one(
+        shape, dtype, scale, monkeypatch):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    singles = [_partial_permutation(rng, shape, dtype, scale) for _ in range(6)]
+    shared = _partial_permutation(rng, shape, dtype, scale, stack=(5,))
+    # mixed patterns whose union is one partial permutation: each matrix
+    # keeps a random part of the shared pattern
+    mixed = shared * (rng.random(shared.shape) < 0.5)
+    mixed[0] = shared[0]
+    oracle = [np.linalg.svd(a, compute_uv=False)[0] for a in singles]
+    stack_oracles = [np.linalg.svd(st, compute_uv=False)[..., 0] for st in (shared, mixed)]
+    assert np.all(np.isfinite(oracle)) and max(oracle) >= scale
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a one-nonzero-per-line core took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for a, value in zip(singles, oracle):
+        assert op_norm(a) == pytest.approx(value, rel=1e-15)
+    for st, values in zip((shared, mixed), stack_oracles):
+        got = op_norm(st)
+        assert got.shape == (5,)
+        assert got == pytest.approx(values, rel=1e-15)
+    # a diagonal geometry keeps the pattern, so it needs no SVD either
+    dom = GramGeometry.diagonal(np.arange(1.0, shape[1] + 1.0))
+    cod = GramGeometry.diagonal(np.arange(2.0, shape[0] + 2.0))
+    conj = np.sqrt(cod.diag)[:, None] * singles[0] / np.sqrt(dom.diag)[None, :]
+    assert op_norm(singles[0], dom, cod) == pytest.approx(np.max(np.abs(conj)), rel=1e-15)
+
+
+def test_two_nonzeros_on_a_line_still_take_the_svd():
+    # a kept line holding two nonzeros: the popcount rule must not take it
+    assert op_norm(np.array([[1.0, 1.0], [0.0, 0.0]])) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert op_norm(np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])) == \
+        pytest.approx(5.0, rel=1e-15)
+    # two different permutations in one stack: the union has two per line
+    stack = np.stack([np.eye(3), np.eye(3)[::-1] * 2.0])
+    stack[0, 0, 1] = 1.0
+    assert op_norm(stack) == pytest.approx(
+        np.linalg.svd(stack, compute_uv=False)[:, 0], rel=1e-14)
+
+
 def test_operator_model_and_wire_format_reject_a_stack():
     with pytest.raises(DimensionMismatch):
         OperatorModel(np.zeros((2, 3, 3)))

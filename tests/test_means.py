@@ -86,6 +86,45 @@ def test_binomial_rows_against_comb():
         assert np.allclose(row.weights, oracle, atol=1e-13)
 
 
+def _mp_row(name, n):
+    """Oracle row at 30 digits: the Cesaro (C, p) weights
+    C(n-j+p-1, p-1) / C(n+p, p) for p = 1, 2, or the binomial weights
+    C(n, j) 2^-n by the exact ratio recurrence."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        if name == "cesaro1":
+            return [mpmath.mpf(1) / (n + 1)] * (n + 1)
+        if name == "cesaro2":
+            return [mpmath.mpf(2 * (n - j + 1)) / ((n + 1) * (n + 2)) for j in range(n + 1)]
+        row = [mpmath.mpf(2) ** -n]
+        for j in range(n):
+            row.append(row[-1] * (n - j) / (j + 1))
+        return row
+
+
+@pytest.mark.parametrize("name, scheme, rel", [
+    # 1/(n+1): one rounding
+    ("cesaro1", cesaro(1), 1e-16),
+    # the product form's factor 1 - j/(n+1) cancels as j -> n: its relative
+    # error grows to about n eps
+    ("cesaro2", cesaro(2), 2e-12),
+    # exp of a difference of gammaln values near 8e4: absolute log error
+    # about 1e-11
+    ("binomial", binomial(), 1e-10),
+])
+def test_rows_at_n_1e4_match_mpmath(name, scheme, rel):
+    n = 10**4
+    row = scheme.row(n)
+    assert row.indices.tolist() == list(range(n + 1))
+    assert row.tail_mass_bound == 0.0
+    oracle = np.array([float(w) for w in _mp_row(name, n)])
+    # binomial weights below the smallest normal double are compared absolutely
+    normal = oracle > np.finfo(float).tiny
+    assert np.all(np.abs(row.weights[normal] - oracle[normal]) <= rel * oracle[normal])
+    assert np.all(np.abs(row.weights[~normal]) <= 2 * np.finfo(float).tiny)
+    assert row.total() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_power_series_finite_rows_exact():
     s = power_series([1.0, 2.0, 3.0])
     r = 1.0 - 1.0 / 4.0

@@ -122,6 +122,41 @@ def test_h1_gram_entries_and_consistency():
     assert p.conj() @ g @ p == pytest.approx(h1_norm(p) ** 2, rel=1e-10)
 
 
+def test_h1_gram_closed_form_matches_mpmath_polarization():
+    # the norm's closed form at 30 digits, sum |p_k|^2 + sum_k (k+1)(k+2)/2
+    # |q_k|^2 with q = (1 - z) p, polarized on the monomials z^0..z^n
+    mpmath = pytest.importorskip("mpmath")
+    n = 24
+
+    def mp_norm_sq(p):
+        q = [p[0]] + [p[k] - p[k - 1] for k in range(1, len(p))] + [-p[-1]]
+        return (mpmath.fsum(abs(c) ** 2 for c in p)
+                + mpmath.fsum(mpmath.mpf((k + 1) * (k + 2)) / 2 * abs(c) ** 2
+                              for k, c in enumerate(q)))
+
+    g = h1_gram(n)
+    assert np.array_equal(h1_geometry(n).matrix(), g)
+    with mpmath.workdps(30):
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                total = 0
+                for k in range(4):
+                    p = [mpmath.mpc(0)] * (n + 1)
+                    p[i] += 1
+                    p[j] += mpmath.mpc(0, 1) ** k
+                    total += mpmath.mpc(0, 1) ** k * mp_norm_sq(p)
+                    if k % 2 == 0:  # z^i +- z^j: the float norm agrees
+                        c = np.zeros(n + 1)
+                        c[i] += 1.0
+                        c[j] += (-1.0) ** (k // 2)
+                        assert h1_norm(c) ** 2 == pytest.approx(float(mp_norm_sq(p)),
+                                                                rel=1e-15)
+                inner = total / 4
+                assert abs(inner.imag) < 1e-25
+                # diag 1 + (k+2)^2, off -(k+2)(k+3)/2 and zero beyond: integers
+                assert g[i, j] == g[j, i] == float(inner.real)
+
+
 def test_shift_difference_identity():
     # ||z p||_1^2 - ||p||_1^2 equals the alpha = 0 norm of z (1-z) p squared
     rng = np.random.default_rng(6)
