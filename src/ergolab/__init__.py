@@ -37,7 +37,6 @@ from .means import (
     SpectralRadiusTooLarge,
     abel,
     apply_mean,
-    apply_mean_vector,
     backit_identity_residual,
     backward_iterate,
     backward_row_from_definition,

@@ -34,6 +34,14 @@ class ConfigError(ValueError):
     """Bad scenario configuration (unknown operator/scheme spec, bad range)."""
 
 
+def _parse_scheme(spec: str) -> means.MeanScheme:
+    """``means.parse_scheme``, with a rejected spec raised as a ConfigError."""
+    try:
+        return means.parse_scheme(spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def list_builtins():
     """Catalog of builtin operator specs, stable order."""
     return [
@@ -134,7 +142,7 @@ def _scenario_identities(cfg):
     op = parse_operator(cfg["operator"])
     tol = cfg.get("tol", 1e-10)
     pmax = _require("p", cfg.get("p", 2), 1)
-    scheme = means.parse_scheme(cfg.get("scheme", "cesaro:p=1"))
+    scheme = _parse_scheme(cfg.get("scheme", "cesaro:p=1"))
     # the backward-identity sweep runs over the rows first..nmax
     first = max(scheme.min_n, 1) + 1
     nmax = _require("nmax", cfg.get("nmax", 32), first)
@@ -218,7 +226,7 @@ def _growth_report(cfg):
     window = cfg.get("window_fraction", 0.5)
     if cfg.get("scheme"):
         # growth of the means ||T_n|| instead of the powers ||T^n||
-        scheme = means.parse_scheme(cfg["scheme"])
+        scheme = _parse_scheme(cfg["scheme"])
         _require("nmax", nmax, max(scheme.min_n, 1))
         if scheme.kind == "cesaro":
             pairs = [(n, op.norm(m, mode=mode))
@@ -349,7 +357,7 @@ def _scenario_h1(cfg):
 
 def _scenario_quotient(cfg):
     op = parse_operator(cfg.get("operator", "diag:1,0.5+0.8660254037844386j,0.5"))
-    scheme = means.parse_scheme(cfg.get("scheme", "powers"))
+    scheme = _parse_scheme(cfg.get("scheme", "powers"))
     window = cfg.get("window", [256, 512])
     model = ergodic.gamma_quotient(op, scheme, cfg.get("m", 0),
                                    (window[0], window[1]),
@@ -374,7 +382,7 @@ def _scenario_quotient(cfg):
 
 def _scenario_convergence(cfg):
     op = parse_operator(cfg["operator"])
-    scheme = means.parse_scheme(cfg.get("scheme", "cesaro:p=1"))
+    scheme = _parse_scheme(cfg.get("scheme", "cesaro:p=1"))
     nmax = _require("nmax", cfg.get("nmax", 256), max(scheme.min_n, 1))
     report = ergodic.mean_convergence_report(scheme, op, nmax)
     rates = [(n, n * v) for n, v in report.points if n >= 1]
@@ -492,7 +500,11 @@ def main(argv=None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         ns = [n for n in range(scheme.min_n, args.nmax + 1)]
-        means.rows_to_csv(scheme, ns, args.out)
+        try:
+            means.rows_to_csv(scheme, ns, args.out)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         return 0
     scenario = args.example_scenario if args.command == "example" else args.command
     config = {"scenario": scenario}
@@ -517,7 +529,11 @@ def main(argv=None) -> int:
         return 2
     out = args.out or config.get("out")
     if out:
-        write_report(report, out)
+        try:
+            write_report(report, out)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
     for check in report["checks"]:

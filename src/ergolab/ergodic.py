@@ -3,7 +3,8 @@
 Growth sequences come with a log-log least-squares exponent fit over a
 trailing window.  The ergodic projection is the spectral projection onto
 the fixed space along the range of (T - I), computed from a sorted Schur
-form; a nontrivial Jordan structure at 1 is rejected.
+form; a nontrivial Jordan structure at 1 is rejected.  The mean consumers
+take their means, matrices or vectors, from batched ``apply_mean`` calls.
 
 ``gamma_quotient`` estimates the limsup seminorm
 ``gamma(x) = limsup_n || T_n (T - I)^m x ||`` by a window maximum, detects
@@ -23,7 +24,7 @@ import scipy.linalg
 import scipy.linalg.blas
 
 from .linop import OperatorModel, _chunks, as_matrix, as_operator, op_norm, power
-from .means import MeanScheme, VectorPowerCache, apply_mean, apply_mean_vector
+from .means import MeanScheme, apply_mean
 
 _OVERFLOW_LIMIT = 1e300
 _FIXED_TOL = 1e-9  # eigenvalues within this distance of 1 form the fixed cluster
@@ -239,20 +240,17 @@ def alternating_sum_residual(s: MeanScheme, t, k: int, m: int, n0: int,
 
     Exact (zero) for the identity-powers scheme with n0 = 1; otherwise a
     defect sequence that decays when the scheme is (n0, m)-regular on x.
+    All q + 2 means come from one batched ``apply_mean`` call.
     """
     if k < m:
         raise ValueError("need k >= m")
     q = k - m
     op = as_operator(t)
-    cache = VectorPowerCache(op.matrix, x)
-    lhs = power(op.matrix - np.eye(op.dim), q) @ \
-        apply_mean_vector(s, op, n, x, cache=cache)
-    rhs = np.zeros_like(lhs)
-    for ell in range(q + 1):
-        coeff = (-1.0) ** ell * math.comb(q, ell)
-        rhs += coeff * apply_mean_vector(s, op, n + (q - ell) * n0, x,
-                                         cache=cache)
-    return op.vector_norm(lhs - rhs)
+    ns = [n] + [n + (q - ell) * n0 for ell in range(q + 1)]
+    means = apply_mean(s, op, ns, x=x)
+    coeffs = np.array([(-1.0) ** ell * math.comb(q, ell) for ell in range(q + 1)])
+    lhs = power(op.matrix - np.eye(op.dim), q) @ means[0]
+    return op.vector_norm(lhs - coeffs @ means[1:])
 
 
 @dataclass
@@ -357,15 +355,13 @@ def almost_convergence_defect(s: MeanScheme, t, p, k: int, n_sup: int,
     """sup over n <= n_sup of || (1/(k+1)) sum_{j<=k} T_{n+j} x - P x ||.
 
     P is supplied (typically the ergodic projection); rows from the scheme's
-    first valid index through n_sup + k are used.
+    first valid index through n_sup + k are used, all from one batched
+    ``apply_mean`` call.
     """
     op = as_operator(t)
     target = as_matrix(p) @ np.asarray(x)
-    cache = VectorPowerCache(op.matrix, x)
     start = s.min_n
-    means = [apply_mean_vector(s, op, n, x, cache=cache)
-             for n in range(start, n_sup + k + 1)]
-    prefix = np.cumsum(np.asarray(means), axis=0)
+    prefix = np.cumsum(apply_mean(s, op, np.arange(start, n_sup + k + 1), x=x), axis=0)
 
     def window_avg(n):
         i = n - start

@@ -263,6 +263,33 @@ def test_main_rows_and_builtins(tmp_path, capsys):
     assert "volterra" in captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["rows", "--scheme", "powseries:coeffs=1,nan", "--nmax", "3"],
+    ["rows", "--scheme", "powseries:coeffs=1,inf", "--nmax", "3"],
+    ["convergence", "--op", "diag:1,0.5", "--scheme", "powseries:coeffs=1,nan"],
+    ["convergence", "--op", "diag:1,0.5", "--scheme", "powseries:coeffs=1,inf"],
+], ids=["rows_nan", "rows_inf", "convergence_nan", "convergence_inf"])
+def test_non_finite_power_series_coefficients_are_a_config_error(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: ") and "finite" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["rows", "--scheme", "zweier", "--nmax", "3"], "x.csv"),
+    (["convergence", "--op", "diag:1,0.5", "--nmax", "8"], "r.json"),
+    (["growth", "--op", "jordan:2:1", "--nmax", "16"], "g.csv"),
+], ids=["rows", "convergence", "growth_csv"])
+def test_unwritable_out_exits_2_with_one_error_line(argv, name, tmp_path, capsys):
+    assert cli.main(argv + ["--out", str(tmp_path / "missing" / name)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_example_alias(tmp_path):
     out = tmp_path / "h1.json"
     code = cli.main(["example", "h1", "--check", "pairing", "--out", str(out)])

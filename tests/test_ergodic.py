@@ -29,7 +29,7 @@ from ergolab.linop import (
     power,
     random_operator,
 )
-from ergolab.means import abel, apply_mean, apply_mean_vector, cesaro, identity_powers
+from ergolab.means import abel, apply_mean, cesaro, identity_powers
 
 
 def test_power_norm_sequence_values():
@@ -314,8 +314,7 @@ def test_direct_sum_consequence_for_cesaro():
     proj = ergodic_projection(t)
     for i in range(3):
         x = np.eye(3, dtype=complex)[:, i]
-        m_big = apply_mean_vector(cesaro(1), t, 400, x)
-        m_bigger = apply_mean_vector(cesaro(1), t, 800, x)
+        m_big, m_bigger = apply_mean(cesaro(1), t, [400, 800], x=x)
         target = proj @ x
         assert np.linalg.norm(m_bigger - target) <= np.linalg.norm(m_big - target) + 1e-12
         assert np.linalg.norm(m_bigger - target) <= 5e-3
@@ -355,10 +354,10 @@ def test_almost_convergence_window_average_oracle():
 
 
 def test_abel_rows_in_vector_sweeps():
-    # infinite-row scheme through the vector path with a shared cache
+    # infinite-row scheme applied to a vector: the walk carries T^j x
     t = diag_operator([0.9, -0.5])
     x = np.array([1.0, 1.0])
-    v = apply_mean_vector(abel(), t, 12, x)
+    v = apply_mean(abel(), t, 12, x=x)
     r = 1.0 - 1.0 / 12.0
     oracle = (1.0 - r) / (1.0 - r * np.array([0.9, -0.5]))
     assert np.allclose(v, oracle, atol=1e-11)

@@ -5,6 +5,7 @@ import pytest
 
 from ergolab import linop, means
 from ergolab.linop import (
+    DimensionMismatch,
     GramGeometry,
     OperatorModel,
     as_operator,
@@ -18,10 +19,8 @@ from ergolab.means import (
     DegenerateRow,
     RowOutOfRange,
     SpectralRadiusTooLarge,
-    VectorPowerCache,
     abel,
     apply_mean,
-    apply_mean_vector,
     backit_identity_residual,
     backward_iterate,
     backward_row_from_definition,
@@ -88,7 +87,7 @@ def test_binomial_rows_against_comb():
 
 def _mp_row(name, n):
     """Oracle row at 30 digits: the Cesaro (C, p) weights
-    C(n-j+p-1, p-1) / C(n+p, p) for p = 1, 2, or the binomial weights
+    C(n-j+p-1, p-1) / C(n+p, p) for p = 1, 2, 3, or the binomial weights
     C(n, j) 2^-n by the exact ratio recurrence."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
@@ -96,6 +95,9 @@ def _mp_row(name, n):
             return [mpmath.mpf(1) / (n + 1)] * (n + 1)
         if name == "cesaro2":
             return [mpmath.mpf(2 * (n - j + 1)) / ((n + 1) * (n + 2)) for j in range(n + 1)]
+        if name == "cesaro3":
+            return [mpmath.mpf(3 * (n - j + 2) * (n - j + 1)) / ((n + 1) * (n + 2) * (n + 3))
+                    for j in range(n + 1)]
         row = [mpmath.mpf(2) ** -n]
         for j in range(n):
             row.append(row[-1] * (n - j) / (j + 1))
@@ -105,12 +107,14 @@ def _mp_row(name, n):
 @pytest.mark.parametrize("name, scheme, rel", [
     # 1/(n+1): one rounding
     ("cesaro1", cesaro(1), 1e-16),
-    # the product form's factor 1 - j/(n+1) cancels as j -> n: its relative
-    # error grows to about n eps
-    ("cesaro2", cesaro(2), 2e-12),
+    # the product form's factors (n+k-j)/(n+k) are exact ratios, a few
+    # roundings each
+    ("cesaro2", cesaro(2), 1e-15),
     # exp of a difference of gammaln values near 8e4: absolute log error
     # about 1e-11
     ("binomial", binomial(), 1e-10),
+    # two exact-ratio factors
+    ("cesaro3", cesaro(3), 1e-15),
 ])
 def test_rows_at_n_1e4_match_mpmath(name, scheme, rel):
     n = 10**4
@@ -150,6 +154,12 @@ def test_power_series_validation():
         power_series([1.0, -1.0])
     with pytest.raises(ValueError):
         power_series([1.0], radii=[0.5, 0.4])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            power_series([1.0, bad])
+        # a callable's coefficients are checked as the row is summed
+        with pytest.raises(ValueError, match="finite"):
+            power_series(lambda j, bad=bad: 1.0 if j < 3 else bad).row(4)
 
 
 def test_row_stochasticity_all_schemes():
@@ -222,20 +232,39 @@ def test_apply_mean_vector_matches_matrix():
     for s in (cesaro(3), zweier(), abel()):
         n = max(s.min_n, 6)
         direct = apply_mean(s, t, n, lam=1j) @ x
-        via_vec = apply_mean_vector(s, t, n, x, lam=1j)
+        via_vec = apply_mean(s, t, n, lam=1j, x=x)
         assert np.allclose(direct, via_vec, atol=1e-12)
 
 
-def test_apply_mean_vector_rotates_a_cache_of_the_unrotated_powers():
+def test_apply_mean_rotates_the_powers_applied_to_a_vector():
     t = jordan_block(2, 0.5)
     x = np.array([1.0, 1.0])
-    cache = VectorPowerCache(t.matrix, x)
-    got = apply_mean_vector(cesaro(1), t, 4, x, lam=1j, cache=cache)
+    got = apply_mean(cesaro(1), t, 4, lam=1j, x=x)
     assert np.allclose(got, [0.0625 + 0.125j, 0.1625 + 0.075j], rtol=0, atol=1e-15)
     assert np.allclose(got, apply_mean(cesaro(1), t, 4, lam=1j) @ x, rtol=0, atol=1e-15)
-    # the same cache at lam = 1, the way the ergodic consumers call it
-    plain = apply_mean_vector(cesaro(1), t, 4, x, cache=cache)
+    plain = apply_mean(cesaro(1), t, 4, x=x)
     assert np.allclose(plain, [1.0375, 0.3875], rtol=0, atol=1e-15)
+
+
+def test_apply_mean_rejects_an_operand_of_another_dimension():
+    # a length-8 vector must not pass as a (4, 2) block for d = 4
+    t = jordan_block(4, 0.5)
+    for x in (np.ones(8), np.ones(3), np.ones((2, 4)), np.ones((4, 2, 1)), np.float64(1.0)):
+        with pytest.raises(DimensionMismatch):
+            apply_mean(cesaro(1), t, 3, x=x)
+
+
+def test_apply_mean_of_an_operand_takes_the_common_dtype():
+    t = jordan_block(3, 0.5)
+    x = np.array([1.0, 1j, -2.0])
+    got = apply_mean(cesaro(2), t, [3, 4], x=x)
+    assert got.dtype == np.complex128 and got.shape == (2, 3)
+    np.testing.assert_allclose(got, apply_mean(cesaro(2), t, [3, 4]) @ x, rtol=0, atol=1e-15)
+    assert apply_mean(cesaro(2), t, 3, x=x.real).dtype == np.float64
+    assert apply_mean(cesaro(2), t, 3, lam=1j, x=x.real).dtype == np.complex128
+    block = np.stack([x, 2 * x], axis=1)
+    assert apply_mean(cesaro(2), t, [3, 4], x=block).shape == (2, 3, 2)
+    assert apply_mean(cesaro(2), t, [], x=block).shape == (0, 3, 2)
 
 
 # --- stacked apply_mean against the per-row oracle --------------------------
@@ -255,6 +284,35 @@ def row_mean(s, t, n, lam=1.0):
         prev = int(idx)
         acc += w * p
     return acc
+
+
+def row_mean_vector(s, t, n, x, lam=1.0):
+    """Oracle: the mean of row n applied to x by the per-row loop over the
+    vectors T^j x of the unrotated T, the rotation entering through the
+    weights t_nj lam^j.  Also returns sum_j |t_nj| ||T^j x||, the scale of
+    the rounding: a row can cancel far below its terms."""
+    row = s.row(n)
+    a = as_operator(t).matrix
+    weights = row.weights * lam ** row.indices
+    v = np.asarray(x)
+    acc = np.zeros(v.shape, dtype=np.result_type(weights, a, v))
+    scale, pos = 0.0, 0
+    for idx, w in zip(row.indices, weights):
+        while pos < int(idx):
+            v = a @ v
+            pos += 1
+        acc += w * v
+        scale += abs(w) * math.sqrt(np.vdot(v, v).real)
+    return acc, scale
+
+
+def assert_matches_vector_oracle(s, t, ns, x, lam=1.0):
+    got = apply_mean(s, t, ns, lam, x=x)
+    assert got.shape == (len(ns),) + np.shape(x)
+    for mean, n in zip(got, ns):
+        ref, scale = row_mean_vector(s, t, n, x, lam)
+        assert mean.dtype == ref.dtype
+        np.testing.assert_allclose(mean, ref, rtol=0.0, atol=1e-12 * scale)
 
 
 def assert_matches_oracle(s, t, ns, lam=1.0):
@@ -293,6 +351,27 @@ def test_stacked_apply_mean_matches_row_oracle(s, kind, lam):
     assert_matches_oracle(s, t, [lo + 3, lo + 4, lo + 9, lo + 30, lo + 30, lo + 5], lam)
 
 
+def _vector_oracle_operators():
+    ops = _oracle_operators()
+    ops["diag_gram"] = OperatorModel(ops["real"], GramGeometry.diagonal([1.0, 2.0, 0.5, 4.0]))
+    return ops
+
+
+@pytest.mark.parametrize("s", ORACLE_SCHEMES, ids=lambda s: s.name)
+@pytest.mark.parametrize("lam", [1.0, 1j, np.exp(2.1j)], ids=["lam1", "lam1j", "lam_e21j"])
+@pytest.mark.parametrize("block", [False, True], ids=["vector", "block"])
+def test_apply_mean_of_an_operand_matches_vector_oracle(s, lam, block):
+    rng = np.random.default_rng(35)
+    lo = s.min_n
+    for t in _vector_oracle_operators().values():
+        d = as_operator(t).dim
+        shape = (d, 3) if block else (d,)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert_matches_vector_oracle(s, t, list(range(lo, lo + 8)), x.real, lam)
+        # a binomial row at n = 59, lam = 1j cancels to 1e-8 of its terms
+        assert_matches_vector_oracle(s, t, [lo + 3, lo + 59, lo + 9, lo + 9], x, lam)
+
+
 def test_stacked_apply_mean_sparse_supports():
     t = jordan_block(3, 0.9)
     assert_matches_oracle(identity_powers(), t, [1, 2, 40, 41, 300, 7])
@@ -309,11 +388,16 @@ def test_stacked_apply_mean_under_a_tiny_cell_budget(monkeypatch, s, cells):
     groups = []
     group_means = means._group_means
     monkeypatch.setattr(means, "_group_means",
-                        lambda rows, b, out: (groups.append(len(rows)),
-                                              group_means(rows, b, out)))
+                        lambda rows, *args: (groups.append(len(rows)),
+                                             group_means(rows, *args)))
     monkeypatch.setattr(linop, "_STACK_CELLS", cells)
     ns = list(range(s.min_n, s.min_n + 24))
-    assert_matches_oracle(s, random_operator(2, 1.0, seed=33), ns, lam=1j)
+    t = random_operator(2, 1.0, seed=33)
+    assert_matches_oracle(s, t, ns, lam=1j)
+    assert sum(groups) == len(ns)
+    assert len(groups) > 1
+    groups.clear()
+    assert_matches_vector_oracle(s, t, ns, np.array([[1.0, 0.5, -2.0], [0.0, 1j, 1.0]]), lam=1j)
     assert sum(groups) == len(ns)
     assert len(groups) > 1
 
