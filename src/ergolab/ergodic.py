@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.blas
 
-from .linop import OperatorModel, _chunks, as_matrix, as_operator, op_norm, power
+from .linop import (OperatorModel, _chunks, _power_walk, as_matrix, as_operator, op_norm,
+                    power)
 from .means import MeanScheme, apply_mean
 
 _OVERFLOW_LIMIT = 1e300
@@ -109,52 +109,22 @@ def fitted(report: GrowthReport, window_fraction: float = 0.5) -> GrowthReport:
                    window=(int(report.ns[start]), int(report.ns[-1])))
 
 
-def _walk_product(a: np.ndarray):
-    """The product the power walk of ``a`` uses, and ``a`` as its operand.
-
-    A lower or upper triangular ``a`` (an exact-zero test) has triangular
-    powers, so each product is one BLAS trmm, at about half the flops of a
-    general product.  BLAS takes the transposes, ``x @ y = (y^T x^T)^T``:
-    the transpose of a C-ordered power is a Fortran-ordered view, so no
-    operand is copied, and the product comes back C-ordered.  Any other
-    ``a`` keeps ``@``.
-    """
-    a = np.ascontiguousarray(a)
-    lower = not np.triu(a, 1).any()
-    if lower or not np.tril(a, -1).any():
-        trmm = scipy.linalg.blas.get_blas_funcs("trmm", (a,))
-        return (lambda x, y: trmm(1.0, y.T, x.T, lower=not lower).T), a
-    return np.matmul, a
-
-
 def _power_norms(op: OperatorModel, ns: list, mode: str, label: str) -> GrowthReport:
-    """||T^n|| at the ascending indices ``ns`` (all >= 1) from one walk.
-
-    The walk carries T^n from one index to the next, multiplying by the
-    binary squares T^(2^k) of the gap; the squares are memoized and extended
-    only as far as the largest gap needs.  A triangular T is walked by BLAS
-    trmm, any other by ``@`` (see ``_walk_product``).  It stops (and records
-    where) at the first power with a non-finite entry or a norm above 1e300.
+    """||T^n|| at the ascending indices ``ns`` (all >= 1) from one power
+    walk (``linop._power_walk``: memoized binary squares, a gap of 1 as one
+    product, BLAS trmm for a triangular T from d = 128).  It stops (and
+    records where) at the first power with a non-finite entry or a norm
+    above 1e300.
     """
-    mul, a = _walk_product(op.matrix)
-    squares = [a]
-    p = None
-    prev = 0
+    # map drops each power once normed, so the walk can free it as it steps on
+    def norm(p):
+        return op.norm(p, mode=mode) if np.all(np.isfinite(p)) else math.inf
+
     vals = []
     overflow_at = None
     # overflowing products are expected here and flagged, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in ns:
-            gap, bit = n - prev, 0
-            while gap:
-                if bit == len(squares):
-                    squares.append(mul(squares[-1], squares[-1]))
-                if gap & 1:
-                    p = squares[bit] if p is None else mul(p, squares[bit])
-                gap >>= 1
-                bit += 1
-            prev = n
-            v = op.norm(p, mode=mode) if np.all(np.isfinite(p)) else math.inf
+        for n, v in zip(ns, map(norm, _power_walk(op.matrix, ns))):
             if not np.isfinite(v) or v > _OVERFLOW_LIMIT:
                 overflow_at = n
                 break

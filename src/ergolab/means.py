@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .linop import (DimensionMismatch, OperatorModel, _chunks, _stack_size, as_operator,
-                    op_norm, power)
+from .linop import (DimensionMismatch, OperatorModel, _chunks, _power_walk, _stack_size,
+                    as_operator, op_norm)
 
 DEFAULT_TAIL_EPS = 1e-12
 
@@ -178,6 +178,9 @@ class _PowerSeries(MeanScheme):
                 raise ValueError("power_series coeffs must be a nonempty 1-D sequence")
             if not np.all(np.isfinite(vec)) or np.any(vec < 0) or not np.any(vec > 0):
                 raise ValueError("power_series coeffs must be finite, >= 0 and not all zero")
+            # the rows are scale-invariant: an exact power-of-two rescale to
+            # a maximum in [1/2, 1) keeps their sums F(r_n) from overflowing
+            vec = np.ldexp(vec, -np.frexp(vec.max())[1])
             self._coeff_vec = vec
             self._coeff_fn = None
             f0 = float(vec[0])
@@ -426,16 +429,10 @@ def _group_means(rows: list, b: np.ndarray, out: np.ndarray, left=None) -> None:
     cells = out[0].size
     acc = out.reshape(len(rows), cells)
     acc.fill(0.0)
-    p, prev = None, 0
+    walk = _power_walk(b, support.tolist(), left)
+    state = np.dtype((out.dtype, out.shape[1:]))
     for part in _chunks(support.size, cells):
-        stack = np.empty((part.stop - part.start,) + out.shape[1:], dtype=out.dtype)
-        for k, j in enumerate(support[part].tolist()):
-            if p is None:
-                p = power(b, j) if left is None else left @ power(b, j)
-            else:
-                p = p @ (b if j - prev == 1 else power(b, j - prev))
-            prev = j
-            stack[k] = p
+        stack = np.fromiter(walk, state, part.stop - part.start)
         acc += weights[:, part] @ stack.reshape(-1, cells)
 
 

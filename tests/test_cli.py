@@ -278,6 +278,23 @@ def test_non_finite_power_series_coefficients_are_a_config_error(argv, tmp_path,
     assert not out.exists()
 
 
+def test_power_series_rows_with_overflowing_coefficients(tmp_path):
+    # F(r_n) of coefficients 1e308 overflows unless they are rescaled
+    # first; the rows are then those of the same vector scaled by 2^-1000
+    big, scaled = tmp_path / "big.csv", tmp_path / "scaled.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["rows", "--scheme", "powseries:coeffs=1e308,1e308", "--nmax", "8",
+                         "--out", str(big)]) == 0
+    assert not caught
+    weights = [float(line.split(",")[2]) for line in big.read_text().splitlines()[1:]]
+    assert len(weights) == 15 and all(w > 0 for w in weights)
+    c = repr(float(np.ldexp(1e308, -1000)))
+    assert cli.main(["rows", "--scheme", f"powseries:coeffs={c},{c}", "--nmax", "8",
+                     "--out", str(scaled)]) == 0
+    assert big.read_text() == scaled.read_text()
+
+
 @pytest.mark.parametrize("argv, name", [
     (["rows", "--scheme", "zweier", "--nmax", "3"], "x.csv"),
     (["convergence", "--op", "diag:1,0.5", "--nmax", "8"], "r.json"),

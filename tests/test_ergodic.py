@@ -1,13 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from ergolab import ergodic
+from ergolab import linop
 from ergolab.ergodic import (
     GrowthReport,
     NonPositiveValues,
     NonSimplePole,
     WindowTooSmall,
-    _walk_product,
     almost_convergence_defect,
     alternating_sum_residual,
     ergodic_projection,
@@ -117,28 +118,30 @@ def _triangular(kind, dtype, d=12, seed=3):
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("mode", ["spectral", "colsum"])
 def test_triangular_walk_matches_the_general_walk_on_a_permuted_copy(
-        kind, dtype, mode, monkeypatch):
+        kind, dtype, mode, monkeypatch, trmm_lookups):
     # P T P^T has the powers P T^n P^T: the same singular values and the
-    # same column sums.  It is walked by @ (a permuted diagonal is still
-    # diagonal, so the oracle walk is pinned to @ for every kind).
+    # same column sums.  With the trmm threshold at 1, T (d = 12) is walked
+    # by trmm and the permuted copy by @; a permuted diagonal is still
+    # diagonal, so the oracle walk raises the threshold out of reach.
     a = _triangular(kind, dtype)
     perm = np.random.default_rng(9).permutation(a.shape[0])
     permuted = a[perm][:, perm]
-    assert _walk_product(a)[0] is not np.matmul
-    if kind != "diagonal":
-        assert _walk_product(permuted)[0] is np.matmul
     t, tp = OperatorModel(a), OperatorModel(permuted)
     assert tp.matrix.dtype == t.matrix.dtype == dtype
     ns = [1, 2, 3, 7, 64, 65, 300, 1000]
     got = [power_norm_sequence(t, 96, mode).values, power_norm_samples(t, ns, mode).values]
-    monkeypatch.setattr(ergodic, "_walk_product", lambda m: (np.matmul, m))
+    assert trmm_lookups == ["trmm", "trmm"]
+    if kind != "diagonal":
+        power_norm_samples(tp, ns, mode)
+        assert trmm_lookups == ["trmm", "trmm"]
+    # the walk's products are the powers
+    cube = list(linop._power_walk(a, [1, 3]))[-1]
+    assert np.allclose(cube, a @ a @ a, rtol=1e-13, atol=0)
+    monkeypatch.setattr(linop, "_TRMM_MIN_DIM", math.inf)
     oracle = [power_norm_sequence(tp, 96, mode).values,
               power_norm_samples(tp, ns, mode).values]
     for values, expected in zip(got, oracle):
         assert values == pytest.approx(expected, rel=1e-12)
-    # the walk's products are the powers
-    mul, operand = _walk_product(a)
-    assert np.allclose(mul(mul(operand, operand), operand), a @ a @ a, rtol=1e-13, atol=0)
 
 
 def test_power_norm_samples_match_sequence():

@@ -369,6 +369,52 @@ def test_power_basics():
     assert np.allclose(power(np.diag([1j]), 4), np.diag([1.0 + 0j]), atol=1e-15)
 
 
+# starts at 0, repeats, has gaps of 1 (0 -> 1, 5 -> 6, 13 -> 14) and longer
+WALK_NS = [0, 0, 1, 2, 5, 5, 6, 13, 14, 40, 40]
+
+
+def _walk_operators():
+    """A real upper and a real lower triangular operator, and a complex
+    dense one, all with norm about 1."""
+    rng = np.random.default_rng(11)
+    upper = np.triu(rng.standard_normal((5, 5))) / 3.0
+    dense = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    return [upper, upper.T.copy(), dense / op_norm(dense)]
+
+
+@pytest.mark.parametrize("via_trmm", [False, True], ids=["matmul", "trmm"])
+@pytest.mark.parametrize("form", ["matrix", "vector", "block"])
+def test_power_walk_matches_power_at_every_index(via_trmm, form, request):
+    rng = np.random.default_rng(12)
+    ops = _walk_operators()
+    lefts = {"matrix": None, "vector": 1, "block": 3}
+    k = lefts[form]
+    left = None if k is None else rng.standard_normal((k, 5)) + 1j * rng.standard_normal((k, 5))
+    # the references are the powers, walked by @ before any threshold change
+    refs = [[power(a, n) if left is None else left @ power(a, n) for n in WALK_NS]
+            for a in ops]
+    lookups = request.getfixturevalue("trmm_lookups") if via_trmm else []
+    for a, expected in zip(ops, refs):
+        walked = list(linop._power_walk(a, WALK_NS, left))
+        assert len(walked) == len(WALK_NS)
+        for p, ref in zip(walked, expected):
+            assert p.dtype == ref.dtype and p.shape == ref.shape
+            np.testing.assert_allclose(p, ref, rtol=1e-13, atol=1e-15)
+        # n = 0 is the identity, or left itself
+        assert np.array_equal(walked[0], np.eye(5) if left is None else left)
+    assert lookups == (["trmm", "trmm"] if via_trmm else [])
+
+
+def test_power_is_a_fresh_array():
+    t = jordan_block(3, 0.5)
+    before = t.matrix.copy()
+    for n in (0, 1, 2, 3):
+        p = power(t, n)
+        p[0, 0] = 99.0
+        assert np.array_equal(t.matrix, before)
+        assert np.array_equal(power(t, n), np.linalg.matrix_power(before, n))
+
+
 def test_power_additivity():
     rng = np.random.default_rng(7)
     for dim, m, n in [(2, 3, 5), (5, 17, 12), (8, 64, 33)]:

@@ -138,6 +138,29 @@ def test_power_series_finite_rows_exact():
     assert row.tail_mass_bound == 0.0
 
 
+def test_power_series_rows_are_scale_invariant_bit_for_bit():
+    # the coefficients are rescaled by a power of two, so coefficients whose
+    # sum F(r_n) overflowed give, bit for bit, the rows of the same vector
+    # scaled by 2^-1000 (valid before the rescale), and those rows agree
+    # with the rows of the unit coefficients up to the rounding of 1e308's
+    # mantissa into the products c_j r^j
+    big = [1e308, 1e308]
+    for n in range(1, 41):
+        got = power_series(big).row(n)
+        ref = power_series(np.ldexp(big, -1000)).row(n)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.weights, ref.weights)
+        assert np.all(got.weights > 0)
+        np.testing.assert_allclose(got.weights, power_series([1.0, 1.0]).row(n).weights,
+                                   rtol=4e-16, atol=0)
+    coeffs = [3.0, 0.5, 0.0, 7.0]
+    for n in range(1, 41):
+        got = power_series(np.ldexp(coeffs, 900)).row(n)
+        ref = power_series(coeffs).row(n)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.weights, ref.weights)
+
+
 def test_power_series_callable_matches_abel():
     s = power_series(lambda j: 1.0)  # geometric generating function
     for n in (3, 9, 31):
@@ -370,6 +393,30 @@ def test_apply_mean_of_an_operand_matches_vector_oracle(s, lam, block):
         assert_matches_vector_oracle(s, t, list(range(lo, lo + 8)), x.real, lam)
         # a binomial row at n = 59, lam = 1j cancels to 1e-8 of its terms
         assert_matches_vector_oracle(s, t, [lo + 3, lo + 59, lo + 9, lo + 9], x, lam)
+
+
+@pytest.mark.parametrize("s", ORACLE_SCHEMES, ids=lambda s: s.name)
+@pytest.mark.parametrize("lam", [1.0, 1j], ids=["lam1", "lam1j"])
+def test_trmm_mean_walk_matches_row_oracles(s, lam, monkeypatch, trmm_lookups):
+    # a triangular T (d = 5) is walked by trmm with the threshold lowered to
+    # 1, and the oracles by @; a complex x on the real T stays complex
+    rng = np.random.default_rng(37)
+    t = np.triu(rng.standard_normal((5, 5)), 1) + np.diag(rng.uniform(0.5, 0.97, 5))
+    x = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    lo = s.min_n
+    ns = [lo, lo + 3, lo + 4, lo + 9, lo + 30, lo + 30, lo + 5]
+    got = apply_mean(s, t, ns, lam)
+    block = apply_mean(s, t, ns, lam, x=x)
+    vector = apply_mean(s, t, ns, lam, x=x[:, 0])
+    assert trmm_lookups and set(trmm_lookups) == {"trmm"}
+    assert block.dtype == vector.dtype == np.complex128
+    monkeypatch.setattr(linop, "_TRMM_MIN_DIM", math.inf)
+    for n, mean, mean_block, mean_vector in zip(ns, got, block, vector):
+        ref = row_mean(s, t, n, lam)
+        np.testing.assert_allclose(mean, ref, rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
+        for operand, result in ((x, mean_block), (x[:, 0], mean_vector)):
+            ref, scale = row_mean_vector(s, t, n, operand, lam)
+            np.testing.assert_allclose(result, ref, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_stacked_apply_mean_sparse_supports():
