@@ -412,12 +412,19 @@ _RUNNERS = {
 
 
 def run(config: dict) -> dict:
-    """Run one scenario; returns the report dict (JSON-serializable)."""
+    """Run one scenario; returns the report dict (JSON-serializable).
+
+    An overflowing or invalid floating-point operation raises
+    FloatingPointError, except where the library flags it by design (the
+    power-norm sweeps' ``overflow_at``, the gamma window's OverflowError,
+    the underflowing n^-r of the mean growth functional).
+    """
     scenario = config.get("scenario")
     if scenario not in _RUNNERS:
         raise ConfigError(f"unknown scenario {scenario!r}")
     try:
-        values, checks = _RUNNERS[scenario](config)
+        with np.errstate(over="raise", invalid="raise"):
+            values, checks = _RUNNERS[scenario](config)
     except ConfigError:
         raise
     except (KeyError, TypeError) as exc:
@@ -523,6 +530,9 @@ def main(argv=None) -> int:
         report = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        print(f"error: numerical overflow: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

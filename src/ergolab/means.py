@@ -178,9 +178,6 @@ class _PowerSeries(MeanScheme):
                 raise ValueError("power_series coeffs must be a nonempty 1-D sequence")
             if not np.all(np.isfinite(vec)) or np.any(vec < 0) or not np.any(vec > 0):
                 raise ValueError("power_series coeffs must be finite, >= 0 and not all zero")
-            # the rows are scale-invariant: an exact power-of-two rescale to
-            # a maximum in [1/2, 1) keeps their sums F(r_n) from overflowing
-            vec = np.ldexp(vec, -np.frexp(vec.max())[1])
             self._coeff_vec = vec
             self._coeff_fn = None
             f0 = float(vec[0])
@@ -206,11 +203,13 @@ class _PowerSeries(MeanScheme):
             raise ValueError(f"radius r_{n} = {r} outside [0, 1)")
         if self._coeff_vec is not None:
             u = self._coeff_vec * r ** np.arange(self._coeff_vec.size, dtype=float)
-            total = float(np.sum(u))
-            if total <= 0:
+            keep = np.nonzero(u > 0)[0]
+            if keep.size == 0:
                 raise RowOutOfRange(f"power_series row {n}: F(r_n) = 0")
-            keep = u > 0
-            return MeanRow(n, np.nonzero(keep)[0], u[keep] / total)
+            # the row is scale-invariant: an exact power-of-two rescale of its
+            # terms to a maximum in [1/2, 1) keeps F(r_n) from overflowing
+            u = np.ldexp(u, -np.frexp(u.max())[1])
+            return MeanRow(n, keep, u[keep] / np.sum(u))
         if r == 0.0:
             # F(0*T)/F(0) = I; only defined when f_0 > 0 (guarded by min_n)
             return MeanRow(n, np.arange(1), np.array([1.0]))

@@ -7,6 +7,13 @@ replaced by grid suprema; reports carry per-radius / per-index profiles so
 that refinement diagnostics (doubling ratios, plateau detection) can be read
 off without re-running the sweep.  Divergence verdicts are never emitted
 here -- callers compare the recorded ratios against their own thresholds.
+
+Two rules are written once.  ``_pascal_sums`` is the one walk of the Cesaro
+sums A_n^(q) of the powers, one matrix product per step: the order-p means,
+the partial sums of the resolvent series (order 1 in T/lambda) and the Abel
+rearrangement (orders 0 and 1) all read it.  ``_first_max`` is the one
+reduction of a sweep's grid of values: its first maximum in C order, so of
+tied grid points the one that comes first in (radius, angle, n) order wins.
 """
 
 from __future__ import annotations
@@ -79,6 +86,30 @@ class FunctionalReport:
     skipped: int = 0
 
 
+def _pascal_sums(b, p: int, nmax: int):
+    """Yield (n, [A_n^(0), ..., A_n^(p)]) for n = 0..nmax: the Cesaro sums
+    of the powers of ``b`` (a matrix or a stack of them), with
+    A_n^(0) = b^n and A_n^(q) = A_{n-1}^(q) + A_n^(q-1), all starting from
+    the identity.  One matrix product per step, whatever p.  The list is
+    reused at the next step: a consumer norms the sums at once or divides
+    them into a fresh array, and never writes to them.
+    """
+    sums = [np.broadcast_to(np.eye(b.shape[-1]), b.shape)] * (p + 1)
+    yield 0, sums
+    for n in range(1, nmax + 1):
+        sums[0] = sums[0] @ b
+        for q in range(1, p + 1):
+            sums[q] = sums[q] + sums[q - 1]
+        yield n, sums
+
+
+def _first_max(values):
+    """(value, index) of np.argmax's first maximum of ``values`` in C order;
+    the value is a float and the index a tuple of ints."""
+    k = int(np.argmax(values))
+    return float(values.flat[k]), tuple(int(i) for i in np.unravel_index(k, values.shape))
+
+
 def resolvent_norm(t, lam):
     """Norm of (T - lambda I)^{-1} in T's geometry, by dense solve.
 
@@ -127,13 +158,8 @@ def kreiss_functional(t, r: int, grid: AnnulusGrid) -> FunctionalReport:
     norms = np.array([resolvent_norm(op, rho * np.exp(1j * angles)) for rho in grid.radii])
     skipped = np.isnan(norms)
     values = np.where(skipped, -math.inf, np.array(grid.kreiss_weights(r))[:, None] * norms)
-    # np.argmax takes the first maximum in (radius, angle) order
-    k = int(np.argmax(values))
-    best = float(values.flat[k])
-    argmax = {}
-    if best > -math.inf:
-        i, m = divmod(k, grid.angles)
-        argmax = {"radius": grid.radii[i], "angle": float(angles[m])}
+    best, (i, m) = _first_max(values)
+    argmax = {"radius": grid.radii[i], "angle": float(angles[m])} if best > -math.inf else {}
     per_radius = [float(v) for v in values.max(axis=1)]
     report = FunctionalReport(value=best, argmax=argmax, skipped=int(skipped.sum()))
     report.radius_profile = list(zip(grid.radii, per_radius))
@@ -148,37 +174,24 @@ def partial_sum_functional(t, r: int, nmax: int, grid: AnnulusGrid) -> Functiona
     """Grid sup over n <= nmax of the weighted partial sums
     ((|lambda|-1)^{r+1} / |lambda|^r) || sum_{k<=n} lambda^{-k-1} T^k ||.
 
-    The sums are accumulated incrementally in powers of T/lambda for a
-    stack of angles at once, so the whole n-range costs one stacked matrix
+    The sums are the order-1 Pascal sums of T/lambda, walked for a stack
+    of angles at once, so the whole n-range costs one stacked matrix
     product and one stacked norm per step.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     op = as_operator(t)
-    eye = np.eye(op.dim)
     angles = grid.angle_values()
-    best = -math.inf
-    argmax = {}
-    n_best = np.full(nmax + 1, -math.inf)
-    for rho, w in zip(grid.radii, grid.kreiss_weights(r)):
+    values = np.empty((len(grid.radii), grid.angles, nmax + 1))
+    for i, (rho, w) in enumerate(zip(grid.radii, grid.kreiss_weights(r))):
         lams = rho * np.exp(1j * angles)
-        values = np.empty((grid.angles, nmax + 1))
         for part in _chunks(grid.angles, op.dim ** 2):
-            b = op.matrix / lams[part, None, None]
-            p = acc = np.broadcast_to(eye, b.shape)
-            for n in range(0, nmax + 1):
-                if n > 0:
-                    p = p @ b
-                    acc = acc + p
-                values[part, n] = w * op.norm(acc) / rho
-        k = int(np.argmax(values))      # first maximum in (angle, n) order
-        if values.flat[k] > best:
-            best = float(values.flat[k])
-            m, n = divmod(k, nmax + 1)
-            argmax = {"radius": rho, "angle": float(angles[m]), "n": n}
-        n_best = np.maximum(n_best, values.max(axis=0))
-    report = FunctionalReport(value=best, argmax=argmax)
-    report.n_profile = [(n, float(v)) for n, v in enumerate(n_best)]
+            for n, sums in _pascal_sums(op.matrix / lams[part, None, None], 1, nmax):
+                values[i, part, n] = w * op.norm(sums[1]) / rho
+    best, (i, m, n) = _first_max(values)
+    report = FunctionalReport(value=best, argmax={"radius": grid.radii[i],
+                                                  "angle": float(angles[m]), "n": n})
+    report.n_profile = [(n, float(v)) for n, v in enumerate(values.max(axis=(0, 1)))]
     return report
 
 
@@ -186,29 +199,19 @@ def cesaro_mean_sequence(t, p: int, nmax: int, lam=1.0):
     """Yield (n, M_n of order p applied to lam*T) for n = 0..nmax.
 
     ``lam`` is one rotation or an array of them; an array yields stacks of
-    means, one per rotation.  Uses the cumulative (Pascal-triangle)
-    recursion: the unnormalized accumulators satisfy
-    A_n^{(q)} = A_{n-1}^{(q)} + A_n^{(q-1)} with A_n^{(0)} = (lam T)^n, and
-    M_n^{(p)} = A_n^{(p)} / C(n+p, p).  One matrix product per step
-    regardless of p; validated against the row-coefficient route in the
-    test suite.
+    means, one per rotation.  M_n^{(p)} = A_n^{(p)} / C(n+p, p), with the
+    Pascal sums A_n^{(p)} of lam T from ``_pascal_sums``: one matrix
+    product per step regardless of p; validated against the
+    row-coefficient route in the test suite.
     """
     if p < 1:
         raise ValueError("cesaro order p must be >= 1")
     op = as_operator(t)
-    b = np.asarray(lam)[..., None, None] * op.matrix
-    eye = np.broadcast_to(np.eye(op.dim), b.shape)
-    accs = [eye.copy() for _ in range(p + 1)]
-    pow_n = eye.copy()
     binom = 1.0
-    yield 0, eye.copy()
-    for n in range(1, nmax + 1):
-        pow_n = pow_n @ b
-        accs[0] = pow_n
-        for q in range(1, p + 1):
-            accs[q] = accs[q] + accs[q - 1]
-        binom *= (n + p) / n
-        yield n, accs[p] / binom
+    for n, sums in _pascal_sums(np.asarray(lam)[..., None, None] * op.matrix, p, nmax):
+        if n:
+            binom *= (n + p) / n
+        yield n, sums[p] / binom
 
 
 def mean_growth_functional(t, p: int, r: int, nmax: int, angles: int) -> FunctionalReport:
@@ -235,10 +238,8 @@ def mean_growth_functional(t, p: int, r: int, nmax: int, angles: int) -> Functio
         for n, means in cesaro_mean_sequence(op, p, nmax, lams[part]):
             if n > 0:
                 values[part, n - 1] = op.norm(means) / n_pow_r[n - 1]
-    k = int(np.argmax(values))          # first maximum in (angle, n) order
-    m, n = divmod(k, nmax)
-    report = FunctionalReport(value=float(values.flat[k]),
-                              argmax={"n": n + 1, "angle": float(thetas[m])})
+    best, (m, n) = _first_max(values)
+    report = FunctionalReport(value=best, argmax={"n": n + 1, "angle": float(thetas[m])})
     report.n_profile = [(n, float(v)) for n, v in enumerate(values.max(axis=0), start=1)]
     tail = [v for n, v in report.n_profile if n > nmax // 2]
     report.tail_value = max(tail) if tail else None
@@ -277,8 +278,9 @@ def abel_summation_residual(t, lam: complex, rho: float, n: int) -> float:
     sum_{k<=n} rho^k (lam T)^k
       = (1-rho) sum_{k<=n-1} (k+1) M_k(lam T) rho^k + (n+1) M_n(lam T) rho^n.
 
-    Both sides are assembled from one incremental power sweep; the identity
-    is algebraic so the residual is rounding-level for any T.
+    Both sides are assembled from one walk of the Pascal sums of orders 0
+    and 1 (the powers, and (k+1) M_k); the identity is algebraic so the
+    residual is rounding-level for any T.
     """
     if not (0.0 < rho <= 1.0):
         raise ValueError("rho must lie in (0, 1]")
@@ -286,21 +288,15 @@ def abel_summation_residual(t, lam: complex, rho: float, n: int) -> float:
         raise ValueError("n must be >= 1")
     op = as_operator(t)
     b = lam * op.matrix
-    eye = np.eye(op.dim)
     lhs = np.zeros_like(b)
     rhs = np.zeros_like(b)
-    p = eye.copy()          # (lam T)^k
-    partial = eye.copy()    # (k+1) M_k = sum_{j<=k} (lam T)^j
     rho_k = 1.0
-    for k in range(0, n + 1):
-        if k > 0:
-            p = p @ b
-            partial = partial + p
+    for k, (power, partial) in _pascal_sums(b, 1, n):
+        if k:
             rho_k *= rho
-        lhs += rho_k * p
-        if k <= n - 1:
-            rhs += (1.0 - rho) * rho_k * partial
-    rhs += rho_k * partial  # rho^n (n+1) M_n
+        lhs += rho_k * power
+        # partial = (k+1) M_k; the last term is rho^n (n+1) M_n
+        rhs += (rho_k if k == n else (1.0 - rho) * rho_k) * partial
     return op.norm(lhs - rhs)
 
 

@@ -116,6 +116,27 @@ def test_library_error_exits_2_with_one_stderr_line(argv, fragment, tmp_path, ca
 
 
 @pytest.mark.parametrize("argv", [
+    # (3 / |lambda|)^n passes 1e308 in the partial sums and the Cesaro means
+    ["uniform_kreiss", "--op", "diag:3", "--nmax", "1024", "--r", "1"],
+    ["growth", "--op", "diag:3", "--scheme", "cesaro:p=1", "--nmax", "2000"],
+    # 1e200^2 overflows in the first squaring of the mean walk
+    ["identities", "--op", "diag:1e200", "--nmax", "8"],
+    ["convergence", "--op", "diag:1e200", "--scheme", "zweier", "--nmax", "8"],
+], ids=["uniform_kreiss", "growth_cesaro", "identities", "convergence_zweier"])
+def test_numerical_overflow_exits_2_with_one_error_line(argv, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv + ["--out", str(out)]) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert "Warning" not in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: numerical overflow: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["identities", "--op", "jordan:2:1", "--nmax", "0"],
     ["identities", "--op", "jordan:2:1", "--nmax", "1"],
     ["convergence", "--op", "diag:1,0.5", "--nmax", "0"],

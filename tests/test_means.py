@@ -161,6 +161,21 @@ def test_power_series_rows_are_scale_invariant_bit_for_bit():
         assert np.array_equal(got.weights, ref.weights)
 
 
+def test_power_series_rescale_keeps_coefficients_far_below_the_maximum():
+    # each row is rescaled on its own terms c_j r^j, so f_0 = 1e-300 is a
+    # positive coefficient beside 1e308 (min_n 1, row 1 the identity) and
+    # stays an explicit zero weight where its term vanishes against the rest
+    s = power_series([1e-300, 1e308])
+    assert s.min_n == 1
+    row1 = s.row(1)
+    assert row1.indices.tolist() == [0] and row1.weights.tolist() == [1.0]
+    row2 = s.row(2)
+    assert row2.indices.tolist() == [0, 1] and row2.weights.tolist() == [0.0, 1.0]
+    # a coefficient that is 0 keeps no index
+    row = power_series([0.0, 1e-300, 1e308]).row(2)
+    assert row.indices.tolist() == [1, 2] and row.weights.tolist() == [0.0, 1.0]
+
+
 def test_power_series_callable_matches_abel():
     s = power_series(lambda j: 1.0)  # geometric generating function
     for n in (3, 9, 31):

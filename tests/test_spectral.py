@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,15 @@ from ergolab.linop import (
     identity_operator,
     jordan_block,
     op_norm,
+    power,
     random_operator,
 )
 from ergolab.means import SpectralRadiusTooLarge, apply_mean, cesaro
 from ergolab.spectral import (
     AnnulusGrid,
     SingularResolvent,
+    _first_max,
+    _pascal_sums,
     abel_summation_residual,
     cesaro_mean_sequence,
     kreiss_functional,
@@ -121,6 +126,53 @@ def test_kreiss_monotonicity_under_refinement():
     small = kreiss_functional(t, 0, AnnulusGrid.dyadic(4, 8))
     big = kreiss_functional(t, 0, AnnulusGrid.dyadic(8, 16))
     assert big.value >= small.value - 1e-12
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_pascal_sums_match_explicit_sums_of_powers(dtype, stacked):
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((3, 4, 4)) / 2.0
+    if dtype is complex:
+        m = m + 1j * rng.standard_normal((3, 4, 4)) / 2.0
+    b = m if stacked else m[0]
+    nmax = 9
+    for p in range(4):
+        # A_n^(0) = b^n, and each order the running sum of the order below
+        explicit = np.array([[power(a, n) for n in range(nmax + 1)]
+                             for a in b.reshape(-1, 4, 4)])
+        for _ in range(p):
+            explicit = np.cumsum(explicit, axis=1)
+        got = []
+        for n, sums in _pascal_sums(b, p, nmax):
+            assert len(sums) == p + 1
+            assert all(a.shape == b.shape for a in sums)
+            got.append(np.array(sums[p]).reshape(-1, 4, 4))
+        assert len(got) == nmax + 1
+        np.testing.assert_allclose(np.stack(got, axis=1), explicit, rtol=1e-12, atol=1e-12)
+
+
+def test_first_max_takes_the_first_of_exact_ties_in_c_order():
+    values = np.array([[[0.0, 2.0], [2.0, 1.0]], [[2.0, 0.0], [0.0, 2.0]]])
+    best, index = _first_max(values)
+    assert (best, index) == (2.0, (0, 0, 1))
+    assert type(best) is float and all(type(i) is int for i in index)
+    # the zero operator ties every angle and n exactly: the first point wins
+    grid = AnnulusGrid.dyadic(3, 8)
+    rep = partial_sum_functional(scalar_op(0.0), 0, 5, grid)
+    assert rep.argmax == {"radius": 1.5, "angle": 0.0, "n": 0}
+    rep = mean_growth_functional(scalar_op(0.0), 1, 0, 5, 8)
+    assert rep.argmax == {"n": 1, "angle": 0.0}
+
+
+def test_sweep_argmaxes_are_json_numbers():
+    grid = AnnulusGrid.dyadic(3, 8)
+    t = jordan_block(2, 0.9)
+    for rep in (kreiss_functional(t, 0, grid), partial_sum_functional(t, 0, 6, grid),
+                mean_growth_functional(t, 1, 0, 6, 8)):
+        assert rep.argmax
+        assert all(type(v) in (int, float) for v in rep.argmax.values())
+        assert json.loads(json.dumps(rep.argmax)) == rep.argmax
 
 
 def test_cesaro_sequence_matches_row_route():
@@ -328,6 +380,8 @@ def test_stacked_sweeps_keep_the_first_of_tied_angles():
         _kreiss_oracle(t, 0, grid)
     growth = mean_growth_functional(t, 2, 0, 6, 4)
     assert (growth.value, growth.argmax, growth.n_profile) == _mean_growth_oracle(t, 2, 0, 6, 4)
+    sums = partial_sum_functional(t, 0, 4, grid)
+    assert (sums.value, sums.argmax, sums.n_profile) == _partial_sum_oracle(t, 0, 4, grid)
 
 
 def test_stacked_sweeps_cross_chunk_boundaries():
