@@ -18,14 +18,10 @@ from .linop import (
     dirichlet_shift,
     identity_operator,
     jordan_block,
-    load_gram,
-    load_matrix,
     load_operator,
     op_norm,
     power,
     random_operator,
-    save_gram,
-    save_matrix,
     save_operator,
     volterra_operator,
 )

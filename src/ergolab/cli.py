@@ -7,7 +7,8 @@ config: byte-identical JSON, seeds fixed, no timestamps.  Exit codes:
 0 all declared checks pass, 1 a check failed (a missing diagnostic, such as
 an unfittable growth exponent, fails its check), 2 configuration error,
 numerical overflow or an input the library rejects (one line on stderr, no
-traceback).
+traceback).  A config key that the scenario never reads is a configuration
+error.
 """
 
 from __future__ import annotations
@@ -26,12 +27,36 @@ from . import ergodic, linop, means, spaces, spectral
 
 DEFAULT_SEED = 0x5EED
 
-SCENARIOS = ("identities", "kreiss", "uniform_kreiss", "growth", "nevanlinna",
-             "shields", "h1", "quotient", "convergence")
+_H1_CHECKS = ("3iso", "pairing", "inequality", "meannorm", "all")
 
 
 class ConfigError(ValueError):
     """Bad scenario configuration (unknown operator/scheme spec, bad range)."""
+
+
+class _Config(dict):
+    """A scenario config that records each key read through ``[]``, ``get``
+    or ``in``.  ``get(key, default, least=x)`` raises a ConfigError naming
+    ``key`` when the value is below ``x``."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None, least=None):
+        self.read.add(key)
+        value = super().get(key, default)
+        if least is not None and value < least:
+            raise ConfigError(f"{key} must be >= {least}, got {value}")
+        return value
 
 
 def _parse_scheme(spec: str) -> means.MeanScheme:
@@ -104,30 +129,20 @@ def _json_safe(obj):
     return obj
 
 
+_COMPARE = {"<=": operator.le, ">=": operator.ge, "<": operator.lt,
+            ">": operator.gt, "in": lambda value, band: band[0] <= value <= band[1]}
+
+
 def _check(name, value, threshold, op="<="):
-    """A named comparison; a missing or non-finite diagnostic fails it."""
-    compare = {"<=": operator.le, ">=": operator.ge,
-               "<": operator.lt, ">": operator.gt}[op]
+    """A named comparison, with ``op="in"`` for a ``[lo, hi]`` band; a
+    missing or non-finite diagnostic fails it."""
+    if op == "in":
+        lo, hi = threshold
+        threshold = [lo, hi]
     value = _json_safe(value)
-    ok = value is not None and compare(value, threshold)
+    ok = value is not None and _COMPARE[op](value, threshold)
     return {"name": name, "value": value, "op": op,
             "threshold": threshold, "pass": bool(ok)}
-
-
-def _band_check(name, value, band):
-    lo, hi = band
-    value = _json_safe(value)
-    ok = value is not None and lo <= value <= hi
-    return {"name": name, "value": value, "op": "in",
-            "threshold": [lo, hi], "pass": bool(ok)}
-
-
-def _require(key, value, least):
-    """``value`` itself, or ConfigError naming ``key`` when it is below
-    ``least``."""
-    if value < least:
-        raise ConfigError(f"{key} must be >= {least}, got {value}")
-    return value
 
 
 def _ring_weight_checks(grid, r):
@@ -141,11 +156,11 @@ def _ring_weight_checks(grid, r):
 def _scenario_identities(cfg):
     op = parse_operator(cfg["operator"])
     tol = cfg.get("tol", 1e-10)
-    pmax = _require("p", cfg.get("p", 2), 1)
+    pmax = cfg.get("p", 2, least=1)
     scheme = _parse_scheme(cfg.get("scheme", "cesaro:p=1"))
     # the backward-identity sweep runs over the rows first..nmax
     first = max(scheme.min_n, 1) + 1
-    nmax = _require("nmax", cfg.get("nmax", 32), first)
+    nmax = cfg.get("nmax", 32, least=first)
     a = op.matrix
     eye = np.eye(op.dim)
     worst = {"identity1": 0.0, "identity2": 0.0, "identity3": 0.0}
@@ -197,8 +212,8 @@ def _scenario_kreiss(cfg):
     if "expect_ratio_band" in cfg:
         tail = ratios[-3:]
         for i, ratio in enumerate(tail):
-            checks.append(_band_check(f"step_ratio_{i}", ratio,
-                                      cfg["expect_ratio_band"]))
+            checks.append(_check(f"step_ratio_{i}", ratio,
+                                 cfg["expect_ratio_band"], op="in"))
     if report.skipped:
         # grid points on the spectrum were left out of the supremum
         checks.append(_check("evaluated_grid_points", report.skipped, 0))
@@ -219,15 +234,13 @@ def _scenario_uniform_kreiss(cfg):
     return result, checks + _ring_weight_checks(grid, r)
 
 
-def _growth_report(cfg):
-    op = parse_operator(cfg["operator"])
-    nmax = cfg.get("nmax", 512)
+def _growth_report(cfg, op):
     mode = cfg.get("norm", "spectral")
     window = cfg.get("window_fraction", 0.5)
     if cfg.get("scheme"):
         # growth of the means ||T_n|| instead of the powers ||T^n||
         scheme = _parse_scheme(cfg["scheme"])
-        _require("nmax", nmax, max(scheme.min_n, 1))
+        nmax = cfg.get("nmax", 512, least=max(scheme.min_n, 1))
         if scheme.kind == "cesaro":
             pairs = [(n, op.norm(m, mode=mode))
                      for n, m in spectral.cesaro_mean_sequence(op, scheme.p, nmax)
@@ -240,18 +253,18 @@ def _growth_report(cfg):
                 vals[part] = op.norm(means.apply_mean(scheme, op, ns[part]), mode=mode)
         report = ergodic.GrowthReport(label=f"||{scheme.name}({op.label})||",
                                       ns=ns, values=vals)
-        report = ergodic.fitted(report, window)
-        return op, report
+        return ergodic.fitted(report, window)
+    nmax = cfg.get("nmax", 512)
     if cfg.get("sampled", nmax > 1024):
         count = cfg.get("samples", 33)
         ns = sorted({int(round(2.0 ** e))
                      for e in np.linspace(1, math.log2(nmax), count)})
-        return op, ergodic.power_norm_samples(op, ns, mode, window)
-    return op, ergodic.power_norm_sequence(op, nmax, mode, window)
+        return ergodic.power_norm_samples(op, ns, mode, window)
+    return ergodic.power_norm_sequence(op, nmax, mode, window)
 
 
 def _scenario_growth(cfg):
-    _, report = _growth_report(cfg)
+    report = _growth_report(cfg, parse_operator(cfg["operator"]))
     values = {
         "points": [[int(n), float(v)] for n, v in report.points],
         "fit_exponent": report.fit_exponent,
@@ -261,15 +274,14 @@ def _scenario_growth(cfg):
     }
     checks = []
     if "expect_exponent_band" in cfg:
-        checks.append(_band_check("fit_exponent", report.fit_exponent,
-                                  cfg["expect_exponent_band"]))
+        checks.append(_check("fit_exponent", report.fit_exponent,
+                             cfg["expect_exponent_band"], op="in"))
     return values, checks
 
 
 def _scenario_nevanlinna(cfg):
-    cfg = dict(cfg)
-    cfg.setdefault("operator", "jordan:2:1")
-    op, report = _growth_report(cfg)
+    op = parse_operator(cfg.get("operator", "jordan:2:1"))
+    report = _growth_report(cfg, op)
     r = cfg.get("r", op.dim - 1)
     values = {
         "fit_exponent": report.fit_exponent,
@@ -277,7 +289,7 @@ def _scenario_nevanlinna(cfg):
         "bound_exponent": r + 1,
     }
     checks = [
-        _band_check("fit_exponent", report.fit_exponent, [r - 0.1, r + 0.1]),
+        _check("fit_exponent", report.fit_exponent, [r - 0.1, r + 0.1], op="in"),
         _check("below_bound", report.fit_exponent, r + 1, op="<"),
     ]
     return values, checks
@@ -285,7 +297,7 @@ def _scenario_nevanlinna(cfg):
 
 def _scenario_shields(cfg):
     r = cfg.get("r", 0)
-    nmax = _require("nmax", cfg.get("nmax", 4096), 2)
+    nmax = cfg.get("nmax", 4096, least=2)
     lo = cfg.get("fit_from", 64)
     mean_rep, power_rep, inner_rep = spaces.shields_report(
         r, nmax, cfg.get("quad_nodes"))
@@ -318,6 +330,9 @@ def _scenario_shields(cfg):
 
 def _scenario_h1(cfg):
     which = cfg.get("check", "all")
+    if which not in _H1_CHECKS:
+        raise ConfigError(f"h1 check must be one of {'|'.join(_H1_CHECKS)}, "
+                          f"got {which!r}")
     degree = cfg.get("degree", 8)
     seed = cfg.get("seed", DEFAULT_SEED)
     rng = np.random.default_rng(seed)
@@ -348,7 +363,7 @@ def _scenario_h1(cfg):
         checks.append(_check("inequality_violations", violations, 0))
     if which in ("meannorm", "all"):
         n_trunc = cfg.get("n_trunc", 256)
-        nmax = _require("nmax", cfg.get("nmax", 16), 1)
+        nmax = cfg.get("nmax", 16, least=1)
         sup = max(spaces.h1_mean_norm(n, n_trunc) for n in range(1, nmax + 1))
         values["mean_norm_sup"] = sup
         checks.append(_check("mean_norm_sup", sup, cfg.get("sup_max", 10.0)))
@@ -383,7 +398,7 @@ def _scenario_quotient(cfg):
 def _scenario_convergence(cfg):
     op = parse_operator(cfg["operator"])
     scheme = _parse_scheme(cfg.get("scheme", "cesaro:p=1"))
-    nmax = _require("nmax", cfg.get("nmax", 256), max(scheme.min_n, 1))
+    nmax = cfg.get("nmax", 256, least=max(scheme.min_n, 1))
     report = ergodic.mean_convergence_report(scheme, op, nmax)
     rates = [(n, n * v) for n, v in report.points if n >= 1]
     c_measured = max(r for _, r in rates)
@@ -414,21 +429,27 @@ _RUNNERS = {
 def run(config: dict) -> dict:
     """Run one scenario; returns the report dict (JSON-serializable).
 
-    An overflowing or invalid floating-point operation raises
-    FloatingPointError, except where the library flags it by design (the
-    power-norm sweeps' ``overflow_at``, the gamma window's OverflowError,
-    the underflowing n^-r of the mean growth functional).
+    An overflowing, invalid or dividing-by-zero floating-point operation
+    raises FloatingPointError, except where the library flags it by design
+    (the power-norm sweeps' ``overflow_at``, the gamma window's
+    OverflowError, the underflowing n^-r of the mean growth functional).
+    A missing key or a value of the wrong type or length, and a key other
+    than ``scenario`` and ``out`` that the scenario never reads, raise
+    ConfigError.
     """
     scenario = config.get("scenario")
-    if scenario not in _RUNNERS:
+    if not isinstance(scenario, str) or scenario not in _RUNNERS:
         raise ConfigError(f"unknown scenario {scenario!r}")
+    cfg = _Config(config)
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            values, checks = _RUNNERS[scenario](config)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError) as exc:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            values, checks = _RUNNERS[scenario](cfg)
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise ConfigError(f"scenario {scenario}: bad config ({exc})") from exc
+    unread = sorted(config.keys() - cfg.read - {"scenario", "out"})
+    if unread:
+        raise ConfigError(f"scenario {scenario} reads no config key "
+                          + ", ".join(map(repr, unread)))
     report = {
         "scenario": scenario,
         "config": {k: v for k, v in sorted(config.items()) if k != "out"},
@@ -469,7 +490,7 @@ def _add_common(sub):
     sub.add_argument("--angles", type=int)
     sub.add_argument("--norm", choices=["spectral", "colsum", "rowsum"])
     sub.add_argument("--degree", type=int)
-    sub.add_argument("--check", help="h1 sub-check: 3iso|pairing|inequality|meannorm|all")
+    sub.add_argument("--check", help="h1 sub-check: " + "|".join(_H1_CHECKS))
     sub.add_argument("--seed", type=int)
     sub.add_argument("--config", help="JSON config file; overrides flags")
     sub.add_argument("--out", help="report path (.json, or .csv for growth)")
@@ -479,7 +500,7 @@ def _build_parser():
     parser = argparse.ArgumentParser(prog="ergolab",
                                      description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in SCENARIOS:
+    for name in _RUNNERS:
         _add_common(subs.add_parser(name))
     example = subs.add_parser("example")
     example_subs = example.add_subparsers(dest="example_scenario", required=True)
@@ -493,26 +514,9 @@ def _build_parser():
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "builtins":
-        for item in list_builtins():
-            print(item)
-        return 0
-    if args.command == "rows":
-        try:
-            scheme = means.parse_scheme(args.scheme)
-        except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        ns = [n for n in range(scheme.min_n, args.nmax + 1)]
-        try:
-            means.rows_to_csv(scheme, ns, args.out)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return 0
+def _load_config(args) -> dict:
+    """The scenario config: the flags given, overridden by the keys of the
+    ``--config`` file, which must hold a JSON object."""
     scenario = args.example_scenario if args.command == "example" else args.command
     config = {"scenario": scenario}
     config.update((key, value) for key, value in vars(args).items()
@@ -521,31 +525,45 @@ def main(argv=None) -> int:
     if args.config:
         try:
             with open(args.config) as fh:
-                config.update(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-    config.setdefault("scenario", scenario)
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{args.config} must hold a JSON object, "
+                              f"not a {type(loaded).__name__}")
+        config.update(loaded)
+    if not isinstance(config.get("out", ""), str):
+        raise ConfigError(f"out must be a path string, got {config['out']!r}")
+    return config
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
+        if args.command == "builtins":
+            for item in list_builtins():
+                print(item)
+            return 0
+        if args.command == "rows":
+            scheme = _parse_scheme(args.scheme)
+            means.rows_to_csv(scheme, range(scheme.min_n, args.nmax + 1), args.out)
+            return 0
+        config = _load_config(args)
         report = run(config)
+        out = args.out or config.get("out")
+        if out:
+            write_report(report, out)
+        else:
+            print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:
         print(f"error: numerical overflow: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = args.out or config.get("out")
-    if out:
-        try:
-            write_report(report, out)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
     for check in report["checks"]:
         status = "pass" if check["pass"] else "FAIL"
         print(f"[{status}] {check['name']}: {check['value']} "

@@ -263,8 +263,10 @@ def gamma_quotient(t, s: MeanScheme, m: int, n_window,
     coordinates.  gamma_values records per-probe estimates on the full
     window and on its halves (window-sensitivity diagnostic).  Raises
     OverflowError, naming the window, when the window maps or their Gram
-    are not finite.
+    are not finite, and ValueError when ``kernel_tol`` is not positive.
     """
+    if not kernel_tol > 0:
+        raise ValueError(f"kernel_tol must be > 0, got {kernel_tol}")
     lo, hi = int(n_window[0]), int(n_window[1])
     if hi - lo < 16:
         raise WindowTooSmall("gamma window needs hi - lo >= 16")

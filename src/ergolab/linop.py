@@ -457,26 +457,6 @@ def gram_from_obj(obj: dict) -> GramGeometry:
     return GramGeometry(dim, dense=re + 1j * im)
 
 
-def save_matrix(a, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(matrix_to_obj(a), fh)
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        return matrix_from_obj(json.load(fh))
-
-
-def save_gram(g: GramGeometry, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(gram_to_obj(g), fh)
-
-
-def load_gram(path) -> GramGeometry:
-    with open(path) as fh:
-        return gram_from_obj(json.load(fh))
-
-
 def save_operator(t: OperatorModel, path) -> None:
     obj = {"matrix": matrix_to_obj(t.matrix), "label": t.label}
     if t.geometry is not None:

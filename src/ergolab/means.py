@@ -11,8 +11,8 @@ applied to the power sequence {T^j} gives the operator mean
 * ``abel()``      -- discretized Abel means ``(1/n) sum_j (1-1/n)^j T^j``.
 * ``zweier()``    -- ``(T^{n-1} + T^n)/2``.
 * ``binomial()``  -- ``2^{-n} sum_k C(n,k) T^k = ((T+I)/2)^n``.
-* ``power_series(coeffs, radii)`` -- ``F(r_n T)/F(r_n)`` for a generating
-  function F with nonnegative Taylor coefficients; default radii 1 - 1/n.
+* ``power_series(coeffs)`` -- ``F(r_n T)/F(r_n)`` at r_n = 1 - 1/n for a
+  generating function F with nonnegative Taylor coefficients.
 * ``identity_powers()`` -- the powers themselves, ``T_n = T^n``.
 
 Rows of the infinite families (Abel, power series) are truncated at a
@@ -161,13 +161,13 @@ class _PowerSeries(MeanScheme):
 
     ``coeffs`` is either a finite sequence (F a polynomial; rows exact) or a
     callable j -> f_j (rows truncated by an observed-ratio geometric bound).
-    ``radii`` is a callable n -> r_n, defaulting to 1 - 1/n.
+    Row n is taken at the radius r_n = 1 - 1/n.
     """
 
     kind = name = "power_series"
     _MAX_TERMS = 2_000_000
 
-    def __init__(self, coeffs, radii=None):
+    def __init__(self, coeffs):
         if callable(coeffs):
             self._coeff_fn = coeffs
             self._coeff_vec = None
@@ -181,26 +181,12 @@ class _PowerSeries(MeanScheme):
             self._coeff_vec = vec
             self._coeff_fn = None
             f0 = float(vec[0])
-        if radii is None:
-            self._radius = lambda n: 1.0 - 1.0 / n
-            # row 1 has radius 0: only defined when f_0 > 0
-            self.min_n = 1 if f0 > 0 else 2
-        else:
-            if callable(radii):
-                self._radius = radii
-                self.min_n = 1
-            else:
-                rs = np.asarray(radii, dtype=float)
-                if np.any(rs <= 0) or np.any(rs >= 1) or np.any(np.diff(rs) <= 0):
-                    raise ValueError("radii must be strictly increasing in (0, 1)")
-                self._radius = lambda n, rs=rs: float(rs[n - 1])
-                self.min_n = 1
+        # row 1 has radius 0: only defined when f_0 > 0
+        self.min_n = 1 if f0 > 0 else 2
         self.finite_rows = self._coeff_vec is not None
 
     def _row(self, n, tail_eps):
-        r = float(self._radius(n))
-        if not (0.0 <= r < 1.0):
-            raise ValueError(f"radius r_{n} = {r} outside [0, 1)")
+        r = 1.0 - 1.0 / n
         if self._coeff_vec is not None:
             u = self._coeff_vec * r ** np.arange(self._coeff_vec.size, dtype=float)
             keep = np.nonzero(u > 0)[0]
@@ -343,8 +329,8 @@ def binomial() -> MeanScheme:
     return _Binomial()
 
 
-def power_series(coeffs, radii=None) -> MeanScheme:
-    return _PowerSeries(coeffs, radii)
+def power_series(coeffs) -> MeanScheme:
+    return _PowerSeries(coeffs)
 
 
 def identity_powers() -> MeanScheme:
@@ -375,7 +361,7 @@ def backward_iterate(s: MeanScheme) -> MeanScheme:
     if isinstance(s, _Zweier):
         return _ZweierBackward()
     min_n = max(s.min_n, 1)
-    if isinstance(s, _PowerSeries) and s._radius(1) == 0.0:
+    if isinstance(s, _PowerSeries):
         min_n = max(min_n, 2)  # row 1 is F(0 T)/F(0) = I, degenerate
     return _FormulaBackward(s, min_n)
 

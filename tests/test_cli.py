@@ -385,3 +385,35 @@ def test_uniform_kreiss_scenario():
                   "nmax": 32, "angles": 8})
     assert report["pass"]
     assert report["values"]["max_ratio"] < 1.0
+
+
+@pytest.mark.parametrize("argv, config, fragment", [
+    # a key the scenario never reads: a misspelt check, a flag growth ignores
+    (["growth", "--op", "jordan:2:1", "--nmax", "64"], {"expect_exponet_band": [9, 10]},
+     "config error: scenario growth reads no config key 'expect_exponet_band'"),
+    (["growth", "--op", "jordan:2:1", "--nmax", "64", "--seed", "3"], None,
+     "config error: scenario growth reads no config key 'seed'"),
+    (["h1", "--check", "typo"], None, "config error: h1 check must be one of"),
+    # a gamma window of one bound, and a config file that is not a JSON object
+    (["quotient"], {"window": [256]}, "config error: scenario quotient: bad config"),
+    (["quotient"], [1, 2], "must hold a JSON object"),
+    # a kernel tolerance that is not positive
+    (["quotient"], {"kernel_tol": -3, "m": 20}, "error: kernel_tol must be > 0"),
+    (["quotient"], {"kernel_tol": -1}, "error: kernel_tol must be > 0"),
+], ids=["misspelt_check", "unread_flag", "h1_check", "window_of_one", "config_list",
+        "kernel_tol_m20", "kernel_tol"])
+def test_rejected_input_exits_2_with_one_stderr_line(argv, config, fragment, tmp_path,
+                                                     capsys):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv + ["--out", str(out)]) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    assert len(err.splitlines()) == 1 and fragment in err
+    assert not out.exists()

@@ -279,6 +279,12 @@ def test_gamma_quotient_degenerate_cases():
         gamma_quotient(identity_operator(2), identity_powers(), 0, (8, 16))
 
 
+@pytest.mark.parametrize("kernel_tol", [0.0, -1.0, float("nan")])
+def test_gamma_quotient_rejects_a_kernel_tol_that_is_not_positive(kernel_tol):
+    with pytest.raises(ValueError, match="kernel_tol"):
+        gamma_quotient(identity_operator(2), identity_powers(), 0, (8, 40), kernel_tol)
+
+
 def test_gamma_quotient_matches_the_per_map_probe_loop():
     # oracle: the window maps one at a time, each probe's gamma as a max of
     # single vector norms, and the Gram as a sum of per-map products

@@ -427,24 +427,24 @@ def test_power_additivity():
 
 def test_matrix_json_round_trip(tmp_path):
     a = np.array([[1.0 + 2j, 3.0], [0.0, -1j]])
-    path = tmp_path / "m.json"
-    linop.save_matrix(a, path)
+    path = tmp_path / "op.json"
+    linop.save_operator(OperatorModel(a), path)
     with open(path) as fh:
-        obj = json.load(fh)
+        obj = json.load(fh)["matrix"]
     assert obj["rows"] == 2 and obj["cols"] == 2
     assert obj["re"][0] == 1.0 and obj["im"][0] == 2.0  # row-major
-    assert np.array_equal(linop.load_matrix(path), a)
+    assert np.array_equal(linop.load_operator(path).matrix, a)
 
 
 def test_gram_json_round_trip(tmp_path):
+    path = tmp_path / "op.json"
     diag = GramGeometry.diagonal([1.0, 2.5])
-    path = tmp_path / "g.json"
-    linop.save_gram(diag, path)
-    loaded = linop.load_gram(path)
+    linop.save_operator(OperatorModel(np.eye(2), geometry=diag), path)
+    loaded = linop.load_operator(path).geometry
     assert loaded.is_diagonal and np.array_equal(loaded.diag, diag.diag)
     dense = GramGeometry.hermitian(np.array([[2.0, 1j], [-1j, 2.0]]))
-    linop.save_gram(dense, path)
-    loaded = linop.load_gram(path)
+    linop.save_operator(OperatorModel(np.eye(2), geometry=dense), path)
+    loaded = linop.load_operator(path).geometry
     assert not loaded.is_diagonal
     assert np.allclose(loaded.dense, dense.dense)
 
@@ -459,7 +459,7 @@ def test_operator_file_round_trip(tmp_path):
     assert np.array_equal(loaded.matrix, t.matrix)
     assert np.array_equal(loaded.geometry.diag, t.geometry.diag)
     # bare matrix object is also accepted
-    linop.save_matrix(t.matrix, path)
+    path.write_text(json.dumps(linop.matrix_to_obj(t.matrix)))
     assert np.array_equal(linop.load_operator(path).matrix, t.matrix)
 
 

@@ -190,8 +190,6 @@ def test_power_series_validation():
         power_series([0.0, 0.0])
     with pytest.raises(ValueError):
         power_series([1.0, -1.0])
-    with pytest.raises(ValueError):
-        power_series([1.0], radii=[0.5, 0.4])
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             power_series([1.0, bad])

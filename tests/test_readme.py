@@ -1,0 +1,38 @@
+"""The README's typical command lines run as written.
+
+Every ``ergolab ...`` line of the "Typical runs" block goes through
+``cli.main`` in a scratch directory that holds ``op.json``, the builtin
+Jordan block J_2(1); each must end in a report (exit 0 or 1), not in a
+configuration error or a traceback.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from ergolab import cli, linop
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def typical_runs():
+    text = README.read_text()
+    block = re.search(r"Typical runs:\n\n```bash\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("ergolab ")]
+
+
+def test_readme_has_typical_runs():
+    assert len(typical_runs()) >= 5
+
+
+@pytest.mark.parametrize("argv", typical_runs(), ids=" ".join)
+def test_typical_run(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    linop.save_operator(cli.parse_operator("jordan:2:1"), tmp_path / "op.json")
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1), err
+    assert "Traceback" not in err
