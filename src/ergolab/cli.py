@@ -255,7 +255,10 @@ def _growth_report(cfg, op):
                                       ns=ns, values=vals)
         return ergodic.fitted(report, window)
     nmax = cfg.get("nmax", 512)
-    if cfg.get("sampled", nmax > 1024):
+    sampled = cfg.get("sampled", nmax > 1024)
+    if not isinstance(sampled, bool):
+        raise ConfigError(f"sampled must be true or false, got {sampled!r}")
+    if sampled:
         count = cfg.get("samples", 33)
         ns = sorted({int(round(2.0 ** e))
                      for e in np.linspace(1, math.log2(nmax), count)})
@@ -335,12 +338,15 @@ def _scenario_h1(cfg):
                           f"got {which!r}")
     degree = cfg.get("degree", 8)
     seed = cfg.get("seed", DEFAULT_SEED)
+    # null would draw OS entropy and break the byte-identical report
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     values = {}
     checks = []
     if which in ("3iso", "all"):
         worst = 0.0
-        for _ in range(cfg.get("trials", 50)):
+        for _ in range(cfg.get("trials", 50, least=1)):
             p = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
             worst = max(worst, abs(spaces.m_isometry_defect(
                 spaces.h1_norm, spaces.shift_by_z, 3, p)))
@@ -353,7 +359,7 @@ def _scenario_h1(cfg):
         checks.append(_check("pairing_error", abs(val - 2.0 / (n + 1)), 1e-12))
     if which in ("inequality", "all"):
         violations = 0
-        for _ in range(cfg.get("trials", 50)):
+        for _ in range(cfg.get("trials", 50, least=1)):
             p = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
             n = int(rng.integers(2, 65))
             lhs, rhs = spaces.h1_shift_lower_bound(p, n)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .linop import (OperatorModel, _chunks, _power_walk, as_matrix, as_operator, op_norm,
                     power)
@@ -168,6 +167,7 @@ def ergodic_projection(t) -> np.ndarray:
     """
     a = as_operator(t).matrix
     d = a.shape[0]
+    import scipy.linalg
     ts, z, sdim = scipy.linalg.schur(a, output="complex",
                                      sort=lambda lam: abs(lam - 1.0) <= _FIXED_TOL)
     if sdim == 0:

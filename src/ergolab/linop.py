@@ -22,6 +22,12 @@ part that is identically zero is dropped, and complex arithmetic enters
 only with a complex scalar or complex data.
 ``mode="colsum"`` and ``mode="rowsum"`` select the max-column-sum /
 max-row-sum norms instead, i.e. the l1- and linf-induced operator norms.
+
+Import rule for the whole package: no module imports scipy at module level.
+scipy is imported inside the function that calls it, as ``import
+scipy.linalg`` (or ``scipy.linalg.blas``, ``scipy.special``) on the line
+before the ``scipy.linalg.x(...)`` call, so ``import ergolab`` loads only
+numpy and a run that reaches no scipy kernel never pays for scipy's import.
 """
 
 from __future__ import annotations
@@ -30,8 +36,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.blas
 
 
 class DimensionMismatch(ValueError):
@@ -116,6 +120,7 @@ class GramGeometry:
             upper = np.zeros((2, self.dim))
             upper[0, 1:] = e
             upper[1] = d
+            import scipy.linalg
             try:
                 u = scipy.linalg.cholesky_banded(upper)
             except np.linalg.LinAlgError as exc:
@@ -183,6 +188,7 @@ class GramGeometry:
         if self.is_diagonal:
             return a / self._factor[None, :]
         # solve X L = a  <=>  L^T X^T = a^T  (plain transpose; L upper triangular)
+        import scipy.linalg
         x_t = scipy.linalg.solve_triangular(self._factor.T, a.swapaxes(-1, -2), lower=True)
         return x_t.swapaxes(-1, -2)
 
@@ -371,6 +377,7 @@ def _power_walk(a: np.ndarray, ns, left=None):
         a = np.ascontiguousarray(a)
         lower = not np.triu(a, 1).any()
         if lower or not np.tril(a, -1).any():
+            import scipy.linalg.blas
             trmm = scipy.linalg.blas.get_blas_funcs("trmm", (a, a if left is None else left))
             mul = lambda x, y: trmm(1.0, y.T, x.T, lower=not lower).T
     squares, p, prev = [a], left, 0

@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .linop import (DimensionMismatch, OperatorModel, _chunks, _power_walk, _stack_size,
                     as_operator, op_norm)
@@ -151,8 +150,10 @@ class _Binomial(MeanScheme):
     kind = name = "binomial"
 
     def _row(self, n, tail_eps):
+        import scipy.special
         j = np.arange(n + 1, dtype=float)
-        logw = gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1) - n * math.log(2.0)
+        logw = (scipy.special.gammaln(n + 1) - scipy.special.gammaln(j + 1)
+                - scipy.special.gammaln(n - j + 1) - n * math.log(2.0))
         return MeanRow(n, np.arange(n + 1), np.exp(logw))
 
 

@@ -400,8 +400,27 @@ def test_uniform_kreiss_scenario():
     # a kernel tolerance that is not positive
     (["quotient"], {"kernel_tol": -3, "m": 20}, "error: kernel_tol must be > 0"),
     (["quotient"], {"kernel_tol": -1}, "error: kernel_tol must be > 0"),
+    # an h1 seed that is not a nonnegative int (null would draw OS entropy)
+    (["h1", "--check", "3iso"], {"seed": None, "trials": 3},
+     "config error: seed must be a nonnegative integer, got None"),
+    (["h1", "--check", "3iso"], {"seed": True, "trials": 3},
+     "config error: seed must be a nonnegative integer, got True"),
+    (["h1", "--check", "3iso"], {"seed": -1, "trials": 3},
+     "config error: seed must be a nonnegative integer, got -1"),
+    (["h1", "--check", "3iso"], {"seed": 1.5, "trials": 3},
+     "config error: seed must be a nonnegative integer, got 1.5"),
+    # no trials: a defect of 0.0 from nothing
+    (["h1", "--check", "3iso"], {"trials": -5}, "config error: trials must be >= 1, got -5"),
+    (["h1", "--check", "inequality"], {"trials": 0},
+     "config error: trials must be >= 1, got 0"),
+    # a non-empty string is true, so "no" took the sampled route
+    (["growth", "--op", "jordan:2:1", "--nmax", "64"], {"sampled": "no"},
+     "config error: sampled must be true or false, got 'no'"),
+    (["growth", "--op", "jordan:2:1", "--nmax", "64"], {"sampled": 1},
+     "config error: sampled must be true or false, got 1"),
 ], ids=["misspelt_check", "unread_flag", "h1_check", "window_of_one", "config_list",
-        "kernel_tol_m20", "kernel_tol"])
+        "kernel_tol_m20", "kernel_tol", "seed_null", "seed_bool", "seed_negative",
+        "seed_float", "trials_negative", "trials_zero", "sampled_string", "sampled_int"])
 def test_rejected_input_exits_2_with_one_stderr_line(argv, config, fragment, tmp_path,
                                                      capsys):
     if config is not None:
@@ -417,3 +436,19 @@ def test_rejected_input_exits_2_with_one_stderr_line(argv, config, fragment, tmp
     assert "Traceback" not in err and "Warning" not in err
     assert len(err.splitlines()) == 1 and fragment in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sampled", [True, False])
+def test_growth_sampled_takes_a_json_boolean(sampled, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sampled": sampled}))
+    out = tmp_path / "r.json"
+    argv = ["growth", "--op", "jordan:2:1", "--nmax", "2000", "--config", str(cfg)]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    # the sampled route reads at most 33 powers; the full sweep reads all 2000
+    points = len(json.loads(out.read_text())["values"]["points"])
+    assert points <= 33 if sampled else points == 2000
+
+
+def test_h1_seed_zero_is_a_seed():
+    assert run({"scenario": "h1", "check": "3iso", "trials": 2, "seed": 0})["pass"]
