@@ -1,14 +1,14 @@
 """ergolab command line: reproducible scenario runs with JSON/CSV reports.
 
 Scenarios: identities, kreiss, uniform_kreiss, growth, nevanlinna, shields,
-h1, quotient, convergence (plus the ``example`` alias group for shields/h1
-and the ``rows`` dump utility).  Reports are deterministic for a fixed
-config: byte-identical JSON, seeds fixed, no timestamps.  Exit codes:
-0 all declared checks pass, 1 a check failed (a missing diagnostic, such as
-an unfittable growth exponent, fails its check), 2 configuration error,
-numerical overflow or an input the library rejects (one line on stderr, no
-traceback).  A config key that the scenario never reads is a configuration
-error.
+h1, quotient, convergence (plus the ``rows`` dump utility).  Reports are
+deterministic for a fixed config: byte-identical JSON, seeds fixed, no
+timestamps.  Exit codes: 0 all declared checks pass, 1 a check failed (a
+missing diagnostic, such as an unfittable growth exponent, fails its
+check), 2 configuration error, numerical overflow or an input the library
+rejects (one line on stderr, no traceback).  A scenario takes the keys of
+its ``_KEYS`` table, each checked for kind and range before the run, and
+the flags among them; a .csv report is written for growth and convergence.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import math
 import operator
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,11 +28,16 @@ from . import ergodic, linop, means, spaces, spectral
 
 DEFAULT_SEED = 0x5EED
 
-_H1_CHECKS = ("3iso", "pairing", "inequality", "meannorm", "all")
-
 
 class ConfigError(ValueError):
     """Bad scenario configuration (unknown operator/scheme spec, bad range)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 class _Config(dict):
@@ -136,9 +142,6 @@ _COMPARE = {"<=": operator.le, ">=": operator.ge, "<": operator.lt,
 def _check(name, value, threshold, op="<="):
     """A named comparison, with ``op="in"`` for a ``[lo, hi]`` band; a
     missing or non-finite diagnostic fails it."""
-    if op == "in":
-        lo, hi = threshold
-        threshold = [lo, hi]
     value = _json_safe(value)
     ok = value is not None and _COMPARE[op](value, threshold)
     return {"name": name, "value": value, "op": op,
@@ -156,7 +159,7 @@ def _ring_weight_checks(grid, r):
 def _scenario_identities(cfg):
     op = parse_operator(cfg["operator"])
     tol = cfg.get("tol", 1e-10)
-    pmax = cfg.get("p", 2, least=1)
+    pmax = cfg.get("p", 2)
     scheme = _parse_scheme(cfg.get("scheme", "cesaro:p=1"))
     # the backward-identity sweep runs over the rows first..nmax
     first = max(scheme.min_n, 1) + 1
@@ -255,10 +258,7 @@ def _growth_report(cfg, op):
                                       ns=ns, values=vals)
         return ergodic.fitted(report, window)
     nmax = cfg.get("nmax", 512)
-    sampled = cfg.get("sampled", nmax > 1024)
-    if not isinstance(sampled, bool):
-        raise ConfigError(f"sampled must be true or false, got {sampled!r}")
-    if sampled:
+    if cfg.get("sampled", nmax > 1024):
         count = cfg.get("samples", 33)
         ns = sorted({int(round(2.0 ** e))
                      for e in np.linspace(1, math.log2(nmax), count)})
@@ -300,7 +300,7 @@ def _scenario_nevanlinna(cfg):
 
 def _scenario_shields(cfg):
     r = cfg.get("r", 0)
-    nmax = cfg.get("nmax", 4096, least=2)
+    nmax = cfg.get("nmax", 4096)
     lo = cfg.get("fit_from", 64)
     mean_rep, power_rep, inner_rep = spaces.shields_report(
         r, nmax, cfg.get("quad_nodes"))
@@ -333,20 +333,13 @@ def _scenario_shields(cfg):
 
 def _scenario_h1(cfg):
     which = cfg.get("check", "all")
-    if which not in _H1_CHECKS:
-        raise ConfigError(f"h1 check must be one of {'|'.join(_H1_CHECKS)}, "
-                          f"got {which!r}")
     degree = cfg.get("degree", 8)
-    seed = cfg.get("seed", DEFAULT_SEED)
-    # null would draw OS entropy and break the byte-identical report
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.get("seed", DEFAULT_SEED))
     values = {}
     checks = []
     if which in ("3iso", "all"):
         worst = 0.0
-        for _ in range(cfg.get("trials", 50, least=1)):
+        for _ in range(cfg.get("trials", 50)):
             p = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
             worst = max(worst, abs(spaces.m_isometry_defect(
                 spaces.h1_norm, spaces.shift_by_z, 3, p)))
@@ -359,7 +352,7 @@ def _scenario_h1(cfg):
         checks.append(_check("pairing_error", abs(val - 2.0 / (n + 1)), 1e-12))
     if which in ("inequality", "all"):
         violations = 0
-        for _ in range(cfg.get("trials", 50, least=1)):
+        for _ in range(cfg.get("trials", 50)):
             p = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
             n = int(rng.integers(2, 65))
             lhs, rhs = spaces.h1_shift_lower_bound(p, n)
@@ -369,7 +362,7 @@ def _scenario_h1(cfg):
         checks.append(_check("inequality_violations", violations, 0))
     if which in ("meannorm", "all"):
         n_trunc = cfg.get("n_trunc", 256)
-        nmax = cfg.get("nmax", 16, least=1)
+        nmax = cfg.get("nmax", 16)
         sup = max(spaces.h1_mean_norm(n, n_trunc) for n in range(1, nmax + 1))
         values["mean_norm_sup"] = sup
         checks.append(_check("mean_norm_sup", sup, cfg.get("sup_max", 10.0)))
@@ -379,9 +372,8 @@ def _scenario_h1(cfg):
 def _scenario_quotient(cfg):
     op = parse_operator(cfg.get("operator", "diag:1,0.5+0.8660254037844386j,0.5"))
     scheme = _parse_scheme(cfg.get("scheme", "powers"))
-    window = cfg.get("window", [256, 512])
     model = ergodic.gamma_quotient(op, scheme, cfg.get("m", 0),
-                                   (window[0], window[1]),
+                                   cfg.get("window", (256, 512)),
                                    cfg.get("kernel_tol", 1e-8))
     eigs = (np.linalg.eigvals(model.induced_op).tolist()
             if model.quotient_dim else [])
@@ -419,17 +411,76 @@ def _scenario_convergence(cfg):
     return values, checks
 
 
-_RUNNERS = {
-    "identities": _scenario_identities,
-    "kreiss": _scenario_kreiss,
-    "uniform_kreiss": _scenario_uniform_kreiss,
-    "growth": _scenario_growth,
-    "nevanlinna": _scenario_nevanlinna,
-    "shields": _scenario_shields,
-    "h1": _scenario_h1,
-    "quotient": _scenario_quotient,
-    "convergence": _scenario_convergence,
+class _Rule(NamedTuple):
+    """A config value's kind and static range: an ``int`` or finite
+    ``number`` >= lo, a ``bool``, a ``choice`` of ``choices``, a ``spec``
+    string (operator or scheme) or a ``band`` [lo, hi] of two ``item``s."""
+
+    kind: str
+    lo: float = -math.inf
+    choices: tuple = ()
+    item: _Rule | None = None
+
+    def admits(self, value) -> bool:
+        if self.kind in ("int", "number"):
+            return (isinstance(value, int if self.kind == "int" else (int, float))
+                    and not isinstance(value, bool) and -math.inf < value < math.inf
+                    and value >= self.lo)
+        if self.kind == "band":
+            return (isinstance(value, (list, tuple)) and len(value) == 2
+                    and all(map(self.item.admits, value)) and value[0] <= value[1])
+        return (isinstance(value, bool if self.kind == "bool" else str)
+                and (self.kind != "choice" or value in self.choices))
+
+    def __str__(self):
+        lo = "" if self.lo == -math.inf else f" >= {self.lo}"
+        return {"int": f"an integer{lo}", "number": f"a finite number{lo}",
+                "bool": "true or false", "choice": "one of " + "|".join(self.choices),
+                "spec": "a spec string",
+                "band": f"[lo, hi] with lo <= hi, each {self.item}"}[self.kind]
+
+
+_SPEC, _INT0, _INT1 = _Rule("spec"), _Rule("int", 0), _Rule("int", 1)
+_TOL, _BAND = _Rule("number", 0), _Rule("band", item=_Rule("number"))
+_NORMS = _Rule("choice", choices=("spectral", "colsum", "rowsum"))
+_ANGLES = _Rule("int", 8)  # the least AnnulusGrid takes
+_GROWTH = {"operator": _SPEC, "norm": _NORMS, "window_fraction": _TOL, "scheme": _SPEC,
+           "nmax": _INT1, "sampled": _Rule("bool"), "samples": _INT1}
+# Each scenario's config keys (the runners hold the defaults).  A null seed
+# would draw OS entropy and break the byte-identical report.
+_KEYS = {
+    "identities": {"operator": _SPEC, "tol": _TOL, "p": _INT1, "scheme": _SPEC,
+                   "nmax": _INT1},
+    "kreiss": {"operator": _SPEC, "r": _INT0, "kmax": _INT1, "angles": _ANGLES,
+               "expect_stable_tol": _TOL, "expect_ratio_band": _BAND},
+    "uniform_kreiss": {"operator": _SPEC, "r": _INT0, "nmax": _INT1, "angles": _ANGLES,
+                       "tol": _TOL},
+    "growth": dict(_GROWTH, expect_exponent_band=_BAND),
+    "nevanlinna": dict(_GROWTH, r=_INT0),
+    "shields": {"r": _INT0, "nmax": _Rule("int", 2), "fit_from": _INT1,
+                "quad_nodes": _INT1, "fit_tol": _TOL, "band_ratio_max": _TOL},
+    "h1": {"check": _Rule("choice", choices=("3iso", "pairing", "inequality", "meannorm",
+                                             "all")),
+           "degree": _INT0, "seed": _INT0, "trials": _INT1, "tol": _TOL, "n": _INT0,
+           "n_trunc": _INT1, "nmax": _INT1, "sup_max": _TOL},
+    "quotient": {"operator": _SPEC, "scheme": _SPEC, "window": _Rule("band", item=_INT0),
+                 "m": _INT0, "kernel_tol": _Rule("number"), "tol": _TOL,
+                 "expect_kernel_dim": _INT0},
+    "convergence": {"operator": _SPEC, "scheme": _SPEC, "nmax": _INT1,
+                    "expect_rate_constant": _TOL},
 }
+# The runner of scenario X is _scenario_X
+_RUNNERS = {name: globals()[f"_scenario_{name}"] for name in _KEYS}
+# A scenario takes the flags of its keys that are named here
+_FLAG_KEYS = ("operator", "scheme", "nmax", "r", "p", "kmax", "angles", "norm", "degree",
+              "check", "seed")
+
+
+def _reject_unread(scenario, keys):
+    unread = sorted(keys - {"scenario", "out"})
+    if unread:
+        raise ConfigError(f"scenario {scenario} reads no config key "
+                          + ", ".join(map(repr, unread)))
 
 
 def run(config: dict) -> dict:
@@ -439,23 +490,31 @@ def run(config: dict) -> dict:
     raises FloatingPointError, except where the library flags it by design
     (the power-norm sweeps' ``overflow_at``, the gamma window's
     OverflowError, the underflowing n^-r of the mean growth functional).
-    A missing key or a value of the wrong type or length, and a key other
-    than ``scenario`` and ``out`` that the scenario never reads, raise
-    ConfigError.
+    A key outside the scenario's ``_KEYS`` table or a value its rule does
+    not admit, a missing key, a key other than ``scenario`` and ``out`` that
+    the run never reads, and an ``out`` that is not a path string (or is a
+    .csv path for a scenario without ``points``) raise ConfigError.
     """
     scenario = config.get("scenario")
     if not isinstance(scenario, str) or scenario not in _RUNNERS:
         raise ConfigError(f"unknown scenario {scenario!r}")
+    _reject_unread(scenario, config.keys() - _KEYS[scenario].keys())
+    for key, rule in _KEYS[scenario].items():
+        if key in config and not rule.admits(config[key]):
+            raise ConfigError(f"{key} must be {rule}, got {config[key]!r}")
+    # a .csv report holds the points, which only growth and convergence have
+    out = config.get("out", "")
+    if not isinstance(out, str) or (Path(out).suffix == ".csv"
+                                    and scenario not in ("growth", "convergence")):
+        raise ConfigError(f"out must be a path string, .csv only for growth and "
+                          f"convergence, got {out!r}")
     cfg = _Config(config)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             values, checks = _RUNNERS[scenario](cfg)
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise ConfigError(f"scenario {scenario}: bad config ({exc})") from exc
-    unread = sorted(config.keys() - cfg.read - {"scenario", "out"})
-    if unread:
-        raise ConfigError(f"scenario {scenario} reads no config key "
-                          + ", ".join(map(repr, unread)))
+    _reject_unread(scenario, config.keys() - cfg.read)
     report = {
         "scenario": scenario,
         "config": {k: v for k, v in sorted(config.items()) if k != "out"},
@@ -468,14 +527,14 @@ def run(config: dict) -> dict:
 
 def write_report(report: dict, path) -> None:
     """Deterministic JSON (sorted keys, fixed float repr, no timestamps);
-    a growth CSV sidecar is written instead when the path ends in .csv."""
+    a CSV of the report's ``points`` (growth, convergence) is written
+    instead when the path ends in .csv."""
     path = Path(path)
     if path.suffix == ".csv":
-        points = report["values"].get("points", [])
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "value"])
-            for n, v in points:
+            for n, v in report["values"]["points"]:
                 writer.writerow([n, repr(float(v))])
             if report["values"].get("fit_exponent") is not None:
                 writer.writerow(["fit_exponent", repr(report["values"]["fit_exponent"])])
@@ -486,32 +545,17 @@ def write_report(report: dict, path) -> None:
         fh.write("\n")
 
 
-def _add_common(sub):
-    sub.add_argument("--op", dest="operator", help="operator spec or file")
-    sub.add_argument("--scheme", help="scheme spec string")
-    sub.add_argument("--nmax", type=int)
-    sub.add_argument("--r", type=int)
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--kmax", type=int)
-    sub.add_argument("--angles", type=int)
-    sub.add_argument("--norm", choices=["spectral", "colsum", "rowsum"])
-    sub.add_argument("--degree", type=int)
-    sub.add_argument("--check", help="h1 sub-check: " + "|".join(_H1_CHECKS))
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--config", help="JSON config file; overrides flags")
-    sub.add_argument("--out", help="report path (.json, or .csv for growth)")
-
-
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="ergolab",
-                                     description=__doc__.splitlines()[0])
+    parser = _Parser(prog="ergolab", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
-        _add_common(subs.add_parser(name))
-    example = subs.add_parser("example")
-    example_subs = example.add_subparsers(dest="example_scenario", required=True)
-    for name in ("shields", "h1"):
-        _add_common(example_subs.add_parser(name))
+    for name, keys in _KEYS.items():
+        sub = subs.add_parser(name)
+        for key, rule in keys.items():
+            if key in _FLAG_KEYS:
+                sub.add_argument("--op" if key == "operator" else f"--{key}", dest=key,
+                                 type=int if rule.kind == "int" else str, help=str(rule))
+        sub.add_argument("--config", help="JSON config file; overrides flags")
+        sub.add_argument("--out", help="report path (.json; .csv for growth, convergence)")
     rows = subs.add_parser("rows", help="dump scheme rows as CSV (n, j, t)")
     rows.add_argument("--scheme", required=True)
     rows.add_argument("--nmax", type=int, default=8)
@@ -523,11 +567,9 @@ def _build_parser():
 def _load_config(args) -> dict:
     """The scenario config: the flags given, overridden by the keys of the
     ``--config`` file, which must hold a JSON object."""
-    scenario = args.example_scenario if args.command == "example" else args.command
-    config = {"scenario": scenario}
+    config = {"scenario": args.command}
     config.update((key, value) for key, value in vars(args).items()
-                  if value is not None
-                  and key not in ("command", "example_scenario", "config", "out"))
+                  if value is not None and key not in ("command", "config"))
     if args.config:
         try:
             with open(args.config) as fh:
@@ -538,14 +580,12 @@ def _load_config(args) -> dict:
             raise ConfigError(f"{args.config} must hold a JSON object, "
                               f"not a {type(loaded).__name__}")
         config.update(loaded)
-    if not isinstance(config.get("out", ""), str):
-        raise ConfigError(f"out must be a path string, got {config['out']!r}")
     return config
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "builtins":
             for item in list_builtins():
                 print(item)
@@ -556,9 +596,8 @@ def main(argv=None) -> int:
             return 0
         config = _load_config(args)
         report = run(config)
-        out = args.out or config.get("out")
-        if out:
-            write_report(report, out)
+        if config.get("out"):
+            write_report(report, config["out"])
         else:
             print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
     except ConfigError as exc:

@@ -161,7 +161,7 @@ def test_identities_with_no_cesaro_order_is_a_config_error(p, capsys):
     assert cli.main(["identities", "--op", "jordan:2:1", "--p", p]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("config error: ") and "p must be >= 1" in err[0]
+    assert err[0].startswith("config error: ") and "p must be an integer >= 1" in err[0]
 
 
 @pytest.mark.parametrize("argv, zero_rings", [
@@ -328,15 +328,6 @@ def test_unwritable_out_exits_2_with_one_error_line(argv, name, tmp_path, capsys
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-def test_example_alias(tmp_path):
-    out = tmp_path / "h1.json"
-    code = cli.main(["example", "h1", "--check", "pairing", "--out", str(out)])
-    assert code == 0
-    report = json.loads(out.read_text())
-    assert report["scenario"] == "h1"
-    assert report["pass"]
-
-
 def test_quotient_scenario_defaults(tmp_path):
     report = run({"scenario": "quotient", "expect_kernel_dim": 1})
     assert report["pass"]
@@ -392,35 +383,64 @@ def test_uniform_kreiss_scenario():
     (["growth", "--op", "jordan:2:1", "--nmax", "64"], {"expect_exponet_band": [9, 10]},
      "config error: scenario growth reads no config key 'expect_exponet_band'"),
     (["growth", "--op", "jordan:2:1", "--nmax", "64", "--seed", "3"], None,
-     "config error: scenario growth reads no config key 'seed'"),
-    (["h1", "--check", "typo"], None, "config error: h1 check must be one of"),
+     "config error: unrecognized arguments: --seed 3"),
+    (["h1", "--check", "typo"], None,
+     "config error: check must be one of 3iso|pairing|inequality|meannorm|all, got 'typo'"),
+    # a flag value of the wrong type
+    (["growth", "--nmax", "x"], None,
+     "config error: argument --nmax: invalid int value: 'x'"),
     # a gamma window of one bound, and a config file that is not a JSON object
-    (["quotient"], {"window": [256]}, "config error: scenario quotient: bad config"),
+    (["quotient"], {"window": [256]},
+     "config error: window must be [lo, hi] with lo <= hi"),
     (["quotient"], [1, 2], "must hold a JSON object"),
     # a kernel tolerance that is not positive
     (["quotient"], {"kernel_tol": -3, "m": 20}, "error: kernel_tol must be > 0"),
     (["quotient"], {"kernel_tol": -1}, "error: kernel_tol must be > 0"),
     # an h1 seed that is not a nonnegative int (null would draw OS entropy)
     (["h1", "--check", "3iso"], {"seed": None, "trials": 3},
-     "config error: seed must be a nonnegative integer, got None"),
+     "config error: seed must be an integer >= 0, got None"),
     (["h1", "--check", "3iso"], {"seed": True, "trials": 3},
-     "config error: seed must be a nonnegative integer, got True"),
+     "config error: seed must be an integer >= 0, got True"),
     (["h1", "--check", "3iso"], {"seed": -1, "trials": 3},
-     "config error: seed must be a nonnegative integer, got -1"),
+     "config error: seed must be an integer >= 0, got -1"),
     (["h1", "--check", "3iso"], {"seed": 1.5, "trials": 3},
-     "config error: seed must be a nonnegative integer, got 1.5"),
+     "config error: seed must be an integer >= 0, got 1.5"),
     # no trials: a defect of 0.0 from nothing
-    (["h1", "--check", "3iso"], {"trials": -5}, "config error: trials must be >= 1, got -5"),
+    (["h1", "--check", "3iso"], {"trials": -5},
+     "config error: trials must be an integer >= 1, got -5"),
     (["h1", "--check", "inequality"], {"trials": 0},
-     "config error: trials must be >= 1, got 0"),
+     "config error: trials must be an integer >= 1, got 0"),
     # a non-empty string is true, so "no" took the sampled route
     (["growth", "--op", "jordan:2:1", "--nmax", "64"], {"sampled": "no"},
      "config error: sampled must be true or false, got 'no'"),
     (["growth", "--op", "jordan:2:1", "--nmax", "64"], {"sampled": 1},
      "config error: sampled must be true or false, got 1"),
-], ids=["misspelt_check", "unread_flag", "h1_check", "window_of_one", "config_list",
-        "kernel_tol_m20", "kernel_tol", "seed_null", "seed_bool", "seed_negative",
-        "seed_float", "trials_negative", "trials_zero", "sampled_string", "sampled_int"])
+    # a Kreiss order that is negative or not an integer, a reversed band, a
+    # float where an integer goes, a NaN tolerance and a truncated window
+    (["kreiss", "--op", "jordan:2:1", "--kmax", "3", "--angles", "8"], {"r": -1},
+     "config error: r must be an integer >= 0, got -1"),
+    (["kreiss", "--op", "jordan:2:1", "--kmax", "3", "--angles", "8"], {"r": 1.5},
+     "config error: r must be an integer >= 0, got 1.5"),
+    (["uniform_kreiss", "--op", "jordan:2:1", "--nmax", "8", "--angles", "8"], {"r": -2},
+     "config error: r must be an integer >= 0, got -2"),
+    (["kreiss", "--op", "jordan:2:1", "--kmax", "3", "--angles", "8"],
+     {"expect_ratio_band": [3, 1]},
+     "config error: expect_ratio_band must be [lo, hi] with lo <= hi, each a finite "
+     "number, got [3, 1]"),
+    (["kreiss", "--op", "jordan:2:1", "--angles", "8"], {"kmax": 3.0},
+     "config error: kmax must be an integer >= 1, got 3.0"),
+    (["kreiss", "--op", "jordan:2:1", "--kmax", "3", "--angles", "4"], None,
+     "config error: angles must be an integer >= 8, got 4"),
+    (["identities", "--op", "jordan:2:1", "--nmax", "8"], {"tol": float("nan")},
+     "config error: tol must be a finite number >= 0, got nan"),
+    (["quotient"], {"window": [256.5, 512]},
+     "config error: window must be [lo, hi] with lo <= hi, each an integer >= 0, "
+     "got [256.5, 512]"),
+], ids=["misspelt_check", "unread_flag", "h1_check", "flag_type", "window_of_one",
+        "config_list", "kernel_tol_m20", "kernel_tol", "seed_null", "seed_bool",
+        "seed_negative", "seed_float", "trials_negative", "trials_zero", "sampled_string",
+        "sampled_int", "kreiss_r_negative", "kreiss_r_float", "uniform_kreiss_r_negative",
+        "ratio_band_reversed", "kmax_float", "angles_few", "tol_nan", "window_float"])
 def test_rejected_input_exits_2_with_one_stderr_line(argv, config, fragment, tmp_path,
                                                      capsys):
     if config is not None:
@@ -435,6 +455,28 @@ def test_rejected_input_exits_2_with_one_stderr_line(argv, config, fragment, tmp
     err = capsys.readouterr().err
     assert "Traceback" not in err and "Warning" not in err
     assert len(err.splitlines()) == 1 and fragment in err
+    assert not out.exists()
+
+
+def test_no_command_is_a_config_error(capsys):
+    assert cli.main([]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: the following arguments are required: command"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kreiss", "--op", "jordan:2:1", "--kmax", "3", "--angles", "8"],
+    ["h1", "--check", "pairing"],
+    ["shields", "--nmax", "256"],
+    ["nevanlinna", "--nmax", "64"],
+], ids=["kreiss", "h1", "shields", "nevanlinna"])
+def test_csv_out_without_points_is_a_config_error(argv, tmp_path, capsys):
+    # a .csv report holds only the points, which these reports do not have
+    out = tmp_path / "r.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: out must be a path string, .csv only for growth "
+                   f"and convergence, got {str(out)!r}"]
     assert not out.exists()
 
 

@@ -1,10 +1,11 @@
 """Every CLI input ends in exit 0, 1 or 2, and an exit 2 in one stderr line.
 
-The configs are drawn from the keys each scenario reads, with small values:
-ints, floats (non-finite ones included), ``None``, a string, short lists and
-operator and scheme specs, malformed ones included.  A key mostly gets a
-value of its own kind, so that most runs get past the config and into the
-library; a scenario that needs an operator always gets one.
+The configs are drawn from each scenario's key table, ``cli._KEYS``, with
+small values: ints, floats (non-finite ones included), ``None``, a string,
+short lists and operator and scheme specs, malformed ones included.  A key
+mostly gets a value of its own kind and range, drawn from its rule, so that
+most runs get past the config and into the library; a scenario that needs
+an operator always gets one.
 """
 
 import io
@@ -20,23 +21,6 @@ from hypothesis import strategies as st
 
 from ergolab import cli
 
-_GROWTH = ("operator", "norm", "window_fraction", "scheme", "nmax", "sampled",
-           "samples")
-KEYS = {
-    "identities": ("operator", "tol", "p", "scheme", "nmax"),
-    "kreiss": ("operator", "r", "kmax", "angles", "expect_stable_tol",
-               "expect_ratio_band"),
-    "uniform_kreiss": ("operator", "r", "nmax", "angles", "tol"),
-    "growth": _GROWTH + ("expect_exponent_band",),
-    "nevanlinna": _GROWTH + ("r",),
-    "shields": ("r", "nmax", "fit_from", "quad_nodes", "fit_tol", "band_ratio_max"),
-    "h1": ("check", "degree", "seed", "trials", "tol", "n", "n_trunc", "nmax",
-           "sup_max"),
-    "quotient": ("operator", "scheme", "window", "m", "kernel_tol", "tol",
-                 "expect_kernel_dim"),
-    "convergence": ("operator", "scheme", "nmax", "expect_rate_constant"),
-}
-
 OPERATORS = ["jordan:2:1", "jordan:3:0.5", "diag:1,0.5", "diag:2", "diag:1,-1,1j",
              "dirichlet:0.5:8:forward", "dirichlet:1:8:backward", "volterra:8",
              "identity_minus_volterra:8", "random:4:0.9:1", "random:3:1.1",
@@ -47,35 +31,43 @@ SCHEMES = ["cesaro:p=1", "cesaro:p=2", "abel", "zweier", "binomial", "powers",
            "powseries:coeffs=1,0.5", "powseries:coeffs=0,1",
            # malformed
            "cesaro:p=0", "cesaro:p=x", "powseries", "powseries:coeffs=1,nan", "bogus"]
-CHECKS = ["3iso", "pairing", "inequality", "meannorm", "all", "typo"]
+CHECKS = list(cli._KEYS["h1"]["check"].choices) + ["typo"]
 
 scalars = st.one_of(st.integers(-3, 40), st.floats(-3.0, 40.0),
                     st.sampled_from([float("nan"), float("inf"), None, "x"]))
 values = st.one_of(scalars, st.lists(scalars, max_size=3),
                    st.sampled_from(OPERATORS + SCHEMES + CHECKS))
-OWN_KIND = {"operator": st.sampled_from(OPERATORS), "scheme": st.sampled_from(SCHEMES),
-            "check": st.sampled_from(CHECKS),
-            "window": st.lists(st.integers(-3, 40), min_size=2, max_size=2)}
+SPECS = {"operator": OPERATORS, "scheme": SCHEMES}
 NEEDS_OPERATOR = ("identities", "kreiss", "uniform_kreiss", "growth", "convergence")
 
 
-def value_for(key):
-    if key.endswith("_band"):
-        own = st.lists(st.floats(-3.0, 40.0), min_size=2, max_size=2)
-    else:
-        own = OWN_KIND.get(key, st.integers(1, 40))
+def own_kind(key, rule):
+    """Values that ``rule`` admits, from -3 (or its lower bound) to 40."""
+    if rule.kind == "int":
+        return st.integers(max(rule.lo, -3), 40)
+    if rule.kind == "number":
+        return st.floats(max(rule.lo, -3.0), 40.0)
+    if rule.kind == "bool":
+        return st.booleans()
+    if rule.kind == "band":
+        return st.lists(own_kind(key, rule.item), min_size=2, max_size=2).map(sorted)
+    return st.sampled_from(rule.choices or SPECS[key])
+
+
+def value_for(scenario, key):
+    own = own_kind(key, cli._KEYS[scenario][key])
     return st.one_of(own, own, values)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(data=st.data())
 def test_every_config_exits_0_1_or_2(data, tmp_path_factory):
-    scenario = data.draw(st.sampled_from(sorted(KEYS)), label="scenario")
-    keys = data.draw(st.lists(st.sampled_from(KEYS[scenario]), unique=True,
+    scenario = data.draw(st.sampled_from(sorted(cli._KEYS)), label="scenario")
+    keys = data.draw(st.lists(st.sampled_from(list(cli._KEYS[scenario])), unique=True,
                               max_size=4), label="keys")
     if scenario in NEEDS_OPERATOR and "operator" not in keys:
         keys.append("operator")
-    config = {key: data.draw(value_for(key), label=key) for key in keys}
+    config = {key: data.draw(value_for(scenario, key), label=key) for key in keys}
     path = tmp_path_factory.mktemp("fuzz")
     cfg, out = path / "cfg.json", path / "r.json"
     cfg.write_text(json.dumps(config))
