@@ -413,19 +413,23 @@ def _scenario_convergence(cfg):
 
 class _Rule(NamedTuple):
     """A config value's kind and static range: an ``int`` or finite
-    ``number`` >= lo, a ``bool``, a ``choice`` of ``choices``, a ``spec``
-    string (operator or scheme) or a ``band`` [lo, hi] of two ``item``s."""
+    ``number`` from lo (excluded if ``open_lo``) to hi, a ``bool``, a
+    ``choice`` of ``choices``, a ``spec`` string (operator or scheme) or a
+    ``band`` [lo, hi] of two ``item``s."""
 
     kind: str
     lo: float = -math.inf
+    hi: float = math.inf
     choices: tuple = ()
     item: _Rule | None = None
+    open_lo: bool = False
 
     def admits(self, value) -> bool:
         if self.kind in ("int", "number"):
             return (isinstance(value, int if self.kind == "int" else (int, float))
                     and not isinstance(value, bool) and -math.inf < value < math.inf
-                    and value >= self.lo)
+                    and (value > self.lo if self.open_lo else value >= self.lo)
+                    and value <= self.hi)
         if self.kind == "band":
             return (isinstance(value, (list, tuple)) and len(value) == 2
                     and all(map(self.item.admits, value)) and value[0] <= value[1])
@@ -433,8 +437,13 @@ class _Rule(NamedTuple):
                 and (self.kind != "choice" or value in self.choices))
 
     def __str__(self):
-        lo = "" if self.lo == -math.inf else f" >= {self.lo}"
-        return {"int": f"an integer{lo}", "number": f"a finite number{lo}",
+        bounds = []
+        if self.lo > -math.inf:
+            bounds.append(f"{'>' if self.open_lo else '>='} {self.lo}")
+        if self.hi < math.inf:
+            bounds.append(f"<= {self.hi}")
+        span = " " + " and ".join(bounds) if bounds else ""
+        return {"int": f"an integer{span}", "number": f"a finite number{span}",
                 "bool": "true or false", "choice": "one of " + "|".join(self.choices),
                 "spec": "a spec string",
                 "band": f"[lo, hi] with lo <= hi, each {self.item}"}[self.kind]
@@ -444,7 +453,8 @@ _SPEC, _INT0, _INT1 = _Rule("spec"), _Rule("int", 0), _Rule("int", 1)
 _TOL, _BAND = _Rule("number", 0), _Rule("band", item=_Rule("number"))
 _NORMS = _Rule("choice", choices=("spectral", "colsum", "rowsum"))
 _ANGLES = _Rule("int", 8)  # the least AnnulusGrid takes
-_GROWTH = {"operator": _SPEC, "norm": _NORMS, "window_fraction": _TOL, "scheme": _SPEC,
+_GROWTH = {"operator": _SPEC, "norm": _NORMS,
+           "window_fraction": _Rule("number", 0, 1, open_lo=True), "scheme": _SPEC,
            "nmax": _INT1, "sampled": _Rule("bool"), "samples": _INT1}
 # Each scenario's config keys (the runners hold the defaults).  A null seed
 # would draw OS entropy and break the byte-identical report.
@@ -457,14 +467,15 @@ _KEYS = {
                        "tol": _TOL},
     "growth": dict(_GROWTH, expect_exponent_band=_BAND),
     "nevanlinna": dict(_GROWTH, r=_INT0),
-    "shields": {"r": _INT0, "nmax": _Rule("int", 2), "fit_from": _INT1,
+    # spaces.shields_report covers r <= 3 and nmax <= 2^14
+    "shields": {"r": _Rule("int", 0, 3), "nmax": _Rule("int", 2, 2 ** 14), "fit_from": _INT1,
                 "quad_nodes": _INT1, "fit_tol": _TOL, "band_ratio_max": _TOL},
     "h1": {"check": _Rule("choice", choices=("3iso", "pairing", "inequality", "meannorm",
                                              "all")),
            "degree": _INT0, "seed": _INT0, "trials": _INT1, "tol": _TOL, "n": _INT0,
            "n_trunc": _INT1, "nmax": _INT1, "sup_max": _TOL},
     "quotient": {"operator": _SPEC, "scheme": _SPEC, "window": _Rule("band", item=_INT0),
-                 "m": _INT0, "kernel_tol": _Rule("number"), "tol": _TOL,
+                 "m": _INT0, "kernel_tol": _Rule("number", 0, open_lo=True), "tol": _TOL,
                  "expect_kernel_dim": _INT0},
     "convergence": {"operator": _SPEC, "scheme": _SPEC, "nmax": _INT1,
                     "expect_rate_constant": _TOL},

@@ -110,14 +110,15 @@ def fitted(report: GrowthReport, window_fraction: float = 0.5) -> GrowthReport:
 
 def _power_norms(op: OperatorModel, ns: list, mode: str, label: str) -> GrowthReport:
     """||T^n|| at the ascending indices ``ns`` (all >= 1) from one power
-    walk (``linop._power_walk``: memoized binary squares, a gap of 1 as one
-    product, BLAS trmm for a triangular T from d = 128).  It stops (and
-    records where) at the first power with a non-finite entry or a norm
-    above 1e300.
+    walk of single steps (``linop._power_walk`` at ``size=1``: memoized
+    binary squares, a gap of 1 as one product, BLAS trmm for a triangular T
+    from d = 128).  It stops (and records where) at the first power with a
+    non-finite entry or a norm above 1e300.
     """
-    # map drops each power once normed, so the walk can free it as it steps on
-    def norm(p):
-        return op.norm(p, mode=mode) if np.all(np.isfinite(p)) else math.inf
+    # map drops each stack of one power once normed, so the walk can free it
+    # as it steps on
+    def norm(stack):
+        return op.norm(stack[0], mode=mode) if np.all(np.isfinite(stack)) else math.inf
 
     vals = []
     overflow_at = None

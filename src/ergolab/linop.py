@@ -6,6 +6,10 @@ norms, eigenvalues and labels from the resulting model; this module supplies
 the norm engine, the one power walk (``_power_walk``) behind every power and
 mean, the JSON wire formats, and constructors for the standard test operators:
 Jordan blocks, weighted Dirichlet shifts, and the discretized Volterra operator.
+The walk yields its powers in stacks of at most ``size`` indices and builds
+each run of consecutive powers in a stack by one batched product; at
+``size=1`` (powers and power norms) it is the walk of single steps, one
+product by ``a`` or by a binary square at a time.
 
 With a Gram geometry ``G`` on the domain and ``H`` on the codomain, the
 operator norm of ``A`` is the largest singular value of ``L_H A L_G^{-1}``,
@@ -32,6 +36,7 @@ numpy and a run that reaches no scipy kernel never pays for scipy's import.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, field
 
@@ -363,15 +368,29 @@ def volterra_operator(n: int) -> OperatorModel:
     return OperatorModel(m, label=f"volterra({n})")
 
 
-def _power_walk(a: np.ndarray, ns, left=None):
-    """Yield ``a^n``, or ``left @ a^n``, at the ascending indices ``ns``
-    (repeats allowed) from one walk: a gap of 1 is one product by ``a``, a
-    longer gap one product per set bit by the memoized binary squares.  A
-    triangular ``a`` (an exact-zero test) of dimension >= _TRMM_MIN_DIM is
-    walked by BLAS trmm, typed by ``a`` and ``left`` together, at half the
-    flops of ``@``; it takes the transposes, ``x @ y = (y^T x^T)^T``, so no
-    C-ordered operand is copied.  The yielded arrays are the walk's own
-    (``a`` itself at n = 1, ``left`` itself at n = 0)."""
+def _power_walk(a: np.ndarray, ns, left=None, size=1):
+    """Yield the powers ``a^n``, or ``left @ a^n``, at the ascending indices
+    ``ns`` (repeats allowed) from one walk, as stacks: one stack per
+    consecutive slice of at most ``size`` entries of ``ns``.
+
+    A run of consecutive indices n, ..., n+L-1 after the carried power
+    ``p = left a^(n-1)`` is one batched product ``p @ base[:L]`` by
+    ``base = [a, a^2, ..., a^L]``, which grows by doubling
+    (``base[m:2m] = base[:m] @ a^m``) up to _STACK_CELLS cells and is kept
+    for the rest of the walk; a longer run takes several such products.  The
+    run's last power is carried on, so every power costs one product and
+    none is a product by the identity.  Every other step (index 0, a
+    repeat, a gap > 1, a run of one) is a single step: a gap of 1 is one
+    product by ``a``, a longer gap one product per set bit by the memoized
+    binary squares.  A triangular ``a`` (an exact-zero test) of dimension
+    >= _TRMM_MIN_DIM takes its single steps by BLAS trmm, typed by ``a``
+    and ``left`` together, at half the flops of ``@``; it takes the
+    transposes, ``x @ y = (y^T x^T)^T``, so no C-ordered operand is copied.
+
+    With ``size=1`` no run is longer than one: the walk is the single steps
+    alone, and each stack is the view ``p[None]`` of the walk's own power
+    (``a`` itself at n = 1, ``left`` itself at n = 0).  From dimension 128
+    ``base`` holds ``a`` alone, so every walk there is single steps."""
     mul = np.matmul
     if a.shape[0] >= _TRMM_MIN_DIM:
         a = np.ascontiguousarray(a)
@@ -380,8 +399,11 @@ def _power_walk(a: np.ndarray, ns, left=None):
             import scipy.linalg.blas
             trmm = scipy.linalg.blas.get_blas_funcs("trmm", (a, a if left is None else left))
             mul = lambda x, y: trmm(1.0, y.T, x.T, lower=not lower).T
-    squares, p, prev = [a], left, 0
-    for n in ns:
+    most = _stack_size(a.size)
+    squares, base, p, prev = [a], a[None], left, 0
+
+    def step(n):
+        nonlocal p
         gap, bit = n - prev, 0
         if gap == 1 and p is not None:
             p, gap = mul(p, a), 0
@@ -392,8 +414,44 @@ def _power_walk(a: np.ndarray, ns, left=None):
                 p = squares[bit] if p is None else mul(p, squares[bit])
             gap >>= 1
             bit += 1
-        prev = n
-        yield np.eye(a.shape[0], dtype=a.dtype) if p is None else p
+        return np.eye(a.shape[0], dtype=a.dtype) if p is None else p
+
+    ns = np.asarray(ns, dtype=int)
+    # the positions no run goes through: an entry not one above the one before
+    # it (the walk starts from index 0), so index 0, a repeat or a gap > 1
+    breaks = np.flatnonzero(np.diff(ns, prepend=0) != 1).tolist() + [ns.size]
+    ns = ns.tolist()
+    for start in range(0, len(ns), size):
+        stop = min(start + size, len(ns))
+        if stop - start == 1:
+            # no local keeps the yielded power, so the next step can free it
+            yield step(ns[start])[None]
+            prev = ns[start]
+            continue
+        stack = np.empty((stop - start,) + (a.shape if left is None else left.shape),
+                         a.dtype if left is None else np.result_type(a, left))
+        i = start
+        while i < stop:
+            end = i + 1
+            if ns[i] == prev + 1:
+                end = min(breaks[bisect.bisect(breaks, i)], stop, i + most)
+            run = stack[i - start:end - start]
+            if len(run) == 1:
+                run[0] = step(ns[i])
+            else:
+                while len(base) < len(run):
+                    m = len(base)
+                    grown = np.empty((min(2 * m, most),) + a.shape, a.dtype)
+                    grown[:m] = base
+                    np.matmul(base[:len(grown) - m], base[m - 1], out=grown[m:])
+                    base = grown
+                if p is None:
+                    run[:] = base[:len(run)]
+                else:
+                    np.matmul(p, base[:len(run)], out=run)
+                p = run[-1]
+            i, prev = end, ns[end - 1]
+        yield stack
 
 
 def power(t, n: int) -> np.ndarray:
@@ -401,7 +459,7 @@ def power(t, n: int) -> np.ndarray:
     ``_power_walk``); ``power(t, 0)`` is the identity."""
     if n < 0:
         raise ValueError("power exponent must be >= 0")
-    return next(_power_walk(as_operator(t).matrix, [n])).copy()
+    return next(_power_walk(as_operator(t).matrix, [n]))[0].copy()
 
 
 def random_operator(dim: int, spectral_radius: float = 0.9,

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import (DimensionMismatch, OperatorModel, _chunks, _power_walk, _stack_size,
-                    as_operator, op_norm)
+from .linop import (DimensionMismatch, OperatorModel, _power_walk, _stack_size, as_operator,
+                    op_norm)
 
 DEFAULT_TAIL_EPS = 1e-12
 
@@ -400,9 +400,12 @@ def _row_groups(rows):
 def _group_means(rows: list, b: np.ndarray, out: np.ndarray, left=None) -> None:
     """Write into ``out`` the means ``sum_j t_nj b^j``, or ``sum_j t_nj
     left b^j`` when a left factor is given, one per row, from one walk of
-    the powers of ``b`` over the union of the rows' supports.  The walked
-    states are collected in stacks of at most _STACK_CELLS cells, and each
-    stack is contracted with its block of row weights in one product."""
+    the powers of ``b`` over the union of the rows' supports.  The walk's
+    ``size`` is as many powers as _STACK_CELLS cells hold, so it yields
+    stacks of at most _STACK_CELLS cells, each run of consecutive powers in
+    a stack built by one batched product (``linop._power_walk``; ``size=1``
+    would be its walk of single steps).  Each stack is contracted with its
+    block of row weights in one product."""
     lo = min(int(row.indices[0]) for row in rows)
     used = np.zeros(max(int(row.indices[-1]) for row in rows) - lo + 1, dtype=bool)
     for row in rows:
@@ -415,11 +418,10 @@ def _group_means(rows: list, b: np.ndarray, out: np.ndarray, left=None) -> None:
     cells = out[0].size
     acc = out.reshape(len(rows), cells)
     acc.fill(0.0)
-    walk = _power_walk(b, support.tolist(), left)
-    state = np.dtype((out.dtype, out.shape[1:]))
-    for part in _chunks(support.size, cells):
-        stack = np.fromiter(walk, state, part.stop - part.start)
-        acc += weights[:, part] @ stack.reshape(-1, cells)
+    start = 0
+    for stack in _power_walk(b, support, left, _stack_size(cells)):
+        acc += weights[:, start:start + len(stack)] @ stack.reshape(-1, cells)
+        start += len(stack)
 
 
 def apply_mean(s: MeanScheme, t, n, lam: complex = 1.0, x=None) -> np.ndarray:

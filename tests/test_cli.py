@@ -394,8 +394,22 @@ def test_uniform_kreiss_scenario():
      "config error: window must be [lo, hi] with lo <= hi"),
     (["quotient"], [1, 2], "must hold a JSON object"),
     # a kernel tolerance that is not positive
-    (["quotient"], {"kernel_tol": -3, "m": 20}, "error: kernel_tol must be > 0"),
-    (["quotient"], {"kernel_tol": -1}, "error: kernel_tol must be > 0"),
+    (["quotient"], {"kernel_tol": -3, "m": 20},
+     "config error: kernel_tol must be a finite number > 0, got -3"),
+    (["quotient"], {"kernel_tol": -1},
+     "config error: kernel_tol must be a finite number > 0, got -1"),
+    (["quotient"], {"kernel_tol": 0},
+     "config error: kernel_tol must be a finite number > 0, got 0"),
+    # a fit window outside (0, 1], a Shields order or nmax above what
+    # spaces.shields_report covers
+    (["growth", "--op", "jordan:2:1", "--nmax", "64"], {"window_fraction": 0},
+     "config error: window_fraction must be a finite number > 0 and <= 1, got 0"),
+    (["nevanlinna", "--nmax", "64"], {"window_fraction": 1.5},
+     "config error: window_fraction must be a finite number > 0 and <= 1, got 1.5"),
+    (["shields", "--nmax", "64", "--r", "4"], None,
+     "config error: r must be an integer >= 0 and <= 3, got 4"),
+    (["shields", "--nmax", "16385"], None,
+     "config error: nmax must be an integer >= 2 and <= 16384, got 16385"),
     # an h1 seed that is not a nonnegative int (null would draw OS entropy)
     (["h1", "--check", "3iso"], {"seed": None, "trials": 3},
      "config error: seed must be an integer >= 0, got None"),
@@ -437,7 +451,9 @@ def test_uniform_kreiss_scenario():
      "config error: window must be [lo, hi] with lo <= hi, each an integer >= 0, "
      "got [256.5, 512]"),
 ], ids=["misspelt_check", "unread_flag", "h1_check", "flag_type", "window_of_one",
-        "config_list", "kernel_tol_m20", "kernel_tol", "seed_null", "seed_bool",
+        "config_list", "kernel_tol_m20", "kernel_tol", "kernel_tol_zero",
+        "window_fraction_zero", "window_fraction_above_one", "shields_r_above_3",
+        "shields_nmax_above_2_14", "seed_null", "seed_bool",
         "seed_negative", "seed_float", "trials_negative", "trials_zero", "sampled_string",
         "sampled_int", "kreiss_r_negative", "kreiss_r_float", "uniform_kreiss_r_negative",
         "ratio_band_reversed", "kmax_float", "angles_few", "tol_nan", "window_float"])

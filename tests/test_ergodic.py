@@ -135,7 +135,7 @@ def test_triangular_walk_matches_the_general_walk_on_a_permuted_copy(
         power_norm_samples(tp, ns, mode)
         assert trmm_lookups == ["trmm", "trmm"]
     # the walk's products are the powers
-    cube = list(linop._power_walk(a, [1, 3]))[-1]
+    cube = list(linop._power_walk(a, [1, 3]))[-1][0]
     assert np.allclose(cube, a @ a @ a, rtol=1e-13, atol=0)
     monkeypatch.setattr(linop, "_TRMM_MIN_DIM", math.inf)
     oracle = [power_norm_sequence(tp, 96, mode).values,

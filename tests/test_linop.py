@@ -395,7 +395,7 @@ def test_power_walk_matches_power_at_every_index(via_trmm, form, request):
             for a in ops]
     lookups = request.getfixturevalue("trmm_lookups") if via_trmm else []
     for a, expected in zip(ops, refs):
-        walked = list(linop._power_walk(a, WALK_NS, left))
+        walked = [p for (p,) in linop._power_walk(a, WALK_NS, left)]
         assert len(walked) == len(WALK_NS)
         for p, ref in zip(walked, expected):
             assert p.dtype == ref.dtype and p.shape == ref.shape
@@ -403,6 +403,89 @@ def test_power_walk_matches_power_at_every_index(via_trmm, form, request):
         # n = 0 is the identity, or left itself
         assert np.array_equal(walked[0], np.eye(5) if left is None else left)
     assert lookups == (["trmm", "trmm"] if via_trmm else [])
+
+
+# Index lists for the stacked walk: runs from index 0 and from index 1 and 5,
+# a repeat inside a run (12, 12), runs longer than a capped base (4 powers)
+# and gaps longer than it (15 -> 40, 53 -> 80)
+STACKED_NS = {
+    "from0": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 12, 13, 14, 15, 40, 41, 42, 43,
+              44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 80, 81],
+    "from1": [1, 2, 3, 4, 5, 6, 7, 7, 8, 9, 20, 21, 22, 23, 24, 25, 26, 27, 28, 60],
+    "from5": [5, 6, 7, 8, 9, 9, 10, 11, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41],
+}
+
+
+def _stepwise(a, ns, left):
+    """Oracle: the powers at ``ns`` by one ``@`` product per index."""
+    p = np.eye(a.shape[0]) if left is None else left
+    out = []
+    for n in range(ns[-1] + 1):
+        if n:
+            p = p @ a
+        out += [p] * ns.count(n)
+    return out
+
+
+@pytest.mark.parametrize("cells", [None, 100], ids=["base_full", "base_of_4"])
+@pytest.mark.parametrize("size", [2, 5, 64])
+@pytest.mark.parametrize("start", sorted(STACKED_NS))
+@pytest.mark.parametrize("form", ["matrix", "vector", "block"])
+def test_stacked_walk_matches_stepwise_products(cells, size, start, form, monkeypatch):
+    if cells is not None:
+        monkeypatch.setattr(linop, "_STACK_CELLS", cells)
+    rng = np.random.default_rng(13)
+    ns = STACKED_NS[start]
+    k = {"matrix": None, "vector": 1, "block": 3}[form]
+    for a in _walk_operators()[::2]:  # a real upper triangular and a complex dense one
+        left = None if k is None else rng.standard_normal((k, 5))
+        stacks = list(linop._power_walk(a, ns, left, size))
+        # one stack per slice of at most size entries
+        assert [len(stack) for stack in stacks] == [
+            len(ns[i:i + size]) for i in range(0, len(ns), size)]
+        walked = np.concatenate(stacks)
+        for p, ref in zip(walked, _stepwise(a, ns, left), strict=True):
+            assert p.dtype == np.result_type(a, ref)
+            np.testing.assert_allclose(p, ref, rtol=1e-13, atol=1e-15)
+
+
+def _pinned_walk(a, ns, left):
+    """The walk of single steps, pinned: a gap of 1 is one product by a, a
+    longer gap one product per set bit by the memoized binary squares."""
+    squares, p, prev, out = [a], left, 0, []
+    for n in ns:
+        gap, bit = n - prev, 0
+        if gap == 1 and p is not None:
+            p, gap = p @ a, 0
+        while gap:
+            if bit == len(squares):
+                squares.append(squares[-1] @ squares[-1])
+            if gap & 1:
+                p = squares[bit] if p is None else p @ squares[bit]
+            gap >>= 1
+            bit += 1
+        prev = n
+        out.append(np.eye(a.shape[0], dtype=a.dtype) if p is None else p)
+    return out
+
+
+@pytest.mark.parametrize("start", sorted(STACKED_NS))
+@pytest.mark.parametrize("form", ["matrix", "vector", "block"])
+def test_walk_of_size_one_is_the_single_steps_bit_for_bit(start, form):
+    rng = np.random.default_rng(14)
+    ns = STACKED_NS[start]
+    k = {"matrix": None, "vector": 1, "block": 3}[form]
+    for a in _walk_operators():
+        left = None if k is None else rng.standard_normal((k, 5))
+        pinned = _pinned_walk(a, ns, left)
+        for n, stack, ref in zip(ns, linop._power_walk(a, ns, left), pinned, strict=True):
+            assert stack.shape == (1,) + ref.shape
+            assert np.array_equal(stack[0], ref)
+            # a stack of one is a view of the walk's own power
+            if n == 1 and left is None:
+                assert np.shares_memory(stack, a)
+            if n == 0 and left is not None:
+                assert np.shares_memory(stack, left)
 
 
 def test_power_is_a_fresh_array():

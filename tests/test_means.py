@@ -432,6 +432,16 @@ def test_trmm_mean_walk_matches_row_oracles(s, lam, monkeypatch, trmm_lookups):
             np.testing.assert_allclose(result, ref, rtol=0.0, atol=1e-12 * scale)
 
 
+def test_long_abel_row_matches_row_oracle():
+    # at d = 4 a stack and the batched base hold 1024 powers; the Abel row
+    # at n = 60 has 1645 terms, so its one run crosses a stack boundary and
+    # the power at 1023 is carried into the second stack
+    t = np.diag([1.0, 0.999, -0.9, 0.5])
+    assert abel().row(60).indices.size > 2 ** 10
+    assert_matches_oracle(abel(), t, [60])
+    assert_matches_oracle(abel(), t, [60], lam=np.exp(0.7j))
+
+
 def test_stacked_apply_mean_sparse_supports():
     t = jordan_block(3, 0.9)
     assert_matches_oracle(identity_powers(), t, [1, 2, 40, 41, 300, 7])
