@@ -257,8 +257,10 @@ def _growth_report(cfg, op):
         report = ergodic.GrowthReport(label=f"||{scheme.name}({op.label})||",
                                       ns=ns, values=vals)
         return ergodic.fitted(report, window)
-    nmax = cfg.get("nmax", 512)
-    if cfg.get("sampled", nmax > 1024):
+    sampled = cfg.get("sampled", cfg.get("nmax", 512) > 1024)
+    # two points at least: n = 1, 2 in the sweep, and the samples start at n = 2
+    nmax = cfg.get("nmax", 512, least=3 if sampled else 2)
+    if sampled:
         count = cfg.get("samples", 33)
         ns = sorted({int(round(2.0 ** e))
                      for e in np.linspace(1, math.log2(nmax), count)})
@@ -461,8 +463,9 @@ _GROWTH = {"operator": _SPEC, "norm": _NORMS,
 _KEYS = {
     "identities": {"operator": _SPEC, "tol": _TOL, "p": _INT1, "scheme": _SPEC,
                    "nmax": _INT1},
-    "kreiss": {"operator": _SPEC, "r": _INT0, "kmax": _INT1, "angles": _ANGLES,
-               "expect_stable_tol": _TOL, "expect_ratio_band": _BAND},
+    # the radius 1 + 2^-kmax rounds to 1.0 in double precision from kmax = 53
+    "kreiss": {"operator": _SPEC, "r": _INT0, "kmax": _Rule("int", 1, 52),
+               "angles": _ANGLES, "expect_stable_tol": _TOL, "expect_ratio_band": _BAND},
     "uniform_kreiss": {"operator": _SPEC, "r": _INT0, "nmax": _INT1, "angles": _ANGLES,
                        "tol": _TOL},
     "growth": dict(_GROWTH, expect_exponent_band=_BAND),

@@ -6,10 +6,10 @@ norms, eigenvalues and labels from the resulting model; this module supplies
 the norm engine, the one power walk (``_power_walk``) behind every power and
 mean, the JSON wire formats, and constructors for the standard test operators:
 Jordan blocks, weighted Dirichlet shifts, and the discretized Volterra operator.
-The walk yields its powers in stacks of at most ``size`` indices and builds
-each run of consecutive powers in a stack by one batched product; at
-``size=1`` (powers and power norms) it is the walk of single steps, one
-product by ``a`` or by a binary square at a time.
+The walk yields its powers in stacks of at most ``size`` indices and fills
+each run of consecutive powers in a stack by doubling from its one memo, the
+binary squares; at ``size=1`` (powers and power norms) it is the walk of
+single steps, one product by ``a`` or by a binary square at a time.
 
 With a Gram geometry ``G`` on the domain and ``H`` on the codomain, the
 operator norm of ``A`` is the largest singular value of ``L_H A L_G^{-1}``,
@@ -373,24 +373,23 @@ def _power_walk(a: np.ndarray, ns, left=None, size=1):
     ``ns`` (repeats allowed) from one walk, as stacks: one stack per
     consecutive slice of at most ``size`` entries of ``ns``.
 
-    A run of consecutive indices n, ..., n+L-1 after the carried power
-    ``p = left a^(n-1)`` is one batched product ``p @ base[:L]`` by
-    ``base = [a, a^2, ..., a^L]``, which grows by doubling
-    (``base[m:2m] = base[:m] @ a^m``) up to _STACK_CELLS cells and is kept
-    for the rest of the walk; a longer run takes several such products.  The
-    run's last power is carried on, so every power costs one product and
-    none is a product by the identity.  Every other step (index 0, a
-    repeat, a gap > 1, a run of one) is a single step: a gap of 1 is one
-    product by ``a``, a longer gap one product per set bit by the memoized
-    binary squares.  A triangular ``a`` (an exact-zero test) of dimension
-    >= _TRMM_MIN_DIM takes its single steps by BLAS trmm, typed by ``a``
-    and ``left`` together, at half the flops of ``@``; it takes the
+    Each power costs one product.  A single step (any index a run does not
+    fill) is one product by ``a`` for a gap of 1, and one product per set
+    bit by the binary squares a^(2^k) for a longer gap.  A run of
+    consecutive indices in a stack takes its first power by a single step
+    and is then filled by doubling, ``run[m:2m] = run[:m] @ a^m``, one
+    batched product per square.  The squares are the walk's one memo of
+    powers, grown on demand, so the walk forms no power above the largest
+    index it yields.  A run holds at most _STACK_CELLS cells of ``a``, so
+    its squares cost less than the run, and from dimension 128 every run is
+    one power.  A triangular ``a`` (an exact-zero test) of dimension >=
+    _TRMM_MIN_DIM takes its single steps and squares by BLAS trmm, typed by
+    ``a`` and ``left`` together, at half the flops of ``@``; it takes the
     transposes, ``x @ y = (y^T x^T)^T``, so no C-ordered operand is copied.
 
-    With ``size=1`` no run is longer than one: the walk is the single steps
-    alone, and each stack is the view ``p[None]`` of the walk's own power
-    (``a`` itself at n = 1, ``left`` itself at n = 0).  From dimension 128
-    ``base`` holds ``a`` alone, so every walk there is single steps."""
+    With ``size=1`` there are no runs: the walk is the single steps alone,
+    and each stack is the view ``p[None]`` of the walk's own power (``a``
+    itself at n = 1, ``left`` itself at n = 0)."""
     mul = np.matmul
     if a.shape[0] >= _TRMM_MIN_DIM:
         a = np.ascontiguousarray(a)
@@ -400,7 +399,12 @@ def _power_walk(a: np.ndarray, ns, left=None, size=1):
             trmm = scipy.linalg.blas.get_blas_funcs("trmm", (a, a if left is None else left))
             mul = lambda x, y: trmm(1.0, y.T, x.T, lower=not lower).T
     most = _stack_size(a.size)
-    squares, base, p, prev = [a], a[None], left, 0
+    squares, p, prev = [a], left, 0
+
+    def square(k):
+        while len(squares) <= k:
+            squares.append(mul(squares[-1], squares[-1]))
+        return squares[k]
 
     def step(n):
         nonlocal p
@@ -408,10 +412,8 @@ def _power_walk(a: np.ndarray, ns, left=None, size=1):
         if gap == 1 and p is not None:
             p, gap = mul(p, a), 0
         while gap:
-            if bit == len(squares):
-                squares.append(mul(squares[-1], squares[-1]))
             if gap & 1:
-                p = squares[bit] if p is None else mul(p, squares[bit])
+                p = square(bit) if p is None else mul(p, square(bit))
             gap >>= 1
             bit += 1
         return np.eye(a.shape[0], dtype=a.dtype) if p is None else p
@@ -436,19 +438,11 @@ def _power_walk(a: np.ndarray, ns, left=None, size=1):
             if ns[i] == prev + 1:
                 end = min(breaks[bisect.bisect(breaks, i)], stop, i + most)
             run = stack[i - start:end - start]
-            if len(run) == 1:
-                run[0] = step(ns[i])
-            else:
-                while len(base) < len(run):
-                    m = len(base)
-                    grown = np.empty((min(2 * m, most),) + a.shape, a.dtype)
-                    grown[:m] = base
-                    np.matmul(base[:len(grown) - m], base[m - 1], out=grown[m:])
-                    base = grown
-                if p is None:
-                    run[:] = base[:len(run)]
-                else:
-                    np.matmul(p, base[:len(run)], out=run)
+            run[0] = step(ns[i])
+            for k in range((len(run) - 1).bit_length()):
+                fill = run[1 << k:2 << k]
+                np.matmul(run[:len(fill)], square(k), out=fill)
+            if len(run) > 1:
                 p = run[-1]
             i, prev = end, ns[end - 1]
         yield stack

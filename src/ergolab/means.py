@@ -403,9 +403,10 @@ def _group_means(rows: list, b: np.ndarray, out: np.ndarray, left=None) -> None:
     the powers of ``b`` over the union of the rows' supports.  The walk's
     ``size`` is as many powers as _STACK_CELLS cells hold, so it yields
     stacks of at most _STACK_CELLS cells, each run of consecutive powers in
-    a stack built by one batched product (``linop._power_walk``; ``size=1``
-    would be its walk of single steps).  Each stack is contracted with its
-    block of row weights in one product."""
+    a stack filled by doubling from the walk's binary squares
+    (``linop._power_walk``; ``size=1`` would be its walk of single steps).
+    Each stack is contracted with its block of row weights in one
+    product."""
     lo = min(int(row.indices[0]) for row in rows)
     used = np.zeros(max(int(row.indices[-1]) for row in rows) - lo + 1, dtype=bool)
     for row in rows:

@@ -115,6 +115,15 @@ def test_library_error_exits_2_with_one_stderr_line(argv, fragment, tmp_path, ca
     assert not (tmp_path / "r.json").exists()
 
 
+def test_finite_requested_powers_do_not_overflow(tmp_path, capsys):
+    # 1000^65 is about 1e195, and the mean walk forms no power above the 65th
+    argv = ["convergence", "--op", "diag:1000", "--scheme", "cesaro:p=1", "--nmax", "65"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv", [
     # (3 / |lambda|)^n passes 1e308 in the partial sums and the Cesaro means
     ["uniform_kreiss", "--op", "diag:3", "--nmax", "1024", "--r", "1"],
@@ -142,6 +151,9 @@ def test_numerical_overflow_exits_2_with_one_error_line(argv, tmp_path, capsys):
     ["convergence", "--op", "diag:1,0.5", "--nmax", "0"],
     ["h1", "--check", "meannorm", "--nmax", "0"],
     ["growth", "--op", "jordan:2:1", "--scheme", "abel", "--nmax", "0"],
+    # the power sweep fits from n = 2
+    ["growth", "--op", "jordan:2:1", "--nmax", "1"],
+    ["nevanlinna", "--nmax", "1"],
     ["shields", "--nmax", "1"],
     ["shields", "--nmax", "2"],
     # one and two samples in [fit_from, nmax] = [64, nmax]: no log fit
@@ -429,6 +441,12 @@ def test_uniform_kreiss_scenario():
      "config error: sampled must be true or false, got 'no'"),
     (["growth", "--op", "jordan:2:1", "--nmax", "64"], {"sampled": 1},
      "config error: sampled must be true or false, got 1"),
+    # the sampled sweep reported n = 2 beyond nmax 1, and had one index at nmax 2
+    (["growth", "--op", "jordan:2:1", "--nmax", "1"], {"sampled": True},
+     "config error: nmax must be >= 3, got 1"),
+    (["nevanlinna", "--nmax", "2"], {"sampled": True},
+     "config error: nmax must be >= 3, got 2"),
+    (["nevanlinna", "--nmax", "1"], None, "config error: nmax must be >= 2, got 1"),
     # a Kreiss order that is negative or not an integer, a reversed band, a
     # float where an integer goes, a NaN tolerance and a truncated window
     (["kreiss", "--op", "jordan:2:1", "--kmax", "3", "--angles", "8"], {"r": -1},
@@ -442,7 +460,10 @@ def test_uniform_kreiss_scenario():
      "config error: expect_ratio_band must be [lo, hi] with lo <= hi, each a finite "
      "number, got [3, 1]"),
     (["kreiss", "--op", "jordan:2:1", "--angles", "8"], {"kmax": 3.0},
-     "config error: kmax must be an integer >= 1, got 3.0"),
+     "config error: kmax must be an integer >= 1 and <= 52, got 3.0"),
+    # the radius 1 + 2^-53 rounds to 1.0
+    (["kreiss", "--op", "jordan:2:1", "--kmax", "53", "--angles", "8"], None,
+     "config error: kmax must be an integer >= 1 and <= 52, got 53"),
     (["kreiss", "--op", "jordan:2:1", "--kmax", "3", "--angles", "4"], None,
      "config error: angles must be an integer >= 8, got 4"),
     (["identities", "--op", "jordan:2:1", "--nmax", "8"], {"tol": float("nan")},
@@ -455,8 +476,10 @@ def test_uniform_kreiss_scenario():
         "window_fraction_zero", "window_fraction_above_one", "shields_r_above_3",
         "shields_nmax_above_2_14", "seed_null", "seed_bool",
         "seed_negative", "seed_float", "trials_negative", "trials_zero", "sampled_string",
-        "sampled_int", "kreiss_r_negative", "kreiss_r_float", "uniform_kreiss_r_negative",
-        "ratio_band_reversed", "kmax_float", "angles_few", "tol_nan", "window_float"])
+        "sampled_int", "sampled_nmax_1", "sampled_nmax_2", "sweep_nmax_1",
+        "kreiss_r_negative", "kreiss_r_float", "uniform_kreiss_r_negative",
+        "ratio_band_reversed", "kmax_float", "kmax_53", "angles_few", "tol_nan",
+        "window_float"])
 def test_rejected_input_exits_2_with_one_stderr_line(argv, config, fragment, tmp_path,
                                                      capsys):
     if config is not None:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -406,7 +407,7 @@ def test_power_walk_matches_power_at_every_index(via_trmm, form, request):
 
 
 # Index lists for the stacked walk: runs from index 0 and from index 1 and 5,
-# a repeat inside a run (12, 12), runs longer than a capped base (4 powers)
+# a repeat inside a run (12, 12), runs longer than a capped run (4 powers)
 # and gaps longer than it (15 -> 40, 53 -> 80)
 STACKED_NS = {
     "from0": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 12, 13, 14, 15, 40, 41, 42, 43,
@@ -427,7 +428,7 @@ def _stepwise(a, ns, left):
     return out
 
 
-@pytest.mark.parametrize("cells", [None, 100], ids=["base_full", "base_of_4"])
+@pytest.mark.parametrize("cells", [None, 100], ids=["runs_of_655", "runs_of_4"])
 @pytest.mark.parametrize("size", [2, 5, 64])
 @pytest.mark.parametrize("start", sorted(STACKED_NS))
 @pytest.mark.parametrize("form", ["matrix", "vector", "block"])
@@ -447,6 +448,48 @@ def test_stacked_walk_matches_stepwise_products(cells, size, start, form, monkey
         for p, ref in zip(walked, _stepwise(a, ns, left), strict=True):
             assert p.dtype == np.result_type(a, ref)
             np.testing.assert_allclose(p, ref, rtol=1e-13, atol=1e-15)
+
+
+def _count_products(monkeypatch):
+    """Patch np.matmul to record [calls, matrices formed]."""
+    counts = [0, 0]
+    matmul = np.matmul
+
+    def spy(x, y, **kwargs):
+        product = matmul(x, y, **kwargs)
+        counts[0] += 1
+        counts[1] += math.prod(product.shape[:-2])
+        return product
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return counts
+
+
+@pytest.mark.parametrize("count", [2, 3, 17, 65, 100])
+def test_stacked_run_costs_one_product_per_power_and_its_squares(count, monkeypatch):
+    # a run over 1..N takes a^1 from the walk, N - 1 products for the rest,
+    # and the squares a^2, ..., a^(2^k) below N that its doubling uses
+    a = np.random.default_rng(16).standard_normal((3, 3))
+    a /= op_norm(a)
+    ns = list(range(1, count + 1))
+    expected = _stepwise(a, ns, None)
+    counts = _count_products(monkeypatch)
+    (stack,) = linop._power_walk(a, ns, None, count)
+    assert counts[1] <= count - 1 + math.floor(math.log2(count - 1))
+    np.testing.assert_allclose(stack, expected, rtol=1e-12, atol=1e-15)
+
+
+def test_walk_at_dim_128_squares_nothing(monkeypatch):
+    # the run cap holds one power of a 128 x 128 operator, so a one-row left
+    # walk over 1..64 is 64 single steps by a, even in stacks of 128
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((128, 128)) / 16.0
+    left = rng.standard_normal((1, 128))
+    counts = _count_products(monkeypatch)
+    size = linop._stack_size(left.size)
+    walked = np.concatenate(list(linop._power_walk(a, range(1, 65), left, size)))
+    assert counts == [64, 64]
+    assert walked.shape == (64, 1, 128)
 
 
 def _pinned_walk(a, ns, left):

@@ -449,6 +449,18 @@ def test_stacked_apply_mean_sparse_supports():
     assert_matches_oracle(power_series([1.0, 0.0, 0.0, 0.0, 2.0]), t, [1, 3, 8], lam=-1.0)
 
 
+@pytest.mark.parametrize("s, n, x", [
+    (zweier(), range(1, 101), None),
+    (cesaro(1), 65, None),
+    (cesaro(1), 65, np.ones(1)),
+], ids=["zweier_1_100", "cesaro1_65", "cesaro1_65_vector"])
+def test_mean_walk_forms_no_power_above_its_largest_index(s, n, x):
+    # 1000^100 = 1e300 is finite; 1000^128, a power no row asks for, is not
+    with np.errstate(over="raise"):
+        result = apply_mean(s, [[1000.0]], n, x=x)
+    assert np.all(np.isfinite(result))
+
+
 @pytest.mark.parametrize("cells", [1, 9, 40, 200])
 @pytest.mark.parametrize("s", [cesaro(2), abel(), zweier(), identity_powers(),
                                backward_iterate(binomial())], ids=lambda s: s.name)
