@@ -36,7 +36,7 @@ for n in (4, 16, 64):
 
 print()
 print("=== Cesaro bounded, weakly null, strongly divergent ===")
-sup = max(h1_mean_norm(n, 128) for n in range(1, 17))
+sup = h1_mean_norm(np.arange(1, 17), 128).max()
 print(f"  sup of the truncated mean multiplier norms (n <= 16): {sup:.3f}")
 for n in (9, 49, 199):
     print(f"  <F_{n} 1, 1> = {h1_mean_pairing(n, [1.0], [1.0]).real:.4f} "

@@ -365,7 +365,7 @@ def _scenario_h1(cfg):
     if which in ("meannorm", "all"):
         n_trunc = cfg.get("n_trunc", 256)
         nmax = cfg.get("nmax", 16)
-        sup = max(spaces.h1_mean_norm(n, n_trunc) for n in range(1, nmax + 1))
+        sup = float(spaces.h1_mean_norm(np.arange(1, nmax + 1), n_trunc).max())
         values["mean_norm_sup"] = sup
         checks.append(_check("mean_norm_sup", sup, cfg.get("sup_max", 10.0)))
     return values, checks
@@ -457,7 +457,7 @@ _NORMS = _Rule("choice", choices=("spectral", "colsum", "rowsum"))
 _ANGLES = _Rule("int", 8)  # the least AnnulusGrid takes
 _GROWTH = {"operator": _SPEC, "norm": _NORMS,
            "window_fraction": _Rule("number", 0, 1, open_lo=True), "scheme": _SPEC,
-           "nmax": _INT1, "sampled": _Rule("bool"), "samples": _INT1}
+           "nmax": _INT1, "sampled": _Rule("bool"), "samples": _Rule("int", 2)}
 # Each scenario's config keys (the runners hold the defaults).  A null seed
 # would draw OS entropy and break the byte-identical report.
 _KEYS = {

@@ -14,16 +14,17 @@ single steps, one product by ``a`` or by a binary square at a time.
 With a Gram geometry ``G`` on the domain and ``H`` on the codomain, the
 operator norm of ``A`` is the largest singular value of ``L_H A L_G^{-1}``,
 where ``L`` is any factor with ``L* L = Gram`` (Cholesky for dense Grams,
-the O(n) banded Cholesky for real tridiagonal ones, elementwise square root
-for diagonal ones).  The SVD runs on the nonzero core of that matrix: its
-zero rows and columns (for a stack, those zero in every matrix) carry no
-singular value and are dropped, so the nilpotent powers of a truncated
-shift cost a fraction of a full SVD.  A core with exactly one nonzero in
-each kept row and column (a weighted shift, its powers, a diagonal) is a
-scaled partial permutation and needs no SVD: its norm is its largest
-|entry|.  An operator is real unless its entries are not: an imaginary
-part that is identically zero is dropped, and complex arithmetic enters
-only with a complex scalar or complex data.
+the O(n) banded Cholesky for real tridiagonal ones, kept as its two bands
+and applied in O(n) per column, elementwise square root for diagonal
+ones).  The SVD runs on the nonzero core of that matrix: its zero rows
+and columns (for a stack, those zero in every matrix) carry no singular
+value and are dropped, so the nilpotent powers of a truncated shift cost
+a fraction of a full SVD.  A core with exactly one nonzero in each kept
+row and column (a weighted shift, its powers, a diagonal) is a scaled
+partial permutation and needs no SVD: its norm is its largest |entry|.
+An operator is real unless its entries are not: an imaginary part that
+is identically zero is dropped, and complex arithmetic enters only with
+a complex scalar or complex data.
 ``mode="colsum"`` and ``mode="rowsum"`` select the max-column-sum /
 max-row-sum norms instead, i.e. the l1- and linf-induced operator norms.
 
@@ -97,10 +98,14 @@ class GramGeometry:
     Holds a diagonal weight vector (``diag``), a dense Hermitian
     positive-definite matrix (``dense``), or the diagonal and off-diagonal
     of a real symmetric tridiagonal one (``bands``).  A tridiagonal Gram is
-    factored in O(n) by the banded Cholesky and then kept, with its
-    upper-bidiagonal factor, as a dense real array, so it shares every
-    method (and the wire format) of the dense kind.  Vector norms are
-    ``||L x||_2`` with ``L* L = gram``.
+    factored in O(n) by the banded Cholesky and keeps its upper-bidiagonal
+    factor as two bands, its diagonal and superdiagonal: ``apply_factor``
+    is then the O(n) per column product ``d * a + e * a[1:]``.  Its dense
+    Gram and dense factor are built on first use, by ``matrix()`` (or
+    ``.dense``), ``factor()``, the wire format and the triangular solve of
+    ``apply_factor_inverse_right``; a geometry only ever applied as a
+    factor allocates no n x n array.  Vector norms are ``||L x||_2`` with
+    ``L* L = gram``.
     """
 
     def __init__(self, dim, diag=None, dense=None, bands=None):
@@ -109,6 +114,7 @@ class GramGeometry:
             raise BadDimension("geometry dimension must be >= 1")
         if sum(arg is not None for arg in (diag, dense, bands)) != 1:
             raise ValueError("provide exactly one of diag=, dense= or bands=")
+        self.diag = self._dense = self._gram_bands = self._factor_bands = None
         if diag is not None:
             w = np.asarray(diag, dtype=float)
             if w.shape != (self.dim,):
@@ -116,7 +122,6 @@ class GramGeometry:
             if not np.all(w > 0.0):
                 raise NonPositiveDefiniteGram("diagonal weights must be positive")
             self.diag = w
-            self.dense = None
             self._factor = np.sqrt(w)
         elif bands is not None:
             d, e = (np.asarray(b, dtype=float) for b in bands)
@@ -130,10 +135,10 @@ class GramGeometry:
                 u = scipy.linalg.cholesky_banded(upper)
             except np.linalg.LinAlgError as exc:
                 raise NonPositiveDefiniteGram("Gram matrix is not positive definite") from exc
-            self.diag = None
-            self.dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-            # upper-bidiagonal L with L^T L = G
-            self._factor = np.diag(u[1]) + np.diag(u[0, 1:], 1)
+            self._gram_bands = (d, e)
+            # diagonal and superdiagonal of the upper-bidiagonal L with L^T L = G
+            self._factor_bands = (u[1], u[0, 1:])
+            self._factor = None
         else:
             g = as_matrix(dense)
             if g.shape != (self.dim, self.dim):
@@ -145,8 +150,7 @@ class GramGeometry:
                 chol_lower = np.linalg.cholesky(g)
             except np.linalg.LinAlgError as exc:
                 raise NonPositiveDefiniteGram("Gram matrix is not positive definite") from exc
-            self.diag = None
-            self.dense = g
+            self._dense = g
             # upper-triangular L with L*L = G
             self._factor = chol_lower.conj().T
 
@@ -171,6 +175,15 @@ class GramGeometry:
     def is_diagonal(self) -> bool:
         return self.diag is not None
 
+    @property
+    def dense(self) -> np.ndarray | None:
+        """The dense Gram matrix (None for a diagonal geometry); a
+        tridiagonal geometry builds it on first use."""
+        if self._dense is None and self._gram_bands is not None:
+            d, e = self._gram_bands
+            self._dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        return self._dense
+
     def matrix(self) -> np.ndarray:
         """The Gram matrix as a dense array."""
         if self.is_diagonal:
@@ -178,15 +191,27 @@ class GramGeometry:
         return self.dense
 
     def factor(self) -> np.ndarray:
-        """A factor L with L* L = Gram (1-D array of square roots if diagonal)."""
+        """A factor L with L* L = Gram (1-D array of square roots if diagonal);
+        a tridiagonal geometry builds its dense bidiagonal L on first use."""
+        if self._factor is None:
+            d, e = self._factor_bands
+            self._factor = np.diag(d) + np.diag(e, 1)
         return self._factor
 
     def apply_factor(self, a: np.ndarray) -> np.ndarray:
         """Left-multiply by the factor: L @ a (columns of a are vectors;
-        ``a`` may be a stack of matrices)."""
+        ``a`` may be a stack of matrices).  A tridiagonal geometry applies
+        its two bands, ``d * a + e * a[1:]``, with no dense L."""
         if self.is_diagonal:
             return self._factor[:, None] * a if a.ndim >= 2 else self._factor * a
-        return self._factor @ a
+        if self._factor_bands is None:
+            return self._factor @ a
+        if a.ndim == 1:
+            return self.apply_factor(a[:, None])[:, 0]
+        d, e = self._factor_bands
+        out = d[:, None] * a
+        out[..., :-1, :] += e[:, None] * a[..., 1:, :]
+        return out
 
     def apply_factor_inverse_right(self, a: np.ndarray) -> np.ndarray:
         """Right-multiply a matrix, or each of a stack, by L^{-1}: a @ L^{-1}."""
@@ -194,7 +219,8 @@ class GramGeometry:
             return a / self._factor[None, :]
         # solve X L = a  <=>  L^T X^T = a^T  (plain transpose; L upper triangular)
         import scipy.linalg
-        x_t = scipy.linalg.solve_triangular(self._factor.T, a.swapaxes(-1, -2), lower=True)
+        x_t = scipy.linalg.solve_triangular(self.factor().T, a.swapaxes(-1, -2),
+                                          lower=True)
         return x_t.swapaxes(-1, -2)
 
     def vector_norm(self, x) -> float:

@@ -164,20 +164,51 @@ def h1_mean_pairing(n: int, p, q) -> complex:
     return complex(b.conj() @ gram @ a)
 
 
-def h1_mean_norm(n: int, n_trunc: int) -> float:
+def h1_mean_norm(n, n_trunc: int):
     """Gram-weighted operator norm of multiplication by F_n from polynomials
     of degree <= n_trunc into degree <= n_trunc + n (a truncation estimate of
-    the mean's norm on the whole space)."""
-    if n == 0:
-        return 1.0
-    if n_trunc < 4 * n:
-        raise BadTruncation("need n_trunc >= 4*n for a stable estimate")
-    rows = n_trunc + n + 1
-    cols = n_trunc + 1
-    m = np.zeros((rows, cols))
-    for j in range(cols):
-        m[j: j + n + 1, j] = 1.0 / (n + 1)
-    return op_norm(m, dom=h1_geometry(n_trunc), cod=h1_geometry(n_trunc + n))
+    the mean's norm on the whole space).
+
+    ``n`` is one index, which gives a float, or an array of indices, which
+    gives the array of their norms; index 0 gives exactly 1.0.  An array is
+    one sweep: one triangular solve forms W = L_dom^{-1}, and the running
+    sum S_n = S_{n-1} + (W shifted down n rows), at O(n_trunc^2) per step,
+    is M_n L_dom^{-1} up to the factor n + 1.  Each requested index then
+    costs one banded product by the codomain factor and one SVD of the
+    (n_trunc + n + 1) x (n_trunc + 1) matrix.  One codomain geometry, at
+    n_trunc + max(n), serves every index: the leading block of its banded
+    Cholesky is the factor of the leading block of the Gram, and the rows
+    of S_n beyond n_trunc + n are zero, so the result for an index does not
+    depend on the others it is swept with.
+    """
+    ns = np.asarray(n)
+    if ns.dtype.kind not in "iu" or np.any(ns < 0):
+        raise ValueError(f"mean indices must be integers >= 0, got {n!r}")
+    if isinstance(n_trunc, bool) or not isinstance(n_trunc, (int, np.integer)):
+        raise ValueError(f"n_trunc must be an integer, got {n_trunc!r}")
+    uniq, where = np.unique(ns.reshape(-1), return_inverse=True)
+    top = int(uniq[-1]) if uniq.size else 0
+    if n_trunc < 4 * top:
+        raise BadTruncation(f"need n_trunc >= 4*n for a stable estimate, got n = {top} "
+                            f"and n_trunc = {n_trunc}")
+    norms = np.ones(uniq.size)
+    if top:
+        cols = n_trunc + 1
+        cod = h1_geometry(n_trunc + top)
+        w = h1_geometry(n_trunc).apply_factor_inverse_right(np.eye(cols))
+        s = np.zeros((n_trunc + top + 1, cols))
+        s[:cols] = w
+        k = 0  # s holds S_k
+        for i, m in enumerate(uniq.tolist()):
+            if m == 0:
+                continue
+            for k in range(k + 1, m + 1):
+                s[k:k + cols] += w
+            b = cod.apply_factor(s)[:cols + m]
+            b /= m + 1
+            norms[i] = op_norm(b)
+    out = norms[where]
+    return out.reshape(ns.shape) if ns.ndim else float(out[0])
 
 
 def _quad_node_count(degree: int, quad_nodes) -> int:

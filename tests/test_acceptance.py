@@ -256,8 +256,8 @@ def test_criterion_08_three_isometry_weak_nullity():
     pairing_err = max(abs(h1_mean_pairing(n, [1.0], [1.0]) - 2.0 / (n + 1))
                       for n in (1, 5, 20, 100, 199))
     pairing_199 = abs(h1_mean_pairing(199, [1.0], [1.0]))
-    sup256 = max(h1_mean_norm(n, 256) for n in range(1, 65))
-    sup512 = max(h1_mean_norm(n, 512) for n in range(1, 65))
+    sup256 = h1_mean_norm(np.arange(1, 65), 256).max()
+    sup512 = h1_mean_norm(np.arange(1, 65), 512).max()
     plateau = abs(sup512 - sup256) / sup256
     lower = min(math.sqrt(1.0 + (n + 2.0) ** 2) / n for n in range(8, 257))
     ok = (defect <= 1e-9 and pairing_err <= 1e-12

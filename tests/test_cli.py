@@ -441,6 +441,9 @@ def test_uniform_kreiss_scenario():
      "config error: sampled must be true or false, got 'no'"),
     (["growth", "--op", "jordan:2:1", "--nmax", "64"], {"sampled": 1},
      "config error: sampled must be true or false, got 1"),
+    # one sample reached the library, which named no config key
+    (["growth", "--op", "jordan:2:1", "--nmax", "64"], {"sampled": True, "samples": 1},
+     "config error: samples must be an integer >= 2, got 1"),
     # the sampled sweep reported n = 2 beyond nmax 1, and had one index at nmax 2
     (["growth", "--op", "jordan:2:1", "--nmax", "1"], {"sampled": True},
      "config error: nmax must be >= 3, got 1"),
@@ -476,7 +479,7 @@ def test_uniform_kreiss_scenario():
         "window_fraction_zero", "window_fraction_above_one", "shields_r_above_3",
         "shields_nmax_above_2_14", "seed_null", "seed_bool",
         "seed_negative", "seed_float", "trials_negative", "trials_zero", "sampled_string",
-        "sampled_int", "sampled_nmax_1", "sampled_nmax_2", "sweep_nmax_1",
+        "sampled_int", "samples_one", "sampled_nmax_1", "sampled_nmax_2", "sweep_nmax_1",
         "kreiss_r_negative", "kreiss_r_float", "uniform_kreiss_r_negative",
         "ratio_band_reversed", "kmax_float", "kmax_53", "angles_few", "tol_nan",
         "window_float"])

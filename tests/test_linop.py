@@ -121,6 +121,53 @@ def test_tridiagonal_geometry_factor_reproduces_gram():
     assert one.factor()[0, 0] == 2.0
 
 
+@pytest.mark.parametrize("shape", [(12,), (12, 5), (2, 3, 12, 5)],
+                         ids=["vector", "matrix", "stack"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_tridiagonal_factor_applied_as_two_bands_matches_dense_factor(shape, dtype):
+    # route: d * a + e * a[1:] against the dense bidiagonal product factor() @ a,
+    # to 1e-15 of the scale |L| @ |a| that bounds the rounding of either
+    rng = np.random.default_rng(19)
+    g = GramGeometry.tridiagonal(*_tridiagonal_bands(12, 5))
+    a = rng.standard_normal(shape).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.standard_normal(shape)
+    got = g.apply_factor(a)
+    ell = g.factor()
+    assert got.shape == a.shape and got.dtype == a.dtype
+    assert np.all(np.abs(got - ell @ a) <= 1e-15 * (np.abs(ell) @ np.abs(a)))
+
+
+def test_tridiagonal_dense_forms_are_built_on_first_use_as_before():
+    # route: lazily built dense Gram, dense factor and wire format against the
+    # arrays the bands gave when they were built eagerly
+    diag, off = _tridiagonal_bands(9, 4)
+    g = GramGeometry.tridiagonal(diag, off)
+    g.apply_factor(np.ones((9, 2)))
+    gram = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    assert np.array_equal(g.matrix(), gram) and np.array_equal(g.dense, gram)
+    import scipy.linalg
+    u = scipy.linalg.cholesky_banded(np.vstack([np.concatenate([[0.0], off]), diag]))
+    assert np.array_equal(g.factor(), np.diag(u[1]) + np.diag(u[0, 1:], 1))
+    obj = linop.gram_to_obj(g)
+    assert obj["gram_re"] == gram.ravel().tolist()
+    assert obj["gram_im"] == [0.0] * 81
+
+
+def test_tridiagonal_geometry_applied_as_a_factor_allocates_no_square_array():
+    import tracemalloc
+    g = GramGeometry.tridiagonal(*_tridiagonal_bands(2000, 6))
+    x = np.ones((2000, 3))
+    tracemalloc.start()
+    try:
+        g.apply_factor(x)
+        g.vector_norm(x[:, 0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 2000 * 8 / 100
+
+
 def test_tridiagonal_geometry_rejects_bad_bands():
     # route: bands -> banded Cholesky failure -> NonPositiveDefiniteGram
     with pytest.raises(NonPositiveDefiniteGram):

@@ -218,12 +218,39 @@ def test_h1_mean_norm_plateau():
         h1_mean_norm(8, 16)
 
 
+def test_h1_mean_norm_sweep_equals_one_call_per_index_bit_for_bit():
+    # route: one sweep (one solve, running sum, one codomain at 40 + 9)
+    # against one call per index (codomain at 40 + n)
+    ns = np.array([3, 0, 9, 1, 3, 2, 0, 8])
+    swept = h1_mean_norm(ns, 40)
+    assert swept.shape == ns.shape and swept.dtype == float
+    assert swept.tolist() == [h1_mean_norm(int(n), 40) for n in ns]
+    assert swept[1] == swept[6] == 1.0
+    assert h1_mean_norm(ns.reshape(2, 4), 40).tolist() == swept.reshape(2, 4).tolist()
+    assert h1_mean_norm([0, 0], 16).tolist() == [1.0, 1.0]
+    assert type(h1_mean_norm(np.int64(2), 16)) is float
+
+
+@pytest.mark.parametrize("n, n_trunc", [(-1, 16), (1.5, 16), (2.0, 16), ([1, -2], 16),
+                                        (True, 16), (1, 16.0), (1, "16"), (1, True)])
+def test_h1_mean_norm_rejects_a_negative_or_fractional_index(n, n_trunc):
+    with pytest.raises(ValueError) as info:
+        h1_mean_norm(n, n_trunc)
+    assert not isinstance(info.value, BadTruncation)
+
+
+def test_h1_mean_norm_truncation_error_names_the_largest_index():
+    with pytest.raises(BadTruncation, match="n = 17 and n_trunc = 64"):
+        h1_mean_norm([1, 17, 3], 64)
+    assert h1_mean_norm([1, 16, 3], 64).shape == (3,)
+
+
 def test_h1_geometry_matches_gram():
     g = h1_geometry(5)
     assert np.allclose(g.dense, h1_gram(5))
 
 
-@pytest.mark.parametrize("n, k", [(1, 16), (4, 64), (16, 128)])
+@pytest.mark.parametrize("n, k", [(1, 16), (4, 64), (16, 128), (16, 512)])
 def test_h1_tridiagonal_mean_norm_matches_dense_route(n, k):
     # route: h1_geometry (banded Cholesky, real SVD) against the dense
     # complex route (dense Cholesky of h1_gram, complex SVD)
@@ -237,7 +264,7 @@ def test_h1_tridiagonal_mean_norm_matches_dense_route(n, k):
 
     slow = op_norm(m.astype(complex), dom=dense(k), cod=dense(k + n))
     assert fast == pytest.approx(slow, rel=1e-12)
-    assert h1_mean_norm(n, k) == fast
+    assert h1_mean_norm(n, k) == pytest.approx(slow, rel=1e-12)
 
 
 def test_h1_geometry_vector_norm_matches_closed_form():
