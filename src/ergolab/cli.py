@@ -42,8 +42,9 @@ class _Parser(argparse.ArgumentParser):
 
 class _Config(dict):
     """A scenario config that records each key read through ``[]``, ``get``
-    or ``in``.  ``get(key, default, least=x)`` raises a ConfigError naming
-    ``key`` when the value is below ``x``."""
+    or ``in``.  ``[key]`` raises a ConfigError naming a missing ``key``, and
+    ``get(key, default, least=x)`` one naming ``key`` when the value is
+    below ``x``."""
 
     def __init__(self, config):
         super().__init__(config)
@@ -51,7 +52,10 @@ class _Config(dict):
 
     def __getitem__(self, key):
         self.read.add(key)
-        return super().__getitem__(key)
+        try:
+            return super().__getitem__(key)
+        except KeyError:
+            raise ConfigError(f"missing config key {key!r}") from None
 
     def __contains__(self, key):
         self.read.add(key)
@@ -100,7 +104,8 @@ def parse_operator(spec: str) -> linop.OperatorModel:
         try:
             if spec.endswith(".json") or Path(spec).exists():
                 return linop.load_operator(spec)
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, ValueError, TypeError, AttributeError,
+                OverflowError) as exc:
             raise ConfigError(f"cannot load operator file {spec!r}: {exc}") from exc
         raise ConfigError(f"unknown operator spec {spec!r}")
     try:
@@ -523,11 +528,8 @@ def run(config: dict) -> dict:
         raise ConfigError(f"out must be a path string, .csv only for growth and "
                           f"convergence, got {out!r}")
     cfg = _Config(config)
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            values, checks = _RUNNERS[scenario](cfg)
-    except (KeyError, TypeError, IndexError, AttributeError) as exc:
-        raise ConfigError(f"scenario {scenario}: bad config ({exc})") from exc
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        values, checks = _RUNNERS[scenario](cfg)
     _reject_unread(scenario, config.keys() - cfg.read)
     report = {
         "scenario": scenario,
@@ -606,7 +608,8 @@ def main(argv=None) -> int:
             return 0
         if args.command == "rows":
             scheme = _parse_scheme(args.scheme)
-            means.rows_to_csv(scheme, range(scheme.min_n, args.nmax + 1), args.out)
+            nmax = _Config(vars(args)).get("nmax", least=scheme.min_n)
+            means.rows_to_csv(scheme, range(scheme.min_n, nmax + 1), args.out)
             return 0
         config = _load_config(args)
         report = run(config)

@@ -21,8 +21,10 @@ the truncation defect stays visible in tests.  Only ``MeanScheme.row``
 takes ``tail_eps``; every mean below uses rows at ``DEFAULT_TAIL_EPS``.
 
 ``backward_iterate`` produces the scheme with coefficients
-``s_nk = (sum_{j>=k+1} t_nj) / (sum_{j>=1} j t_nj)``; closed forms are used
-for the Cesaro / Abel / Zweier families and the defining formula otherwise.
+``s_nk = (sum_{j>=k+1} t_nj) / (sum_{j>=1} j t_nj)``: one class whose rows
+come from a closed form for the Cesaro and Abel families and from the
+defining formula, ``backward_row_from_definition``, otherwise.  The formula
+is also the test oracle of the closed forms.
 
 ``apply_mean`` is the one mean walk: of the powers, or, given ``x``, of the
 vectors T^j x.  Every function taking an operator coerces it once with
@@ -34,6 +36,7 @@ operator.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -238,80 +241,19 @@ class _IdentityPowers(MeanScheme):
         return MeanRow(n, np.array([n]), np.array([1.0]))
 
 
-class _CesaroBackward(MeanScheme):
-    """Backward iterate of cesaro(p): row n equals row n-1 of cesaro(p+1)."""
+class _Backward(MeanScheme):
+    """Backward iterate of ``base``: row n is ``rule(n, tail_eps)``, a
+    closed form or the defining formula (see ``backward_iterate``)."""
 
-    kind = "cesaro_backward"
-    min_n = 1
-
-    def __init__(self, p: int):
-        self.name = f"cesaro(p={p + 1})<<1"
-        self.p = p
-        self._inner = _Cesaro(p + 1)
-
-    def _row(self, n, tail_eps):
-        inner = self._inner._row(n - 1, tail_eps)
-        return MeanRow(n, inner.indices, inner.weights)
-
-
-class _AbelBackward(_Abel):
-    """Backward iterate of abel(): the Abel rows themselves from row 2 on."""
-
-    kind = "abel_backward"
-    name = "abel^(-1)"
-    min_n = 2
-
-
-class _ZweierBackward(MeanScheme):
-    """Closed form (2/(2n-1)) * (sum_{k<=n-2} T^k + T^{n-1}/2)."""
-
-    kind = "zweier_backward"
-    name = "zweier^(-1)"
-    min_n = 1
-
-    def _row(self, n, tail_eps):
-        w = np.full(n, 2.0 / (2 * n - 1))
-        w[-1] *= 0.5
-        return MeanRow(n, np.arange(n), w)
-
-
-class _FormulaBackward(MeanScheme):
-    """Backward iterate computed from the defining formula on the base row."""
-
-    def __init__(self, base: MeanScheme, min_n: int):
+    def __init__(self, base: MeanScheme, min_n: int, rule):
         self.kind = base.kind + "_backward"
         self.name = base.name + "^(-1)"
-        self._base = base
         self.min_n = min_n
         self.finite_rows = base.finite_rows
+        self._rule = rule
 
     def _row(self, n, tail_eps):
-        return backward_row_from_definition(self._base, n, tail_eps)
-
-
-def _inner_eps(tail_eps: float) -> float:
-    # truncating the source row at tail mass delta perturbs the backward
-    # coefficients by ~ delta * (J + n); a 1e-6 cushion keeps the result
-    # accurate to tail_eps itself
-    return max(tail_eps * 1e-6, 5e-324)
-
-
-def _backward_row(row: MeanRow, tail_mass: float | None = None) -> MeanRow:
-    t = row.dense()
-    if t[0] >= 1.0 - 1e-15:
-        raise DegenerateRow(f"row {row.n}: t_n0 = 1, backward iterate undefined")
-    denom = float(np.sum(np.arange(t.size) * t))
-    if denom <= 0.0:
-        raise DegenerateRow(f"row {row.n}: sum_j j t_nj = 0")
-    # s_k = sum_{j >= k+1} t_j / denom for k = 0..J-1
-    tails = np.cumsum(t[::-1])[::-1]
-    s = tails[1:] / denom
-    keep = s > 0
-    if row.tail_mass_bound == 0.0:
-        bound = 0.0  # finite source row: the backward row is exact
-    else:
-        bound = row.tail_mass_bound if tail_mass is None else tail_mass
-    return MeanRow(row.n, np.nonzero(keep)[0], s[keep], tail_mass_bound=bound)
+        return self._rule(n, tail_eps)
 
 
 def cesaro(p: int = 1) -> MeanScheme:
@@ -342,29 +284,55 @@ def backward_row_from_definition(s: MeanScheme, n: int,
                                  tail_eps: float = DEFAULT_TAIL_EPS) -> MeanRow:
     """The defining formula s_nk = (sum_{j>=k+1} t_nj)/(sum_{j>=1} j t_nj),
     evaluated on the row of ``s`` (truncated well below tail_eps so the
-    result itself is tail_eps-accurate).  Rows of the formula-based backward
-    schemes, and the oracle for the closed-form ones."""
-    return _backward_row(s.row(n, _inner_eps(tail_eps)), tail_eps)
+    result itself is tail_eps-accurate).  Rows of the backward iterates
+    without a closed form, and the oracle for the closed forms."""
+    # truncating the source row at tail mass delta perturbs the backward
+    # coefficients by ~ delta * (J + n); a 1e-6 cushion keeps the result
+    # accurate to tail_eps itself
+    row = s.row(n, max(tail_eps * 1e-6, 5e-324))
+    t = row.dense()
+    if t[0] >= 1.0 - 1e-15:
+        raise DegenerateRow(f"row {n}: t_n0 = 1, backward iterate undefined")
+    denom = float(np.sum(np.arange(t.size) * t))
+    if denom <= 0.0:
+        raise DegenerateRow(f"row {n}: sum_j j t_nj = 0")
+    # the coefficients for k = 0..J-1, from the tail sums sum_{j >= k+1} t_j
+    coeffs = np.cumsum(t[::-1])[::-1][1:] / denom
+    keep = coeffs > 0
+    # a finite source row gives an exact backward row
+    bound = tail_eps if row.tail_mass_bound else 0.0
+    return MeanRow(n, np.nonzero(keep)[0], coeffs[keep], tail_mass_bound=bound)
 
 
 def backward_iterate(s: MeanScheme) -> MeanScheme:
-    """Scheme of the backward-iterate coefficients of ``s``.
+    """Scheme of the backward-iterate coefficients of ``s``: one class whose
+    row n is a closed form for the Cesaro and Abel schemes and the defining
+    formula otherwise.
 
-    Closed forms: cesaro(p) -> cesaro(p+1) shifted one row; abel -> abel
-    (first valid row 2); zweier -> the two-level uniform rows.  Other kinds,
-    power series included, apply the defining formula row by row; the kind
-    of every backward scheme is ``"<base kind>_backward"``.
+    Closed forms: cesaro(p) -> row n - 1 of cesaro(p+1), relabelled n;
+    abel -> the Abel row itself.  On zweier the formula gives the closed form
+    (2/(2n-1)) * (sum_{k<=n-2} T^k + T^{n-1}/2) bit for bit.  The first row
+    is max(s.min_n, 1), or the next one when the formula finds that row
+    degenerate (the identity row of abel and of power series with f_0 > 0).
+    The kind is ``"<base kind>_backward"`` and the name
+    ``"<base name>^(-1)"``.
     """
     if isinstance(s, _Cesaro):
-        return _CesaroBackward(s.p)
-    if isinstance(s, _Abel):
-        return _AbelBackward()
-    if isinstance(s, _Zweier):
-        return _ZweierBackward()
+        up = _Cesaro(s.p + 1)
+
+        def rule(n, tail_eps):
+            row = up._row(n - 1, tail_eps)
+            return MeanRow(n, row.indices, row.weights)
+    elif isinstance(s, _Abel):
+        rule = s._row
+    else:
+        rule = functools.partial(backward_row_from_definition, s)
     min_n = max(s.min_n, 1)
-    if isinstance(s, _PowerSeries):
-        min_n = max(min_n, 2)  # row 1 is F(0 T)/F(0) = I, degenerate
-    return _FormulaBackward(s, min_n)
+    try:
+        backward_row_from_definition(s, min_n)
+    except DegenerateRow:
+        min_n += 1
+    return _Backward(s, min_n, rule)
 
 
 def _check_unimodular(lam: complex) -> complex:

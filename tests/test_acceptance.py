@@ -32,6 +32,7 @@ from ergolab.means import (
     apply_mean,
     backit_identity_residual,
     backward_iterate,
+    backward_row_from_definition,
     cesaro,
     identity_powers,
     zweier,
@@ -61,6 +62,13 @@ def _report(number, name, passed, detail):
     status = "PASS" if passed else "FAIL"
     print(f"[acceptance] criterion {number:02d} ({name}): {status} -- {detail}")
     assert passed, f"criterion {number} ({name}): {detail}"
+
+
+def _row_gap(got, ref):
+    """Largest |difference| of two rows, each zero off its support."""
+    a, b = got.dense(), ref.dense()
+    size = max(a.size, b.size)
+    return float(np.max(np.abs(np.pad(a, (0, size - a.size)) - np.pad(b, (0, size - b.size)))))
 
 
 def _stacked_powers(a, count):
@@ -111,26 +119,23 @@ def test_criterion_02_backward_iterate_suite():
                        for t in ops
                        for s in (cesaro(1), cesaro(2), zweier())
                        for n in (2, 5, 12))
-    shift_worst = 0.0
-    for p in (1, 2, 3):
-        back = backward_iterate(cesaro(p))
-        up = cesaro(p + 1)
-        for n in range(1, 65):
-            delta = back.row(n).weights - up.row(n - 1).weights
-            shift_worst = max(shift_worst, float(np.max(np.abs(delta))))
-    abel_back = backward_iterate(abel())
-    abel_worst = 0.0
-    for n in (2, 3, 10, 50):
-        got = abel_back.row(n, tail_eps)
-        ref = abel().row(n, tail_eps)
-        m = min(got.weights.size, ref.weights.size)
-        abel_worst = max(abel_worst, float(np.max(np.abs(got.weights[:m] - ref.weights[:m]))))
-    zw_back = backward_iterate(zweier())
+    # each closed form against the defining formula, over the union of the
+    # two supports: a row on the wrong support deviates by a whole weight
+    shift_worst = max(_row_gap(backward_iterate(cesaro(p)).row(n),
+                               backward_row_from_definition(cesaro(p), n))
+                      for p in (1, 2, 3) for n in range(1, 65))
+    abel_worst = max(_row_gap(backward_iterate(abel()).row(n, tail_eps),
+                              backward_row_from_definition(abel(), n, tail_eps))
+                     for n in (2, 3, 10, 50))
+    # zweier takes the formula, here against its closed form
+    # (2/(2n-1)) * (sum_{k<=n-2} T^k + T^{n-1}/2)
     zw_exact = True
     for n in range(2, 65):
+        got = backward_iterate(zweier()).row(n)
         expected = np.full(n, 2.0 / (2 * n - 1))
         expected[-1] *= 0.5
-        zw_exact &= bool(np.array_equal(zw_back.row(n).weights, expected))
+        zw_exact &= bool(np.array_equal(got.indices, np.arange(n))
+                         and np.array_equal(got.weights, expected))
     elapsed = time.time() - start
     ok = (backit_worst <= 1e-10 and shift_worst <= 1e-12
           and abel_worst <= 1e-12 + tail_eps and zw_exact and elapsed < 2.0)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +63,50 @@ def test_run_deterministic_bytes():
     a = json.dumps(run(config), sort_keys=True)
     b = json.dumps(run(config), sort_keys=True)
     assert a == b
+
+
+def _kreiss_report(threads, path):
+    """The bytes of a kreiss report written by a fresh interpreter whose BLAS
+    runs ``threads`` threads."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               MKL_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # with a 2-core OpenBLAS the 1- and 2-thread reports are byte-equal at
+    # d = 64 and differ in their last digits at d = 96, so the threaded BLAS
+    # paths run here; one report takes under a second, and the timeout only
+    # stops a hung interpreter
+    argv = ["kreiss", "--op", "dirichlet:0.5:96:forward", "--r", "0", "--kmax", "6",
+            "--angles", "8", "--out", str(path)]
+    proc = subprocess.run([sys.executable, "-m", "ergolab.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return path.read_bytes()
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        return [x for key in sorted(value) for x in _numbers(value[key])]
+    if isinstance(value, list):
+        return [x for item in value for x in _numbers(item)]
+    return [value] if isinstance(value, float) else []
+
+
+@pytest.fixture(scope="module")
+def one_thread_report(tmp_path_factory):
+    return _kreiss_report(1, tmp_path_factory.mktemp("kreiss") / "r.json")
+
+
+def test_report_bytes_are_identical_at_a_fixed_thread_count(one_thread_report, tmp_path):
+    # the same config, numpy/scipy/BLAS build and thread count give the same bytes
+    assert _kreiss_report(1, tmp_path / "r.json") == one_thread_report
+
+
+def test_report_values_agree_to_rounding_across_thread_counts(one_thread_report, tmp_path):
+    one = json.loads(one_thread_report)
+    two = json.loads(_kreiss_report(2, tmp_path / "r.json"))
+    assert two.keys() == one.keys() and two["config"] == one["config"]
+    assert np.allclose(_numbers(two), _numbers(one), rtol=1e-12, atol=0.0)
 
 
 def test_growth_csv_sidecar(tmp_path):
@@ -474,6 +522,15 @@ def test_uniform_kreiss_scenario():
     (["quotient"], {"window": [256.5, 512]},
      "config error: window must be [lo, hi] with lo <= hi, each an integer >= 0, "
      "got [256.5, 512]"),
+    # a scenario run without its operator
+    (["kreiss"], None, "config error: missing config key 'operator'"),
+    (["growth"], None, "config error: missing config key 'operator'"),
+    (["identities"], None, "config error: missing config key 'operator'"),
+    (["convergence"], None, "config error: missing config key 'operator'"),
+    (["uniform_kreiss"], None, "config error: missing config key 'operator'"),
+    # a rows nmax below the scheme's first row wrote a header-only CSV
+    (["rows", "--scheme", "abel", "--nmax", "0"], None,
+     "config error: nmax must be >= 1, got 0"),
 ], ids=["misspelt_check", "unread_flag", "h1_check", "flag_type", "window_of_one",
         "config_list", "kernel_tol_m20", "kernel_tol", "kernel_tol_zero",
         "window_fraction_zero", "window_fraction_above_one", "shields_r_above_3",
@@ -482,7 +539,9 @@ def test_uniform_kreiss_scenario():
         "sampled_int", "samples_one", "sampled_nmax_1", "sampled_nmax_2", "sweep_nmax_1",
         "kreiss_r_negative", "kreiss_r_float", "uniform_kreiss_r_negative",
         "ratio_band_reversed", "kmax_float", "kmax_53", "angles_few", "tol_nan",
-        "window_float"])
+        "window_float", "kreiss_no_operator", "growth_no_operator",
+        "identities_no_operator", "convergence_no_operator", "uniform_kreiss_no_operator",
+        "rows_nmax_0"])
 def test_rejected_input_exits_2_with_one_stderr_line(argv, config, fragment, tmp_path,
                                                      capsys):
     if config is not None:
@@ -497,6 +556,25 @@ def test_rejected_input_exits_2_with_one_stderr_line(argv, config, fragment, tmp
     err = capsys.readouterr().err
     assert "Traceback" not in err and "Warning" not in err
     assert len(err.splitlines()) == 1 and fragment in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    '{"rows": null, "cols": 1, "re": [1], "im": [0]}',
+    "5",
+    '{"matrix": 5}',
+    '{"rows": 1e400, "cols": 1, "re": [1], "im": [0]}',
+    '{"matrix": {"rows": 1, "cols": 1, "re": [0.5], "im": [0]}, "gram": [1]}',
+], ids=["array", "rows_null", "number", "matrix_number", "rows_infinite", "gram_array"])
+def test_malformed_operator_file_exits_2_with_one_stderr_line(text, tmp_path, capsys):
+    op = tmp_path / "op.json"
+    op.write_text(text)
+    out = tmp_path / "r.json"
+    assert cli.main(["kreiss", "--op", str(op), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert err.startswith(f"config error: cannot load operator file {str(op)!r}: ")
     assert not out.exists()
 
 

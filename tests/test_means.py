@@ -579,6 +579,20 @@ def test_backward_closed_forms_match_defining_formula():
         assert backward_iterate(s).kind == s.kind + "_backward"
 
 
+def test_backward_of_a_backward_iterate_takes_the_formula():
+    # abel's backward iterate is the Abel rows, so its own backward iterate,
+    # by the formula, gives them again within the tail mass
+    once, twice = backward_iterate(abel()), backward_iterate(backward_iterate(abel()))
+    assert (twice.kind, twice.name, twice.min_n) == ("abel_backward_backward",
+                                                     "abel^(-1)^(-1)", 2)
+    for n in (2, 5, 40):
+        got, ref = twice.row(n), once.row(n)
+        m = min(got.weights.size, ref.weights.size)
+        assert np.max(np.abs(got.weights[:m] - ref.weights[:m])) <= 2e-12
+    # row 1 of cesaro(1)'s backward iterate is cesaro(2) row 0, the identity
+    assert backward_iterate(backward_iterate(cesaro(1))).min_n == 2
+
+
 def test_backward_degenerate_row():
     with pytest.raises(DegenerateRow):
         backward_row_from_definition(binomial(), 0)
