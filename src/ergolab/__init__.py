@@ -73,6 +73,7 @@ from .ergodic import (
     growth_exponent,
     log_fit,
     mean_convergence_report,
+    mean_norms,
     power_norm_samples,
     power_norm_sequence,
 )

@@ -248,19 +248,10 @@ def _growth_report(cfg, op):
     if cfg.get("scheme"):
         # growth of the means ||T_n|| instead of the powers ||T^n||
         scheme = _parse_scheme(cfg["scheme"])
-        nmax = cfg.get("nmax", 512, least=max(scheme.min_n, 1))
-        if scheme.kind == "cesaro":
-            pairs = [(n, op.norm(m, mode=mode))
-                     for n, m in spectral.cesaro_mean_sequence(op, scheme.p, nmax)
-                     if n >= 1]
-            ns, vals = (np.asarray(seq) for seq in zip(*pairs))
-        else:
-            ns = np.arange(max(scheme.min_n, 1), nmax + 1)
-            vals = np.empty(ns.size)
-            for part in linop._chunks(ns.size, op.dim ** 2):
-                vals[part] = op.norm(means.apply_mean(scheme, op, ns[part]), mode=mode)
-        report = ergodic.GrowthReport(label=f"||{scheme.name}({op.label})||",
-                                      ns=ns, values=vals)
+        first = max(scheme.min_n, 1)
+        ns = np.arange(first, cfg.get("nmax", 512, least=first) + 1)
+        report = ergodic.GrowthReport(label=f"||{scheme.name}({op.label})||", ns=ns,
+                                      values=ergodic.mean_norms(scheme, op, ns, mode))
         return ergodic.fitted(report, window)
     sampled = cfg.get("sampled", cfg.get("nmax", 512) > 1024)
     # two points at least: n = 1, 2 in the sweep, and the samples start at n = 2

@@ -3,8 +3,8 @@
 Growth sequences come with a log-log least-squares exponent fit over a
 trailing window.  The ergodic projection is the spectral projection onto
 the fixed space along the range of (T - I), computed from a sorted Schur
-form; a nontrivial Jordan structure at 1 is rejected.  The mean consumers
-take their means, matrices or vectors, from batched ``apply_mean`` calls.
+form; a nontrivial Jordan structure at 1 is rejected.  Norm sweeps of
+means go through ``mean_norms``; the vector consumers call ``apply_mean``.
 
 ``gamma_quotient`` estimates the limsup seminorm
 ``gamma(x) = limsup_n || T_n (T - I)^m x ||`` by a window maximum, detects
@@ -24,6 +24,7 @@ import numpy as np
 from .linop import (OperatorModel, _chunks, _power_walk, as_matrix, as_operator, op_norm,
                     power)
 from .means import MeanScheme, apply_mean
+from .spectral import cesaro_mean_sequence
 
 _OVERFLOW_LIMIT = 1e300
 _FIXED_TOL = 1e-9  # eigenvalues within this distance of 1 form the fixed cluster
@@ -58,6 +59,11 @@ class GrowthReport:
     def points(self):
         return list(zip(self.ns.tolist(), self.values.tolist()))
 
+    def _tail(self, window_fraction: float):
+        """(ns, values) of the trailing ``window_fraction`` of the points, one at least."""
+        start = len(self.ns) - max(int(math.ceil(window_fraction * len(self.ns))), 1)
+        return self.ns[start:], self.values[start:]
+
 
 def growth_exponent(report: GrowthReport, window_fraction: float = 0.5):
     """Least-squares slope of log(value) against log(n) over the trailing
@@ -65,10 +71,7 @@ def growth_exponent(report: GrowthReport, window_fraction: float = 0.5):
     log deviation from the fit."""
     if not (0.0 < window_fraction <= 1.0):
         raise ValueError("window_fraction must lie in (0, 1]")
-    count = len(report.ns)
-    start = count - max(int(math.ceil(window_fraction * count)), 1)
-    ns = np.asarray(report.ns[start:], dtype=float)
-    vals = np.asarray(report.values[start:], dtype=float)
+    ns, vals = (np.asarray(a, dtype=float) for a in report._tail(window_fraction))
     if ns.size < 8:
         raise WindowTooSmall("exponent fit needs at least 8 points")
     if np.any(vals <= 0.0):
@@ -102,10 +105,8 @@ def fitted(report: GrowthReport, window_fraction: float = 0.5) -> GrowthReport:
         expo, res = growth_exponent(report, window_fraction)
     except (WindowTooSmall, NonPositiveValues):
         return report
-    count = len(report.ns)
-    start = count - max(int(math.ceil(window_fraction * count)), 1)
     return replace(report, fit_exponent=expo, fit_residual=res,
-                   window=(int(report.ns[start]), int(report.ns[-1])))
+                   window=(int(report._tail(window_fraction)[0][0]), int(report.ns[-1])))
 
 
 def _power_norms(op: OperatorModel, ns: list, mode: str, label: str) -> GrowthReport:
@@ -191,17 +192,29 @@ def ergodic_projection(t) -> np.ndarray:
     return proj if np.iscomplexobj(a) else proj.real.copy()
 
 
-def mean_convergence_report(s: MeanScheme, t, nmax: int) -> GrowthReport:
-    """(n, || T_n - P ||) for n up to nmax, P the ergodic projection; the
-    means come in stacks of at most _STACK_CELLS cells, one ``apply_mean``
-    call and one stacked norm each."""
+def mean_norms(s: MeanScheme, t, ns, mode: str = "spectral", minus=0.0) -> np.ndarray:
+    """|| T_n - minus || at the ascending consecutive indices ``ns``, normed in
+    stacks of at most _STACK_CELLS cells: by the Pascal walk for a Cesaro
+    scheme while C(ns[-1] + p, p) <= 2**64, else by one ``apply_mean`` each."""
     op = as_operator(t)
-    proj = ergodic_projection(op)
+    ns = np.asarray(ns)
+    parts = _chunks(ns.size, op.dim ** 2)
+    # the Pascal sums are exactly C(n + p, p) times the means: past 2**64 they may overflow
+    if s.kind == "cesaro" and ns.size and math.comb(int(ns[-1]) + s.p, s.p) <= 2 ** 64:
+        walk = (m for n, m in cesaro_mean_sequence(op, s.p, int(ns[-1])) if n >= ns[0])
+        stacks = (np.stack([next(walk) for _ in ns[part]]) for part in parts)
+    else:
+        stacks = (apply_mean(s, op, ns[part]) for part in parts)
+    vals = [op.norm(stack - minus, mode=mode) for stack in stacks]
+    return np.concatenate(vals) if vals else np.empty(0)
+
+
+def mean_convergence_report(s: MeanScheme, t, nmax: int) -> GrowthReport:
+    """(n, || T_n - P ||) for n up to nmax, P the ergodic projection."""
+    op = as_operator(t)
     ns = np.arange(max(s.min_n, 0), nmax + 1)
-    vals = np.empty(ns.size)
-    for part in _chunks(ns.size, op.dim ** 2):
-        vals[part] = op.norm(apply_mean(s, op, ns[part]) - proj)
-    return GrowthReport(label=f"||mean_n({op.label}) - P||", ns=ns, values=vals)
+    return GrowthReport(label=f"||mean_n({op.label}) - P||", ns=ns,
+                        values=mean_norms(s, op, ns, minus=ergodic_projection(op)))
 
 
 def alternating_sum_residual(s: MeanScheme, t, k: int, m: int, n0: int,

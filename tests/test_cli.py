@@ -172,6 +172,21 @@ def test_finite_requested_powers_do_not_overflow(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_cesaro_growth_with_bounded_means_does_not_overflow(tmp_path):
+    # T = [[1, 1e300], [0, 0]] is idempotent, so the mean of order p at n is
+    # w I + (1 - w) T with w = p / (n + p), of norm n / (n + p) * 1e300; the
+    # Pascal sums reach 1e300 * C(110, 20) > 1e308, past 2^64 times the means
+    path = tmp_path / "op.json"
+    linop.save_operator(linop.OperatorModel(np.array([[1.0, 1e300], [0.0, 0.0]])), path)
+    out = tmp_path / "r.json"
+    argv = ["growth", "--op", str(path), "--scheme", "cesaro:p=20", "--nmax", "90"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    points = json.loads(out.read_text())["values"]["points"]
+    assert [n for n, _ in points] == list(range(1, 91))
+    for n, v in points:
+        assert v == pytest.approx(n / (n + 20) * 1e300, rel=1e-12)
+
+
 @pytest.mark.parametrize("argv", [
     # (3 / |lambda|)^n passes 1e308 in the partial sums and the Cesaro means
     ["uniform_kreiss", "--op", "diag:3", "--nmax", "1024", "--r", "1"],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ergolab import linop
+from ergolab import ergodic, linop
 from ergolab.ergodic import (
     GrowthReport,
     NonPositiveValues,
@@ -16,6 +16,7 @@ from ergolab.ergodic import (
     growth_exponent,
     log_fit,
     mean_convergence_report,
+    mean_norms,
     power_norm_samples,
     power_norm_sequence,
 )
@@ -224,6 +225,65 @@ def test_mean_convergence_diag_example():
     for n, v in rep_alt.points:
         oracle = 1.0 / (n + 1) if n % 2 == 0 else 0.0
         assert v == pytest.approx(oracle, abs=1e-14)
+
+
+def _mean_norm_operators():
+    rng = np.random.default_rng(11)
+    dense = rng.standard_normal((4, 4))
+    gram = dense @ dense.T + 4.0 * np.eye(4)
+    return {
+        "real": jordan_block(3, 1.0),
+        "complex": random_operator(4, 1.0, 3),
+        "dense_gram": OperatorModel(random_operator(4, 0.95, 5).matrix,
+                                    GramGeometry.hermitian(gram)),
+        "diagonal_gram": OperatorModel(jordan_block(3, 0.9).matrix,
+                                       GramGeometry.diagonal([1.0, 2.0, 0.5])),
+        # 2^14 cells hold 4 means of dimension 64: stacks of 4, 4, 4 and 1 or 2
+        "d64": dirichlet_shift(0.5, 64, "backward"),
+    }
+
+
+def _row_route_norms(s, op, ns, mode, minus):
+    vals = np.empty(ns.size)
+    for part in linop._chunks(ns.size, op.dim ** 2):
+        vals[part] = op.norm(apply_mean(s, op, ns[part]) - minus, mode=mode)
+    return vals
+
+
+@pytest.mark.parametrize("name", ["real", "complex", "dense_gram", "diagonal_gram", "d64"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_mean_norms_pascal_walk_matches_the_row_route(name, p, monkeypatch):
+    op = _mean_norm_operators()[name]
+    walks = []
+    walk = ergodic.cesaro_mean_sequence
+    monkeypatch.setattr(ergodic, "cesaro_mean_sequence",
+                        lambda *args: walks.append(args) or walk(*args))
+    rng = np.random.default_rng(p)
+    shift = rng.standard_normal((op.dim, op.dim)) / op.dim
+    last = 13 if op.dim == 64 else 40
+    for first in (0, 1):
+        ns = np.arange(first, last + 1)
+        for mode in ("spectral", "colsum", "rowsum"):
+            for minus in (0.0, shift):
+                got = mean_norms(cesaro(p), op, ns, mode, minus)
+                want = _row_route_norms(cesaro(p), op, ns, mode, minus)
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert len(walks) == 2 * 3 * 2
+
+
+def test_mean_norms_past_the_binomial_bound_take_the_row_route(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("the Pascal walk was taken")
+
+    monkeypatch.setattr(ergodic, "cesaro_mean_sequence", no_walk)
+    op = random_operator(4, 1.0, 3)
+    ns = np.arange(1, 101)
+    # C(100 + 20, 20) is about 1e22, past 2^64
+    assert math.comb(120, 20) > 2 ** 64
+    minus = np.eye(4) / 2
+    for mode in ("spectral", "colsum"):
+        got = mean_norms(cesaro(20), op, ns, mode, minus)
+        assert np.array_equal(got, _row_route_norms(cesaro(20), op, ns, mode, minus))
 
 
 def test_alternating_sum_residual_cases():
