@@ -8,12 +8,20 @@ that refinement diagnostics (doubling ratios, plateau detection) can be read
 off without re-running the sweep.  Divergence verdicts are never emitted
 here -- callers compare the recorded ratios against their own thresholds.
 
-Two rules are written once.  ``_pascal_sums`` is the one walk of the Cesaro
+Three rules are written once.  ``_pascal_sums`` is the one walk of the Cesaro
 sums A_n^(q) of the powers, one matrix product per step: the order-p means,
 the partial sums of the resolvent series (order 1 in T/lambda) and the Abel
 rearrangement (orders 0 and 1) all read it.  ``_first_max`` is the one
 reduction of a sweep's grid of values: its first maximum in C order, so of
 tied grid points the one that comes first in (radius, angle, n) order wins.
+``_ring_angles`` is the one mirror rule of the two annulus sweeps: for a
+real T in a real geometry, (T - conj(lambda))^{-1} and the partial sums at
+conj(lambda) are the conjugates of those at lambda, so both functionals
+take equal values there.  ``kreiss_functional`` and
+``partial_sum_functional`` then evaluate the angle indices 0..A/2 of each
+ring and copy index k into index A - k; a copy comes after its source in C
+order, so a real operator's argmax angle lies in [0, pi].  A complex
+operator or a complex Gram keeps the full ring.
 """
 
 from __future__ import annotations
@@ -27,6 +35,12 @@ from .linop import _chunks, as_operator
 from .means import SpectralRadiusTooLarge
 
 _SINGULAR_TOL = 1e-12
+
+
+def _angle_values(count: int) -> np.ndarray:
+    """The equispaced angles 2 pi k / count, k = 0..count-1, of every
+    sweep's circle."""
+    return 2.0 * np.pi * np.arange(count) / count
 
 
 class SingularResolvent(ValueError):
@@ -56,7 +70,7 @@ class AnnulusGrid:
         return cls(tuple(1.0 + 2.0 ** (-k) for k in range(1, kmax + 1)), angles)
 
     def angle_values(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.angles) / self.angles
+        return _angle_values(self.angles)
 
     def kreiss_weights(self, r: int) -> list:
         """(rho - 1)^{r+1} / rho^r for each radius rho.  Where rho^r
@@ -110,6 +124,25 @@ def _first_max(values):
     return float(values.flat[k]), tuple(int(i) for i in np.unravel_index(k, values.shape))
 
 
+def _ring_angles(op, angles: np.ndarray):
+    """(evaluated, sources) for a ring at ``angles``: the angles a sweep
+    evaluates, and for each angle index k of the ring the index into
+    ``evaluated`` whose value it takes.
+
+    A real operator in a real geometry evaluates indices 0..A/2 and index k
+    takes min(k, A - k): lambda_{A-k} is conj(lambda_k), where its
+    functionals take the values they take at lambda_k.  Any other evaluates
+    the whole ring.  A diagonal or tridiagonal geometry is real and holds no
+    dense Gram until one is asked for, so this builds none.
+    """
+    k = np.arange(angles.size)
+    gram = op.geometry
+    if np.iscomplexobj(op.matrix) or (gram is not None and gram._dense is not None
+                                      and np.any(gram._dense.imag)):
+        return angles, k
+    return angles[:angles.size // 2 + 1], np.minimum(k, angles.size - k)
+
+
 def resolvent_norm(t, lam):
     """Norm of (T - lambda I)^{-1} in T's geometry, by dense solve.
 
@@ -149,13 +182,18 @@ def resolvent_norm(t, lam):
 def kreiss_functional(t, r: int, grid: AnnulusGrid) -> FunctionalReport:
     """Grid sup of ((|lambda|-1)^{r+1} / |lambda|^r) ||(T - lambda I)^{-1}||.
 
-    Each radius ring is one ``resolvent_norm`` call.  Grid points inside
-    the (numerical) spectrum are skipped and counted.  The refinement ratio
-    compares the sup with and without the innermost radius ring.
+    Each radius ring is one ``resolvent_norm`` call, over angle indices
+    0..A/2 for a real operator in a real geometry, whose other half it
+    mirrors (``_ring_angles``), and over the full ring otherwise.  Grid
+    points inside the (numerical) spectrum are skipped and counted, mirrored
+    copies included.  The refinement ratio compares the sup with and without
+    the innermost radius ring.
     """
     op = as_operator(t)
     angles = grid.angle_values()
-    norms = np.array([resolvent_norm(op, rho * np.exp(1j * angles)) for rho in grid.radii])
+    evaluated, sources = _ring_angles(op, angles)
+    norms = np.array([resolvent_norm(op, rho * np.exp(1j * evaluated))
+                      for rho in grid.radii])[:, sources]
     skipped = np.isnan(norms)
     values = np.where(skipped, -math.inf, np.array(grid.kreiss_weights(r))[:, None] * norms)
     best, (i, m) = _first_max(values)
@@ -176,18 +214,22 @@ def partial_sum_functional(t, r: int, nmax: int, grid: AnnulusGrid) -> Functiona
 
     The sums are the order-1 Pascal sums of T/lambda, walked for a stack
     of angles at once, so the whole n-range costs one stacked matrix
-    product and one stacked norm per step.
+    product and one stacked norm per step.  A real operator in a real
+    geometry is walked at angle indices 0..A/2 of each ring, which give the
+    other half by mirroring (``_ring_angles``); any other at every angle.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     op = as_operator(t)
     angles = grid.angle_values()
-    values = np.empty((len(grid.radii), grid.angles, nmax + 1))
+    evaluated, sources = _ring_angles(op, angles)
+    values = np.empty((len(grid.radii), evaluated.size, nmax + 1))
     for i, (rho, w) in enumerate(zip(grid.radii, grid.kreiss_weights(r))):
-        lams = rho * np.exp(1j * angles)
-        for part in _chunks(grid.angles, op.dim ** 2):
+        lams = rho * np.exp(1j * evaluated)
+        for part in _chunks(evaluated.size, op.dim ** 2):
             for n, sums in _pascal_sums(op.matrix / lams[part, None, None], 1, nmax):
                 values[i, part, n] = w * op.norm(sums[1]) / rho
+    values = values[:, sources]
     best, (i, m, n) = _first_max(values)
     report = FunctionalReport(value=best, argmax={"radius": grid.radii[i],
                                                   "angle": float(angles[m]), "n": n})
@@ -223,13 +265,20 @@ def mean_growth_functional(t, p: int, r: int, nmax: int, angles: int) -> Functio
     holds the per-n maxima over angles and tail_value the maximum over the
     trailing half of the n-range (the plateau reading for bounded cases;
     the left edge can dominate the raw sup).
+
+    Unlike the two annulus sweeps it evaluates the full ring even for a
+    real operator: its reported argmax is decided between angles that tie
+    up to rounding (a weighted shift is rotation invariant), and mirroring
+    would move it to the lower of each tied pair.  The mirror waits for a
+    benchmark gate that reads the value at the argmax rather than its angle
+    (ROADMAP item 1).
     """
     if angles < 1:
         raise ValueError("need at least one angle")
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     op = as_operator(t)
-    thetas = 2.0 * np.pi * np.arange(angles) / angles
+    thetas = _angle_values(angles)
     lams = np.exp(1j * thetas)
     with np.errstate(over="ignore"):
         n_pow_r = np.arange(1, nmax + 1, dtype=float) ** r

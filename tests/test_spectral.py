@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ergolab import cli, spectral
 from ergolab.linop import (
     GramGeometry,
     OperatorModel,
@@ -14,6 +15,7 @@ from ergolab.linop import (
     op_norm,
     power,
     random_operator,
+    save_operator,
 )
 from ergolab.means import SpectralRadiusTooLarge, apply_mean, cesaro
 from ergolab.spectral import (
@@ -279,19 +281,36 @@ def _operator_form(m, form):
         return OperatorModel(m)
     if form == "diag_gram":
         return OperatorModel(m, geometry=GramGeometry.diagonal(np.linspace(0.5, 2.0, d)))
+    if form == "tridiagonal_gram":
+        return OperatorModel(m, geometry=GramGeometry.tridiagonal(np.full(d, 2.0),
+                                                                  np.full(d - 1, 0.5)))
     b = np.random.default_rng(d).standard_normal((d, d))
-    return OperatorModel(m, geometry=GramGeometry.hermitian(b.T @ b + np.eye(d)))
+    if form == "complex_gram":
+        b = b + 1j * np.random.default_rng(d + 1).standard_normal((d, d))
+    return OperatorModel(m, geometry=GramGeometry.hermitian(b.conj().T @ b + np.eye(d)))
 
 
-def _kreiss_oracle(t, r, grid):
+def _ring_sources(t, angles, mirror):
+    """The angle index each index k of a ring takes its value from: A - k
+    for k > A/2 when ``mirror`` is set and neither the operator nor its
+    Gram has an imaginary part, else k."""
+    op = as_operator(t)
+    gram = np.eye(1) if op.geometry is None else op.geometry.matrix()
+    real = mirror and not np.any(np.imag(op.matrix)) and not np.any(np.imag(gram))
+    return [min(k, angles - k) if real else k for k in range(angles)]
+
+
+def _kreiss_oracle(t, r, grid, mirror=True):
     """Scalar resolvent_norm at every grid point in (radius, angle) order,
-    keeping the first strict maximum."""
+    keeping the first strict maximum; with ``mirror`` a real operator's
+    point k > A/2 takes the value of point A - k, skipped or not."""
+    thetas = grid.angle_values()
     best, argmax, profile, skipped = -np.inf, {}, [], 0
     for rho, w in zip(grid.radii, grid.kreiss_weights(r)):
         ring = -np.inf
-        for theta in grid.angle_values():
+        for theta, source in zip(thetas, _ring_sources(t, grid.angles, mirror)):
             try:
-                val = w * resolvent_norm(t, rho * np.exp(1j * theta))
+                val = w * resolvent_norm(t, rho * np.exp(1j * thetas[source]))
             except SingularResolvent:
                 skipped += 1
                 continue
@@ -302,20 +321,29 @@ def _kreiss_oracle(t, r, grid):
     return best, argmax, profile, skipped
 
 
-def _partial_sum_oracle(t, r, nmax, grid):
-    """One angle at a time: 2-D products and norms, (radius, angle, n) order."""
+def _partial_sums_at(op, w, rho, theta, nmax):
+    """The weighted partial sums at one point, n = 0..nmax: 2-D products
+    and norms."""
+    b = op.matrix / (rho * np.exp(1j * theta))
+    p = acc = np.eye(op.dim)
+    vals = []
+    for n in range(nmax + 1):
+        if n:
+            p = p @ b
+            acc = acc + p
+        vals.append(w * op.norm(acc) / rho)
+    return vals
+
+
+def _partial_sum_oracle(t, r, nmax, grid, mirror=True):
+    """One angle at a time, (radius, angle, n) order; ``mirror`` as for
+    ``_kreiss_oracle``."""
     op = as_operator(t)
-    eye = np.eye(op.dim)
+    thetas = grid.angle_values()
     best, argmax, n_best = -np.inf, {}, [-np.inf] * (nmax + 1)
     for rho, w in zip(grid.radii, grid.kreiss_weights(r)):
-        for theta in grid.angle_values():
-            b = op.matrix / (rho * np.exp(1j * theta))
-            p = acc = eye
-            for n in range(nmax + 1):
-                if n:
-                    p = p @ b
-                    acc = acc + p
-                val = w * op.norm(acc) / rho
+        for theta, source in zip(thetas, _ring_sources(t, grid.angles, mirror)):
+            for n, val in enumerate(_partial_sums_at(op, w, rho, thetas[source], nmax)):
                 n_best[n] = max(n_best[n], val)
                 if val > best:
                     best, argmax = val, {"radius": rho, "angle": float(theta), "n": n}
@@ -395,6 +423,91 @@ def test_stacked_sweeps_cross_chunk_boundaries():
     assert (sums.value, sums.argmax, sums.n_profile) == _partial_sum_oracle(t, 1, 2, grid)
     growth = mean_growth_functional(t, 1, 1, 2, 64)
     assert (growth.value, growth.argmax, growth.n_profile) == _mean_growth_oracle(t, 1, 1, 2, 64)
+
+
+def _real_matrix(d, seed):
+    """A real, non-normal d x d matrix of spectral radius 0.9."""
+    m = np.random.default_rng(seed).standard_normal((d, d))
+    return 0.9 * m / np.max(np.abs(np.linalg.eigvals(m)))
+
+
+_RING_CASES = [("real", "model"), ("complex", "model"), ("real", "diag_gram"),
+               ("real", "tridiagonal_gram"), ("real", "dense_gram"), ("real", "complex_gram")]
+
+
+@pytest.mark.parametrize("angles", [9, 16])
+@pytest.mark.parametrize("kind,form", _RING_CASES)
+def test_half_rings_mirror_real_operators_and_match_the_full_ring(kind, form, angles,
+                                                                   monkeypatch):
+    m = _real_matrix(5, 59) if kind == "real" else random_operator(5, 0.9, seed=59).matrix
+    t = _operator_form(m, form)
+    real = kind == "real" and form != "complex_gram"
+    grid = AnnulusGrid.dyadic(3, angles)
+    ring_points, stacked_points = [], []
+    norm, sums = spectral.resolvent_norm, spectral._pascal_sums
+
+    def counted_norm(op, lam):
+        ring_points.append(np.size(lam))
+        return norm(op, lam)
+
+    def counted_sums(b, p, nmax):
+        stacked_points.append(len(b))
+        return sums(b, p, nmax)
+
+    monkeypatch.setattr(spectral, "resolvent_norm", counted_norm)
+    monkeypatch.setattr(spectral, "_pascal_sums", counted_sums)
+    rep = kreiss_functional(t, 1, grid)
+    partial = partial_sum_functional(t, 1, 6, grid)
+    monkeypatch.undo()
+    # a real ring is evaluated at angle indices 0..A/2, a complex one whole
+    evaluated = angles // 2 + 1 if real else angles
+    assert ring_points == [evaluated] * len(grid.radii)
+    assert sum(stacked_points) == evaluated * len(grid.radii)
+    if form == "tridiagonal_gram":
+        assert t.geometry._dense is None
+    if real:
+        assert rep.argmax["angle"] <= np.pi and partial.argmax["angle"] <= np.pi
+
+    # bit for bit against the per-point loop over the same mirrored ring
+    assert (rep.value, rep.argmax, rep.radius_profile, rep.skipped) == \
+        _kreiss_oracle(t, 1, grid)
+    assert (partial.value, partial.argmax, partial.n_profile) == \
+        _partial_sum_oracle(t, 1, 6, grid)
+    # to rounding against the per-point loop over the full ring
+    value, _, profile, skipped = _kreiss_oracle(t, 1, grid, mirror=False)
+    assert rep.value == pytest.approx(value, rel=1e-12)
+    assert [v for _, v in rep.radius_profile] == pytest.approx([v for _, v in profile],
+                                                               rel=1e-12)
+    assert rep.skipped == skipped
+    value, _, n_profile = _partial_sum_oracle(t, 1, 6, grid, mirror=False)
+    assert partial.value == pytest.approx(value, rel=1e-12)
+    assert [v for _, v in partial.n_profile] == pytest.approx([v for _, v in n_profile],
+                                                              rel=1e-12)
+    # the value at the reported argmax is the maximum
+    weight = dict(zip(grid.radii, grid.kreiss_weights(1)))
+    rho, theta = rep.argmax["radius"], rep.argmax["angle"]
+    assert weight[rho] * resolvent_norm(t, rho * np.exp(1j * theta)) == rep.value
+    rho, theta, n = partial.argmax["radius"], partial.argmax["angle"], partial.argmax["n"]
+    assert _partial_sums_at(as_operator(t), weight[rho], rho, theta, 6)[n] == partial.value
+
+
+def test_mirrored_ring_skips_both_conjugate_eigenvalues(tmp_path):
+    # 1.5 times the rotation by 2 pi 3/16: its eigenvalues 1.5 e^{+-2 pi i 3/16}
+    # are the points 3 and 13 of the 16-angle ring at radius 1.5
+    phi = 2.0 * np.pi * 3 / 16
+    t = OperatorModel(1.5 * np.array([[np.cos(phi), -np.sin(phi)],
+                                      [np.sin(phi), np.cos(phi)]]))
+    grid = AnnulusGrid.dyadic(3, 16)
+    rep = kreiss_functional(t, 0, grid)
+    assert rep.skipped == 2
+    value, argmax, _, skipped = _kreiss_oracle(t, 0, grid, mirror=False)
+    assert (rep.value, rep.argmax, rep.skipped) == (value, argmax, skipped)
+    save_operator(t, tmp_path / "op.json")
+    out = tmp_path / "r.json"
+    assert cli.main(["kreiss", "--op", str(tmp_path / "op.json"), "--kmax", "3",
+                     "--angles", "16", "--out", str(out)]) == 1
+    [check] = json.loads(out.read_text())["checks"]
+    assert (check["name"], check["value"]) == ("evaluated_grid_points", 2)
 
 
 def test_failed_stacked_solve_skips_exactly_the_singular_point():
