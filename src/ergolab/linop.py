@@ -22,9 +22,10 @@ value and are dropped, so the nilpotent powers of a truncated shift cost
 a fraction of a full SVD.  A core with exactly one nonzero in each kept
 row and column (a weighted shift, its powers, a diagonal) is a scaled
 partial permutation and needs no SVD: its norm is its largest |entry|.
-An operator is real unless its entries are not: an imaginary part that
-is identically zero is dropped, and complex arithmetic enters only with
-a complex scalar or complex data.
+An operator or a dense Gram is real unless its entries are not: an
+imaginary part that is identically zero is dropped (``_real_if_real``), so
+a real Gram read from a file stays real, and complex arithmetic enters
+only with a complex scalar or complex data.
 ``mode="colsum"`` and ``mode="rowsum"`` select the max-column-sum /
 max-row-sum norms instead, i.e. the l1- and linf-induced operator norms.
 
@@ -92,6 +93,11 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _real_if_real(m: np.ndarray) -> np.ndarray:
+    """The dtype rule of operators and dense Grams: drop a zero imaginary part."""
+    return m.real.copy() if np.iscomplexobj(m) and not np.any(m.imag) else m
+
+
 class GramGeometry:
     """Positive-definite weighting under which vector/operator norms are taken.
 
@@ -140,7 +146,7 @@ class GramGeometry:
             self._factor_bands = (u[1], u[0, 1:])
             self._factor = None
         else:
-            g = as_matrix(dense)
+            g = _real_if_real(as_matrix(dense))
             if g.shape != (self.dim, self.dim):
                 raise DimensionMismatch("dense Gram shape != (dim, dim)")
             if np.max(np.abs(g - g.conj().T)) > _HERMITIAN_TOL * max(1.0, np.max(np.abs(g))):
@@ -240,9 +246,7 @@ class OperatorModel:
     _eigvals: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.matrix = as_matrix(self.matrix)
-        if np.iscomplexobj(self.matrix) and not np.any(self.matrix.imag):
-            self.matrix = self.matrix.real.copy()
+        self.matrix = _real_if_real(as_matrix(self.matrix))
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise DimensionMismatch("OperatorModel matrix must be square")
         if self.geometry is not None and self.geometry.dim != self.matrix.shape[0]:

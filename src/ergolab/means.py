@@ -2,7 +2,8 @@
 
 A mean scheme is a nonnegative row-stochastic coefficient table: row n
 applied to the power sequence {T^j} gives the operator mean
-``T_n = sum_j t_nj T^j``.  Implemented families:
+``T_n = sum_j t_nj T^j``.  Every scheme, backward iterates included, is one
+``MeanScheme`` holding a row rule that its factory binds.  Implemented families:
 
 * ``cesaro(p)``   -- Cesaro means of integer order p >= 1; row weights come
   from the product form ``(p/(n+p)) * prod_{k=1}^{p-1} (n+k-j)/(n+k)`` of
@@ -21,10 +22,10 @@ the truncation defect stays visible in tests.  Only ``MeanScheme.row``
 takes ``tail_eps``; every mean below uses rows at ``DEFAULT_TAIL_EPS``.
 
 ``backward_iterate`` produces the scheme with coefficients
-``s_nk = (sum_{j>=k+1} t_nj) / (sum_{j>=1} j t_nj)``: one class whose rows
-come from a closed form for the Cesaro and Abel families and from the
-defining formula, ``backward_row_from_definition``, otherwise.  The formula
-is also the test oracle of the closed forms.
+``s_nk = (sum_{j>=k+1} t_nj) / (sum_{j>=1} j t_nj)``: a ``MeanScheme`` whose
+row rule, picked by the source's kind, is a closed form for the Cesaro and
+Abel families and the defining formula, ``backward_row_from_definition``,
+otherwise.  The formula is also the test oracle of the closed forms.
 
 ``apply_mean`` is the one mean walk: of the powers, or, given ``x``, of the
 vectors T^j x.  Every function taking an operator coerces it once with
@@ -85,199 +86,156 @@ def _check_tail_eps(tail_eps: float) -> None:
 
 
 class MeanScheme:
-    """Base class: a row generator with kind/name metadata."""
+    """A summability scheme: row n is ``rule(n, tail_eps)``, under the
+    metadata that reports and dispatch read (``p``: the Cesaro order)."""
 
-    kind = "abstract"
-    name = "abstract"
-    min_n = 0
-    finite_rows = True
+    def __init__(self, kind, name, rule, min_n=0, finite_rows=True, p=None):
+        self.kind = kind
+        self.name = name
+        self.rule = rule
+        self.min_n = min_n
+        self.finite_rows = finite_rows
+        self.p = p
 
     def row(self, n: int, tail_eps: float = DEFAULT_TAIL_EPS) -> MeanRow:
         _check_tail_eps(tail_eps)
         if n < self.min_n:
             raise RowOutOfRange(f"{self.name}: row {n} < min_n {self.min_n}")
-        return self._row(int(n), float(tail_eps))
-
-    def _row(self, n: int, tail_eps: float) -> MeanRow:
-        raise NotImplementedError
+        return self.rule(int(n), float(tail_eps))
 
     def __repr__(self):
         return f"<MeanScheme {self.name}>"
 
 
-class _Cesaro(MeanScheme):
-    kind = "cesaro"
-
-    def __init__(self, p: int):
-        if p < 1:
-            raise ValueError("cesaro order p must be >= 1")
-        self.p = int(p)
-        self.name = f"cesaro(p={p})"
-
-    def _row(self, n, tail_eps):
-        j = np.arange(n + 1, dtype=float)
-        w = np.full(n + 1, self.p / (n + self.p))
-        for k in range(1, self.p):
-            w *= (n + k - j) / (n + k)
-        return MeanRow(n, np.arange(n + 1), w)
+def _cesaro_row(p, n, tail_eps):
+    j = np.arange(n + 1, dtype=float)
+    w = np.full(n + 1, p / (n + p))
+    for k in range(1, p):
+        w *= (n + k - j) / (n + k)
+    return MeanRow(n, np.arange(n + 1), w)
 
 
-class _Abel(MeanScheme):
-    kind = name = "abel"
-    min_n = 1
-    finite_rows = False
-
-    def _row(self, n, tail_eps):
-        if n == 1:
-            return MeanRow(1, np.arange(1), np.array([1.0]))
-        q = 1.0 - 1.0 / n
-        # smallest J with q^{J+1} < tail_eps
-        j_max = int(math.ceil(math.log(tail_eps) / math.log(q))) - 1
-        j_max = max(j_max, 0)
-        j = np.arange(j_max + 1)
-        w = (1.0 / n) * q ** j.astype(float)
-        return MeanRow(n, j, w, tail_mass_bound=q ** (j_max + 1))
+def _abel_row(n, tail_eps):
+    if n == 1:
+        return MeanRow(1, np.arange(1), np.array([1.0]))
+    q = 1.0 - 1.0 / n
+    # smallest J with q^{J+1} < tail_eps
+    j_max = int(math.ceil(math.log(tail_eps) / math.log(q))) - 1
+    j_max = max(j_max, 0)
+    j = np.arange(j_max + 1)
+    w = (1.0 / n) * q ** j.astype(float)
+    return MeanRow(n, j, w, tail_mass_bound=q ** (j_max + 1))
 
 
-class _Zweier(MeanScheme):
-    kind = name = "zweier"
-    min_n = 1
-
-    def _row(self, n, tail_eps):
-        if n == 1:
-            return MeanRow(1, np.arange(2), np.array([0.5, 0.5]))
-        return MeanRow(n, np.array([n - 1, n]), np.array([0.5, 0.5]))
+def _zweier_row(n, tail_eps):
+    if n == 1:
+        return MeanRow(1, np.arange(2), np.array([0.5, 0.5]))
+    return MeanRow(n, np.array([n - 1, n]), np.array([0.5, 0.5]))
 
 
-class _Binomial(MeanScheme):
-    kind = name = "binomial"
-
-    def _row(self, n, tail_eps):
-        import scipy.special
-        j = np.arange(n + 1, dtype=float)
-        logw = (scipy.special.gammaln(n + 1) - scipy.special.gammaln(j + 1)
-                - scipy.special.gammaln(n - j + 1) - n * math.log(2.0))
-        return MeanRow(n, np.arange(n + 1), np.exp(logw))
+def _binomial_row(n, tail_eps):
+    import scipy.special
+    j = np.arange(n + 1, dtype=float)
+    logw = (scipy.special.gammaln(n + 1) - scipy.special.gammaln(j + 1)
+            - scipy.special.gammaln(n - j + 1) - n * math.log(2.0))
+    return MeanRow(n, np.arange(n + 1), np.exp(logw))
 
 
-class _PowerSeries(MeanScheme):
+def _powers_row(n, tail_eps):
+    return MeanRow(n, np.array([n]), np.array([1.0]))
+
+
+def _polynomial_row(coeffs, n, tail_eps):
+    r = 1.0 - 1.0 / n
+    u = coeffs * r ** np.arange(coeffs.size, dtype=float)
+    keep = np.nonzero(u > 0)[0]
+    if keep.size == 0:
+        raise RowOutOfRange(f"power_series row {n}: F(r_n) = 0")
+    # the row is scale-invariant: an exact power-of-two rescale of its
+    # terms to a maximum in [1/2, 1) keeps F(r_n) from overflowing
+    u = np.ldexp(u, -np.frexp(u.max())[1])
+    return MeanRow(n, keep, u[keep] / np.sum(u))
+
+
+def _series_row(coeff, n, tail_eps):
+    r = 1.0 - 1.0 / n
+    if r == 0.0:
+        # F(0*T)/F(0) = I; only defined when f_0 > 0 (guarded by min_n)
+        return MeanRow(n, np.arange(1), np.array([1.0]))
+    # infinite series: accumulate until the geometric majorant of the tail
+    # (ratio test on the observed terms) is below tail_eps
+    terms = []
+    j = 0
+    accum = 0.0
+    window = []
+    while True:
+        u = float(coeff(j)) * r ** j
+        if not 0.0 <= u < math.inf:
+            raise ValueError("power_series coefficients must be finite and >= 0")
+        terms.append(u)
+        accum += u
+        if terms[-1] > 0 and len(terms) >= 2 and terms[-2] > 0:
+            window.append(terms[-1] / terms[-2])
+            window = window[-8:]
+        if j >= 8 and window:
+            ratio = max(window)
+            if ratio < 1.0 and accum > 0:
+                tail = terms[-1] * ratio / (1.0 - ratio)
+                if tail < tail_eps * accum:
+                    total = accum + tail
+                    u_arr = np.asarray(terms)
+                    keep = u_arr > 0
+                    return MeanRow(n, np.nonzero(keep)[0], u_arr[keep] / total,
+                                   tail_mass_bound=tail / total)
+        j += 1
+        if j > 2_000_000:
+            raise RuntimeError("power_series row truncation did not converge")
+
+
+def cesaro(p: int = 1) -> MeanScheme:
+    if p < 1:
+        raise ValueError("cesaro order p must be >= 1")
+    return MeanScheme("cesaro", f"cesaro(p={p})", functools.partial(_cesaro_row, int(p)),
+                      p=int(p))
+
+
+def abel() -> MeanScheme:
+    return MeanScheme("abel", "abel", _abel_row, min_n=1, finite_rows=False)
+
+
+def zweier() -> MeanScheme:
+    return MeanScheme("zweier", "zweier", _zweier_row, min_n=1)
+
+
+def binomial() -> MeanScheme:
+    return MeanScheme("binomial", "binomial", _binomial_row)
+
+
+def power_series(coeffs) -> MeanScheme:
     """F(r_n T)/F(r_n) for F with nonnegative Taylor coefficients.
 
     ``coeffs`` is either a finite sequence (F a polynomial; rows exact) or a
     callable j -> f_j (rows truncated by an observed-ratio geometric bound).
     Row n is taken at the radius r_n = 1 - 1/n.
     """
-
-    kind = name = "power_series"
-    _MAX_TERMS = 2_000_000
-
-    def __init__(self, coeffs):
-        if callable(coeffs):
-            self._coeff_fn = coeffs
-            self._coeff_vec = None
-            f0 = float(coeffs(0))
-        else:
-            vec = np.asarray(coeffs, dtype=float)
-            if vec.ndim != 1 or vec.size == 0:
-                raise ValueError("power_series coeffs must be a nonempty 1-D sequence")
-            if not np.all(np.isfinite(vec)) or np.any(vec < 0) or not np.any(vec > 0):
-                raise ValueError("power_series coeffs must be finite, >= 0 and not all zero")
-            self._coeff_vec = vec
-            self._coeff_fn = None
-            f0 = float(vec[0])
-        # row 1 has radius 0: only defined when f_0 > 0
-        self.min_n = 1 if f0 > 0 else 2
-        self.finite_rows = self._coeff_vec is not None
-
-    def _row(self, n, tail_eps):
-        r = 1.0 - 1.0 / n
-        if self._coeff_vec is not None:
-            u = self._coeff_vec * r ** np.arange(self._coeff_vec.size, dtype=float)
-            keep = np.nonzero(u > 0)[0]
-            if keep.size == 0:
-                raise RowOutOfRange(f"power_series row {n}: F(r_n) = 0")
-            # the row is scale-invariant: an exact power-of-two rescale of its
-            # terms to a maximum in [1/2, 1) keeps F(r_n) from overflowing
-            u = np.ldexp(u, -np.frexp(u.max())[1])
-            return MeanRow(n, keep, u[keep] / np.sum(u))
-        if r == 0.0:
-            # F(0*T)/F(0) = I; only defined when f_0 > 0 (guarded by min_n)
-            return MeanRow(n, np.arange(1), np.array([1.0]))
-        # infinite series: accumulate until the geometric majorant of the tail
-        # (ratio test on the observed terms) is below tail_eps
-        terms = []
-        j = 0
-        accum = 0.0
-        window = []
-        while True:
-            u = float(self._coeff_fn(j)) * r ** j
-            if not 0.0 <= u < math.inf:
-                raise ValueError("power_series coefficients must be finite and >= 0")
-            terms.append(u)
-            accum += u
-            if terms[-1] > 0 and len(terms) >= 2 and terms[-2] > 0:
-                window.append(terms[-1] / terms[-2])
-                window = window[-8:]
-            if j >= 8 and window:
-                ratio = max(window)
-                if ratio < 1.0 and accum > 0:
-                    tail = terms[-1] * ratio / (1.0 - ratio)
-                    if tail < tail_eps * accum:
-                        total = accum + tail
-                        u_arr = np.asarray(terms)
-                        keep = u_arr > 0
-                        return MeanRow(n, np.nonzero(keep)[0], u_arr[keep] / total,
-                                       tail_mass_bound=tail / total)
-            j += 1
-            if j > self._MAX_TERMS:
-                raise RuntimeError("power_series row truncation did not converge")
-
-
-class _IdentityPowers(MeanScheme):
-    kind = "identity_powers"
-    name = "powers"
-
-    def _row(self, n, tail_eps):
-        return MeanRow(n, np.array([n]), np.array([1.0]))
-
-
-class _Backward(MeanScheme):
-    """Backward iterate of ``base``: row n is ``rule(n, tail_eps)``, a
-    closed form or the defining formula (see ``backward_iterate``)."""
-
-    def __init__(self, base: MeanScheme, min_n: int, rule):
-        self.kind = base.kind + "_backward"
-        self.name = base.name + "^(-1)"
-        self.min_n = min_n
-        self.finite_rows = base.finite_rows
-        self._rule = rule
-
-    def _row(self, n, tail_eps):
-        return self._rule(n, tail_eps)
-
-
-def cesaro(p: int = 1) -> MeanScheme:
-    return _Cesaro(p)
-
-
-def abel() -> MeanScheme:
-    return _Abel()
-
-
-def zweier() -> MeanScheme:
-    return _Zweier()
-
-
-def binomial() -> MeanScheme:
-    return _Binomial()
-
-
-def power_series(coeffs) -> MeanScheme:
-    return _PowerSeries(coeffs)
+    if callable(coeffs):
+        rule = functools.partial(_series_row, coeffs)
+        f0 = float(coeffs(0))
+    else:
+        vec = np.asarray(coeffs, dtype=float)
+        if vec.ndim != 1 or vec.size == 0:
+            raise ValueError("power_series coeffs must be a nonempty 1-D sequence")
+        if not np.all(np.isfinite(vec)) or np.any(vec < 0) or not np.any(vec > 0):
+            raise ValueError("power_series coeffs must be finite, >= 0 and not all zero")
+        rule = functools.partial(_polynomial_row, vec)
+        f0 = float(vec[0])
+    # row 1 has radius 0: only defined when f_0 > 0
+    return MeanScheme("power_series", "power_series", rule, min_n=1 if f0 > 0 else 2,
+                      finite_rows=not callable(coeffs))
 
 
 def identity_powers() -> MeanScheme:
-    return _IdentityPowers()
+    return MeanScheme("identity_powers", "powers", _powers_row)
 
 
 def backward_row_from_definition(s: MeanScheme, n: int,
@@ -305,9 +263,9 @@ def backward_row_from_definition(s: MeanScheme, n: int,
 
 
 def backward_iterate(s: MeanScheme) -> MeanScheme:
-    """Scheme of the backward-iterate coefficients of ``s``: one class whose
-    row n is a closed form for the Cesaro and Abel schemes and the defining
-    formula otherwise.
+    """The ``MeanScheme`` of the backward-iterate coefficients of ``s``,
+    whose row rule is picked by ``s.kind``: a closed form for the Cesaro
+    and Abel kinds, the defining formula otherwise.
 
     Closed forms: cesaro(p) -> row n - 1 of cesaro(p+1), relabelled n;
     abel -> the Abel row itself.  On zweier the formula gives the closed form
@@ -317,14 +275,12 @@ def backward_iterate(s: MeanScheme) -> MeanScheme:
     The kind is ``"<base kind>_backward"`` and the name
     ``"<base name>^(-1)"``.
     """
-    if isinstance(s, _Cesaro):
-        up = _Cesaro(s.p + 1)
-
+    if s.kind == "cesaro":
         def rule(n, tail_eps):
-            row = up._row(n - 1, tail_eps)
+            row = _cesaro_row(s.p + 1, n - 1, tail_eps)
             return MeanRow(n, row.indices, row.weights)
-    elif isinstance(s, _Abel):
-        rule = s._row
+    elif s.kind == "abel":
+        rule = _abel_row
     else:
         rule = functools.partial(backward_row_from_definition, s)
     min_n = max(s.min_n, 1)
@@ -332,7 +288,7 @@ def backward_iterate(s: MeanScheme) -> MeanScheme:
         backward_row_from_definition(s, min_n)
     except DegenerateRow:
         min_n += 1
-    return _Backward(s, min_n, rule)
+    return MeanScheme(s.kind + "_backward", s.name + "^(-1)", rule, min_n, s.finite_rows)
 
 
 def _check_unimodular(lam: complex) -> complex:
@@ -510,34 +466,38 @@ def regularity_defect(s: MeanScheme, t, n0: int, x, n: int) -> float:
     return op.vector_norm(op.matrix @ mean_n - mean_later)
 
 
+# spec head -> (factory, the parameters it takes); a piece without "=" is p
+_SPEC_HEADS = {
+    "cesaro": (lambda p=1: cesaro(int(p)), ("p",)),
+    "abel": (abel, ()),
+    "zweier": (zweier, ()),
+    "binomial": (binomial, ()),
+    "powers": (identity_powers, ()),
+    "powseries": (lambda coeffs: power_series([float(c) for c in coeffs.split(",")]),
+                  ("coeffs",)),
+}
+
+
 def parse_scheme(spec: str) -> MeanScheme:
-    """Parse a scheme spec string: "cesaro:p=2", "abel", "zweier",
-    "binomial", "powers", "powseries:coeffs=1,0.5,0.25"."""
+    """Parse a scheme spec string: "cesaro:p=2" (or "cesaro:2"), "abel",
+    "zweier", "binomial", "powers", "powseries:coeffs=1,0.5,0.25".  A
+    parameter that the family does not take is a ValueError."""
     parts = spec.strip().split(":")
     head = parts[0].lower()
+    if head not in _SPEC_HEADS:
+        raise ValueError(f"unknown scheme spec {spec!r}")
+    factory, takes = _SPEC_HEADS[head]
     params = {}
     for piece in parts[1:]:
-        if "=" in piece:
-            key, val = piece.split("=", 1)
-            params[key.strip()] = val.strip()
-        else:
-            params.setdefault("p", piece.strip())
-    if head == "cesaro":
-        return cesaro(int(params.get("p", 1)))
-    if head == "abel":
-        return abel()
-    if head == "zweier":
-        return zweier()
-    if head == "binomial":
-        return binomial()
-    if head == "powers":
-        return identity_powers()
-    if head == "powseries":
-        if "coeffs" not in params:
-            raise ValueError("powseries spec needs coeffs=c0,c1,...")
-        coeffs = [float(c) for c in params["coeffs"].split(",")]
-        return power_series(coeffs)
-    raise ValueError(f"unknown scheme spec {spec!r}")
+        key, eq, val = piece.partition("=")
+        key, val = (key.strip(), val.strip()) if eq else ("p", piece.strip())
+        if key not in takes:
+            raise ValueError(f"scheme {head} takes no parameter {key if eq else val!r}")
+        if eq or key not in params:
+            params[key] = val
+    if head == "powseries" and "coeffs" not in params:
+        raise ValueError("powseries spec needs coeffs=c0,c1,...")
+    return factory(**params)
 
 
 def rows_to_csv(s: MeanScheme, ns, path) -> None:

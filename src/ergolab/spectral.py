@@ -137,8 +137,7 @@ def _ring_angles(op, angles: np.ndarray):
     """
     k = np.arange(angles.size)
     gram = op.geometry
-    if np.iscomplexobj(op.matrix) or (gram is not None and gram._dense is not None
-                                      and np.any(gram._dense.imag)):
+    if np.iscomplexobj(op.matrix) or (gram is not None and np.iscomplexobj(gram._dense)):
         return angles, k
     return angles[:angles.size // 2 + 1], np.minimum(k, angles.size - k)
 

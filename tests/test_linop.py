@@ -622,6 +622,23 @@ def test_gram_json_round_trip(tmp_path):
     assert np.allclose(loaded.dense, dense.dense)
 
 
+
+def test_real_dense_gram_from_a_file_stays_real(tmp_path):
+    # the wire format always carries gram_im; all zeros loads a real Gram,
+    # whose norms are those of the in-memory geometry bit for bit
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((16, 16))
+    t = OperatorModel(rng.standard_normal((16, 16)),
+                      geometry=GramGeometry.hermitian(b @ b.T / 16 + 0.5 * np.eye(16)))
+    path = tmp_path / "op.json"
+    linop.save_operator(t, path)
+    loaded = linop.load_operator(path)
+    assert loaded.geometry.dense.dtype == np.float64
+    assert loaded.geometry.factor().dtype == np.float64
+    stack = rng.standard_normal((8, 16, 16))
+    assert np.array_equal(loaded.norm(stack), t.norm(stack))
+    assert loaded.norm() == t.norm()
+
 def test_operator_file_round_trip(tmp_path):
     t = OperatorModel(np.array([[1.0, 0.5], [0.0, 1j]]),
                       geometry=GramGeometry.diagonal([1.0, 3.0]), label="demo")

@@ -593,6 +593,70 @@ def test_backward_of_a_backward_iterate_takes_the_formula():
     assert backward_iterate(backward_iterate(cesaro(1))).min_n == 2
 
 
+
+def _ps_callable(j):
+    return 1.0 / (j + 1.0)
+
+
+@pytest.mark.parametrize("make, kind, name, min_n, finite_rows, p", [
+    (lambda: cesaro(1), "cesaro", "cesaro(p=1)", 0, True, 1),
+    (lambda: cesaro(3), "cesaro", "cesaro(p=3)", 0, True, 3),
+    (abel, "abel", "abel", 1, False, None),
+    (zweier, "zweier", "zweier", 1, True, None),
+    (binomial, "binomial", "binomial", 0, True, None),
+    (identity_powers, "identity_powers", "powers", 0, True, None),
+    (lambda: power_series([1.0, 0.5]), "power_series", "power_series", 1, True, None),
+    (lambda: power_series([0.0, 1.0]), "power_series", "power_series", 2, True, None),
+    (lambda: power_series(_ps_callable), "power_series", "power_series", 1, False, None),
+    (lambda: backward_iterate(cesaro(3)), "cesaro_backward", "cesaro(p=3)^(-1)", 1, True,
+     None),
+    (lambda: backward_iterate(abel()), "abel_backward", "abel^(-1)", 2, False, None),
+    (lambda: backward_iterate(zweier()), "zweier_backward", "zweier^(-1)", 1, True, None),
+    (lambda: backward_iterate(binomial()), "binomial_backward", "binomial^(-1)", 1, True,
+     None),
+    (lambda: backward_iterate(identity_powers()), "identity_powers_backward",
+     "powers^(-1)", 1, True, None),
+    (lambda: backward_iterate(power_series([1.0, 0.5])), "power_series_backward",
+     "power_series^(-1)", 2, True, None),
+    (lambda: backward_iterate(power_series([0.0, 1.0])), "power_series_backward",
+     "power_series^(-1)", 2, True, None),
+    (lambda: backward_iterate(power_series(_ps_callable)), "power_series_backward",
+     "power_series^(-1)", 2, False, None),
+    (lambda: backward_iterate(backward_iterate(cesaro(1))), "cesaro_backward_backward",
+     "cesaro(p=1)^(-1)^(-1)", 2, True, None),
+    (lambda: backward_iterate(backward_iterate(abel())), "abel_backward_backward",
+     "abel^(-1)^(-1)", 2, False, None),
+], ids=["cesaro1", "cesaro3", "abel", "zweier", "binomial", "powers", "ps_f0",
+        "ps_no_f0", "ps_callable", "cesaro3_back", "abel_back", "zweier_back",
+        "binomial_back", "powers_back", "ps_f0_back", "ps_no_f0_back",
+        "ps_callable_back", "cesaro1_back_back", "abel_back_back"])
+def test_scheme_metadata_table(make, kind, name, min_n, finite_rows, p):
+    s = make()
+    assert type(s) is means.MeanScheme
+    assert (s.kind, s.name, s.min_n, s.finite_rows, s.p) == (kind, name, min_n,
+                                                             finite_rows, p)
+
+
+@pytest.mark.parametrize("s", [cesaro(1), cesaro(4), abel()], ids=lambda s: s.name)
+def test_backward_iterate_takes_the_closed_form_by_kind(s, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return backward_row_from_definition(*args, **kwargs)
+
+    monkeypatch.setattr(means, "backward_row_from_definition", counted)
+    back = means.backward_iterate(s)
+    # the one call is the min_n probe; no row comes from the formula
+    assert calls == [max(s.min_n, 1)]
+    for n in range(back.min_n, back.min_n + 12):
+        back.row(n)
+    assert calls == [max(s.min_n, 1)]
+    # any other kind takes the formula for every row
+    other = means.backward_iterate(zweier())
+    other.row(4)
+    assert calls[-1] == 4
+
 def test_backward_degenerate_row():
     with pytest.raises(DegenerateRow):
         backward_row_from_definition(binomial(), 0)
@@ -708,6 +772,23 @@ def test_parse_scheme_round_trip():
         parse_scheme("mystery")
     with pytest.raises(ValueError):
         parse_scheme("powseries")
+    # the positional order and the default order of cesaro
+    assert parse_scheme("cesaro:3").p == 3 and parse_scheme("cesaro").p == 1
+
+
+@pytest.mark.parametrize("spec, fragment", [
+    ("cesaro:order=3", "scheme cesaro takes no parameter 'order'"),
+    ("cesaro:coeffs=1", "scheme cesaro takes no parameter 'coeffs'"),
+    ("abel:p=3", "scheme abel takes no parameter 'p'"),
+    ("zweier:3", "scheme zweier takes no parameter '3'"),
+    ("binomial:coeffs=1", "scheme binomial takes no parameter 'coeffs'"),
+    ("powers:p=2", "scheme powers takes no parameter 'p'"),
+    ("powseries:p=2:coeffs=1", "scheme powseries takes no parameter 'p'"),
+    ("powseries:1,0.5", "scheme powseries takes no parameter '1,0.5'"),
+])
+def test_parse_scheme_rejects_a_parameter_its_family_does_not_take(spec, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        parse_scheme(spec)
 
 
 def test_rows_to_csv(tmp_path):
