@@ -19,9 +19,12 @@ and applied in O(n) per column, elementwise square root for diagonal
 ones).  The SVD runs on the nonzero core of that matrix: its zero rows
 and columns (for a stack, those zero in every matrix) carry no singular
 value and are dropped, so the nilpotent powers of a truncated shift cost
-a fraction of a full SVD.  A core with exactly one nonzero in each kept
-row and column (a weighted shift, its powers, a diagonal) is a scaled
-partial permutation and needs no SVD: its norm is its largest |entry|.
+a fraction of a full SVD; and once a walk's power is exactly zero
+(``_power_walk``), the mean and partial-sum sweeps stop walking, so they
+pay nothing past a shift's nilpotency index.  A core with exactly one
+nonzero in each kept row and column (a weighted shift, its powers, a
+diagonal) is a scaled partial permutation and needs no SVD: its norm is
+its largest |entry|.
 An operator or a dense Gram is real unless its entries are not: an
 imaginary part that is identically zero is dropped (``_real_if_real``), so
 a real Gram read from a file stays real, and complex arithmetic enters
@@ -419,7 +422,13 @@ def _power_walk(a: np.ndarray, ns, left=None, size=1):
 
     With ``size=1`` there are no runs: the walk is the single steps alone,
     and each stack is the view ``p[None]`` of the walk's own power (``a``
-    itself at n = 1, ``left`` itself at n = 0)."""
+    itself at n = 1, ``left`` itself at n = 0).
+
+    Once a yielded stack's first power is exactly zero, every later power
+    the walk forms is a product by that zero matrix, so it is exactly zero
+    too.  A consumer that finds a zero first power (one ``.any()``) may
+    stop drawing stacks and take every later power as zero: its results
+    are bit for bit those of the whole walk."""
     mul = np.matmul
     if a.shape[0] >= _TRMM_MIN_DIM:
         a = np.ascontiguousarray(a)

@@ -5,7 +5,8 @@ applied to the power sequence {T^j} gives the operator mean
 ``T_n = sum_j t_nj T^j``.  Every scheme, backward iterates included, is one
 ``MeanScheme`` holding a row rule that its factory binds.  Implemented families:
 
-* ``cesaro(p)``   -- Cesaro means of integer order p >= 1; row weights come
+* ``cesaro(p)``   -- Cesaro means of integer order p >= 1 (a float or a bool
+  is a ValueError, as in ``spectral.cesaro_mean_sequence``); row weights come
   from the product form ``(p/(n+p)) * prod_{k=1}^{p-1} (n+k-j)/(n+k)`` of
   exact ratios, which stays well-scaled and accurate to a few ulps for n up
   to 1e4.
@@ -39,6 +40,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,11 +194,16 @@ def _series_row(coeff, n, tail_eps):
             raise RuntimeError("power_series row truncation did not converge")
 
 
+def _check_cesaro_order(p) -> int:
+    """``p`` as an int, if it is an integer >= 1 (not a float or a bool)."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
+        raise ValueError(f"cesaro order p must be an integer >= 1, got {p!r}")
+    return int(p)
+
+
 def cesaro(p: int = 1) -> MeanScheme:
-    if p < 1:
-        raise ValueError("cesaro order p must be >= 1")
-    return MeanScheme("cesaro", f"cesaro(p={p})", functools.partial(_cesaro_row, int(p)),
-                      p=int(p))
+    p = _check_cesaro_order(p)
+    return MeanScheme("cesaro", f"cesaro(p={p})", functools.partial(_cesaro_row, p), p=p)
 
 
 def abel() -> MeanScheme:
@@ -330,7 +337,11 @@ def _group_means(rows: list, b: np.ndarray, out: np.ndarray, left=None) -> None:
     a stack filled by doubling from the walk's binary squares
     (``linop._power_walk``; ``size=1`` would be its walk of single steps).
     Each stack is contracted with its block of row weights in one
-    product."""
+    product.  It stops drawing stacks at the first whose first power (or
+    ``left b^j``) is exactly zero: every later power is zero, and adding
+    zeros changes no bit of the sums, which start at +0.0 and so never
+    hold -0.0.  A nilpotent ``b`` thus pays for no power past its
+    nilpotency index, however long the rows."""
     lo = min(int(row.indices[0]) for row in rows)
     used = np.zeros(max(int(row.indices[-1]) for row in rows) - lo + 1, dtype=bool)
     for row in rows:
@@ -345,6 +356,8 @@ def _group_means(rows: list, b: np.ndarray, out: np.ndarray, left=None) -> None:
     acc.fill(0.0)
     start = 0
     for stack in _power_walk(b, support, left, _stack_size(cells)):
+        if not stack[0].any():
+            break
         acc += weights[:, start:start + len(stack)] @ stack.reshape(-1, cells)
         start += len(stack)
 
@@ -360,8 +373,11 @@ def apply_mean(s: MeanScheme, t, n, lam: complex = 1.0, x=None) -> np.ndarray:
     hold at most _STACK_CELLS cells; one walk per group carries the powers
     of lam*T over the union of the group's supports.  With ``x`` the walk
     carries ``x^T (lam*T^T)^j``, the transposed ``(lam*T)^j x``, so it keeps
-    the same right-multiplying step.  ``lam = 1`` gives the plain mean.
-    Infinite-row kinds require spectral radius <= 1.
+    the same right-multiplying step.  A walk ends at its first power that
+    is exactly zero (``_group_means``), so a long row on a nilpotent T, or
+    an ``x`` that a power of T annihilates, costs only the nonzero powers.
+    ``lam = 1`` gives the plain mean.  Infinite-row kinds require spectral
+    radius <= 1.
     """
     lam = _check_unimodular(lam)
     op = as_operator(t)

@@ -11,9 +11,13 @@ here -- callers compare the recorded ratios against their own thresholds.
 Three rules are written once.  ``_pascal_sums`` is the one walk of the Cesaro
 sums A_n^(q) of the powers, one matrix product per step: the order-p means,
 the partial sums of the resolvent series (order 1 in T/lambda) and the Abel
-rearrangement (orders 0 and 1) all read it.  ``_first_max`` is the one
-reduction of a sweep's grid of values: its first maximum in C order, so of
-tied grid points the one that comes first in (radius, angle, n) order wins.
+rearrangement (orders 0 and 1) all read it.  Once its power is exactly
+zero, so is every later one (as in ``linop._power_walk``): the order-1 sums
+keep their last value, and ``partial_sum_functional`` copies that value
+instead of walking a nilpotent T past its index.
+``_first_max`` is the one reduction of a sweep's grid of values: its first
+maximum in C order, so of tied grid points the one that comes first in
+(radius, angle, n) order wins.
 ``_ring_angles`` is the one mirror rule of the two annulus sweeps: for a
 real T in a real geometry, (T - conj(lambda))^{-1} and the partial sums at
 conj(lambda) are the conjugates of those at lambda, so both functionals
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linop import _chunks, as_operator
-from .means import SpectralRadiusTooLarge
+from .means import SpectralRadiusTooLarge, _check_cesaro_order
 
 _SINGULAR_TOL = 1e-12
 
@@ -107,6 +111,13 @@ def _pascal_sums(b, p: int, nmax: int):
     the identity.  One matrix product per step, whatever p.  The list is
     reused at the next step: a consumer norms the sums at once or divides
     them into a fresh array, and never writes to them.
+
+    Once A_n^(0) is exactly zero, every later A^(0) is a product by that
+    zero matrix and exactly zero too, and A^(1) adds only zeros from there
+    on: it starts from the identity, whose zeros are +0.0, so it never
+    holds -0.0 and keeps its bits.  A consumer of order 1 may stop at the
+    first zero power (``partial_sum_functional`` does); the sums of order
+    2 and up keep growing.
     """
     sums = [np.broadcast_to(np.eye(b.shape[-1]), b.shape)] * (p + 1)
     yield 0, sums
@@ -216,6 +227,10 @@ def partial_sum_functional(t, r: int, nmax: int, grid: AnnulusGrid) -> Functiona
     product and one stacked norm per step.  A real operator in a real
     geometry is walked at angle indices 0..A/2 of each ring, which give the
     other half by mirroring (``_ring_angles``); any other at every angle.
+    At the first n >= 1 whose stacked power (T/lambda)^n is exactly zero
+    (a nilpotent T, such as a truncated shift), the partial sums stay
+    S_{n-1} for good: its values are copied to n..nmax and that stack's
+    walk ends, bit for bit the values the whole walk would give.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
@@ -227,6 +242,9 @@ def partial_sum_functional(t, r: int, nmax: int, grid: AnnulusGrid) -> Functiona
         lams = rho * np.exp(1j * evaluated)
         for part in _chunks(evaluated.size, op.dim ** 2):
             for n, sums in _pascal_sums(op.matrix / lams[part, None, None], 1, nmax):
+                if not sums[0].any():
+                    values[i, part, n:] = values[i, part, n - 1, None]
+                    break
                 values[i, part, n] = w * op.norm(sums[1]) / rho
     values = values[:, sources]
     best, (i, m, n) = _first_max(values)
@@ -245,8 +263,7 @@ def cesaro_mean_sequence(t, p: int, nmax: int, lam=1.0):
     product per step regardless of p; validated against the
     row-coefficient route in the test suite.
     """
-    if p < 1:
-        raise ValueError("cesaro order p must be >= 1")
+    p = _check_cesaro_order(p)
     op = as_operator(t)
     binom = 1.0
     for n, sums in _pascal_sums(np.asarray(lam)[..., None, None] * op.matrix, p, nmax):
@@ -264,6 +281,12 @@ def mean_growth_functional(t, p: int, r: int, nmax: int, angles: int) -> Functio
     holds the per-n maxima over angles and tail_value the maximum over the
     trailing half of the n-range (the plateau reading for bounded cases;
     the left edge can dominate the raw sup).
+
+    Unlike ``partial_sum_functional`` it does not stop when the power
+    vanishes.  Past T^n = 0 the sums of order p >= 2 keep growing, and every
+    mean is its sum over C(n+p, p), which grows too: each later mean is a
+    new quotient, and a norm rescaled from an earlier one would not be bit
+    for bit the walked one.
 
     Unlike the two annulus sweeps it evaluates the full ring even for a
     real operator: its reported argmax is decided between angles that tie

@@ -551,6 +551,9 @@ def test_uniform_kreiss_scenario():
      "config error: scheme cesaro takes no parameter 'order'"),
     (["growth", "--op", "jordan:2:1", "--scheme", "zweier:3", "--nmax", "16"], None,
      "config error: scheme zweier takes no parameter '3'"),
+    # a fractional Cesaro order
+    (["growth", "--op", "jordan:2:1", "--scheme", "cesaro:p=1.5", "--nmax", "16"], None,
+     "config error: invalid literal for int() with base 10: '1.5'"),
 ], ids=["misspelt_check", "unread_flag", "h1_check", "flag_type", "window_of_one",
         "config_list", "kernel_tol_m20", "kernel_tol", "kernel_tol_zero",
         "window_fraction_zero", "window_fraction_above_one", "shields_r_above_3",
@@ -561,7 +564,7 @@ def test_uniform_kreiss_scenario():
         "ratio_band_reversed", "kmax_float", "kmax_53", "angles_few", "tol_nan",
         "window_float", "kreiss_no_operator", "growth_no_operator",
         "identities_no_operator", "convergence_no_operator", "uniform_kreiss_no_operator",
-        "rows_nmax_0", "cesaro_order", "zweier_positional"])
+        "rows_nmax_0", "cesaro_order", "zweier_positional", "cesaro_fractional"])
 def test_rejected_input_exits_2_with_one_stderr_line(argv, config, fragment, tmp_path,
                                                      capsys):
     if config is not None:

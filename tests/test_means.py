@@ -224,6 +224,14 @@ def test_row_out_of_range_and_tail_eps_validation():
         cesaro(0)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, True, 0, "2"], ids=repr)
+def test_cesaro_rejects_an_order_that_is_not_an_integer_from_1(p):
+    # cesaro(1.5) was named cesaro(p=1.5) and built the rows of p = 1
+    with pytest.raises(ValueError, match="cesaro order p must be an integer >= 1, got "):
+        cesaro(p)
+    assert cesaro(np.int64(3)).name == "cesaro(p=3)" and cesaro(np.int64(3)).p == 3
+
+
 def test_apply_mean_identity_fixed_point():
     for s in (cesaro(2), zweier(), binomial(), identity_powers(), abel()):
         n = max(s.min_n, 3)
@@ -482,6 +490,17 @@ def test_stacked_apply_mean_under_a_tiny_cell_budget(monkeypatch, s, cells):
     assert_matches_vector_oracle(s, t, ns, np.array([[1.0, 0.5, -2.0], [0.0, 1j, 1.0]]), lam=1j)
     assert sum(groups) == len(ns)
     assert len(groups) > 1
+
+
+def test_a_zero_power_ends_the_abel_walk_of_a_nilpotent_shift(mean_walk_starts):
+    # Abel row n carries about 27 n powers, but T^64 = 0: each group's walk
+    # yields at most one stack from index 64 on, the one whose first power
+    # is zero, and stops there
+    apply_mean(abel(), linop.dirichlet_shift(0.5, 64, "backward"), np.arange(1, 129))
+    past = [sum(start >= 64 for start in starts) for starts in mean_walk_starts]
+    assert max(past) == 1
+    # 16 stacks of 4 powers below the index, and the zero one
+    assert max(len(starts) for starts in mean_walk_starts) == 17
 
 
 def test_scalar_apply_mean_is_a_batch_of_one():

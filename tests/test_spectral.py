@@ -186,6 +186,12 @@ def test_cesaro_sequence_matches_row_route():
             assert np.max(np.abs(mean - ref)) <= 1e-12
 
 
+def test_cesaro_sequence_rejects_an_order_that_is_not_an_integer():
+    for p in (1.5, True):
+        with pytest.raises(ValueError, match="cesaro order p must be an integer >= 1"):
+            next(cesaro_mean_sequence(jordan_block(2, 0.5), p, 4))
+
+
 def test_mean_growth_scalar_one():
     rep = mean_growth_functional(scalar_op(1.0), 1, 0, 32, 8)
     assert rep.value == pytest.approx(1.0, abs=1e-12)
@@ -489,6 +495,25 @@ def test_half_rings_mirror_real_operators_and_match_the_full_ring(kind, form, an
     assert weight[rho] * resolvent_norm(t, rho * np.exp(1j * theta)) == rep.value
     rho, theta, n = partial.argmax["radius"], partial.argmax["angle"], partial.argmax["n"]
     assert _partial_sums_at(as_operator(t), weight[rho], rho, theta, 6)[n] == partial.value
+
+
+def test_a_zero_power_ends_the_partial_sum_walk(monkeypatch):
+    # uniform_kreiss on dirichlet:1.0:16:backward at nmax 64: T^16 = 0, so
+    # each chunk norms S_0..S_15 and copies S_15 to n = 16..64
+    op = cli.parse_operator("dirichlet:1.0:16:backward")
+    radii = sorted({1.0 + 1.0 / n for n in (1, 2, 4, 8, 16, 32, 64)}, reverse=True)
+    grid = AnnulusGrid(tuple(radii), 16)
+    chunks, norms = [], []
+    sums, norm = spectral._pascal_sums, OperatorModel.norm
+    monkeypatch.setattr(spectral, "_pascal_sums",
+                        lambda *args: (chunks.append(1), sums(*args))[1])
+    monkeypatch.setattr(OperatorModel, "norm",
+                        lambda self, *args, **kw: (norms.append(1), norm(self, *args, **kw))[1])
+    rep = partial_sum_functional(op, 1, 64, grid)
+    monkeypatch.undo()
+    assert len(chunks) == 7
+    assert len(norms) == 16 * len(chunks)
+    assert (rep.value, rep.argmax, rep.n_profile) == _partial_sum_oracle(op, 1, 64, grid)
 
 
 def test_mirrored_ring_skips_both_conjugate_eigenvalues(tmp_path):
