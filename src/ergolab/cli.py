@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import operator
@@ -77,19 +78,28 @@ def _parse_scheme(spec: str) -> means.MeanScheme:
         raise ConfigError(str(exc)) from exc
 
 
+def _identity_minus_volterra(N, /):
+    v = linop.volterra_operator(int(N))
+    return linop.OperatorModel(np.eye(v.dim) - v.matrix, label=f"I-V({N})")
+
+
+# usage -> factory, whose positional-only parameters are the usage's fields
+_BUILTINS = {
+    "diag:<v1,v2,...>": lambda v, /: linop.diag_operator(list(map(complex, v.split(",")))),
+    "dirichlet:<alpha>:<N>:<forward|backward>":
+        lambda alpha, N, direction, /: linop.dirichlet_shift(float(alpha), int(N), direction),
+    "identity_minus_volterra:<N>": _identity_minus_volterra,
+    "jordan:<d>:<eig>": lambda d, eig, /: linop.jordan_block(int(d), complex(eig)),
+    "random:<dim>:<radius>[:<seed>]": lambda dim, radius, seed=DEFAULT_SEED, /:
+        linop.random_operator(int(dim), float(radius), int(seed)),
+    "volterra:<N>": lambda N, /: linop.volterra_operator(int(N)),
+}
+_OPERATOR_HEADS = {usage.split(":")[0]: factory for usage, factory in _BUILTINS.items()}
+
+
 def list_builtins():
     """Catalog of builtin operator specs, stable order."""
-    return [
-        "diag:<v1,v2,...>",
-        "dirichlet:<alpha>:<N>:<forward|backward>",
-        "identity_minus_volterra:<N>",
-        "jordan:<d>:<eig>",
-        "random:<dim>:<radius>:<seed>",
-        "volterra:<N>",
-    ]
-
-
-_BUILTIN_KINDS = frozenset(item.split(":")[0] for item in list_builtins())
+    return list(_BUILTINS)
 
 
 def parse_operator(spec: str) -> linop.OperatorModel:
@@ -98,9 +108,7 @@ def parse_operator(spec: str) -> linop.OperatorModel:
     spec = spec.strip()
     if spec.startswith("builtin:"):
         spec = spec[len("builtin:"):]
-    parts = spec.split(":")
-    kind = parts[0].lower()
-    if kind not in _BUILTIN_KINDS:
+    if spec.split(":")[0].lower() not in _OPERATOR_HEADS:
         try:
             if spec.endswith(".json") or Path(spec).exists():
                 return linop.load_operator(spec)
@@ -109,23 +117,8 @@ def parse_operator(spec: str) -> linop.OperatorModel:
             raise ConfigError(f"cannot load operator file {spec!r}: {exc}") from exc
         raise ConfigError(f"unknown operator spec {spec!r}")
     try:
-        if kind == "jordan":
-            return linop.jordan_block(int(parts[1]), complex(parts[2]))
-        if kind == "diag":
-            values = [complex(v) for v in parts[1].split(",")]
-            return linop.diag_operator(values)
-        if kind == "dirichlet":
-            return linop.dirichlet_shift(float(parts[1]), int(parts[2]), parts[3])
-        if kind == "volterra":
-            return linop.volterra_operator(int(parts[1]))
-        if kind == "identity_minus_volterra":
-            v = linop.volterra_operator(int(parts[1]))
-            return linop.OperatorModel(np.eye(v.dim) - v.matrix,
-                                       label=f"I-V({parts[1]})")
-        # the remaining builtin kind: random
-        seed = int(parts[3]) if len(parts) > 3 else DEFAULT_SEED
-        return linop.random_operator(int(parts[1]), float(parts[2]), seed)
-    except (IndexError, ValueError) as exc:
+        return linop._bind_spec("operator", spec, _OPERATOR_HEADS)
+    except ValueError as exc:
         raise ConfigError(f"bad operator spec {spec!r}: {exc}") from exc
 
 
@@ -552,6 +545,7 @@ def write_report(report: dict, path) -> None:
         fh.write("\n")
 
 
+@functools.cache  # built on the first main call, not at import
 def _build_parser():
     parser = _Parser(prog="ergolab", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)

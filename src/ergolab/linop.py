@@ -4,7 +4,7 @@ Everything downstream (summability means, resolvent functionals, growth
 reports) coerces its operator argument once with ``as_operator`` and takes
 norms, eigenvalues and labels from the resulting model; this module supplies
 the norm engine, the one power walk (``_power_walk``) behind every power and
-mean, the JSON wire formats, and constructors for the standard test operators:
+mean, the spec and JSON wire formats, and constructors for the test operators:
 Jordan blocks, weighted Dirichlet shifts, and the discretized Volterra operator.
 The walk yields its powers in stacks of at most ``size`` indices and fills
 each run of consecutive powers in a stack by doubling from its one memo, the
@@ -42,6 +42,7 @@ numpy and a run that reaches no scipy kernel never pays for scipy's import.
 from __future__ import annotations
 
 import bisect
+import inspect
 import json
 from dataclasses import dataclass, field
 
@@ -510,10 +511,45 @@ def random_operator(dim: int, spectral_radius: float = 0.9,
 
 
 # ---------------------------------------------------------------------------
-# JSON wire formats.
+# Wire formats: spec strings (``_bind_spec``) and JSON files.
 # Matrix: {"rows": R, "cols": C, "re": [...], "im": [...]} row-major.
 # Gram:   {"dim": D, "diag": [...]} or {"dim": D, "gram_re": [...], "gram_im": [...]}.
+# A key outside its object's form is a ValueError.
 # ---------------------------------------------------------------------------
+
+def _bind_spec(what: str, spec: str, heads: dict):
+    """Call ``heads[head]`` on the string fields of ``head:f1:...:key=value``
+    (head case-insensitive): a plain field fills the next positional parameter,
+    ``key=value`` the parameter ``key``.  An unknown head, a field the factory
+    does not take, given twice or missing raises a ValueError naming it."""
+    head, *fields = spec.strip().split(":")
+    head = head.lower()
+    if head not in heads:
+        raise ValueError(f"unknown {what} spec {spec!r}")
+    params = inspect.signature(heads[head]).parameters.values()
+    slots = [p.name for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    named = [p.name for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)]
+    bound, filled = {}, 0
+    for item in fields:
+        key, eq, value = map(str.strip, item.partition("="))
+        if not eq and filled < len(slots):
+            key, value, filled = slots[filled], item, filled + 1
+        elif not eq or key not in named:
+            raise ValueError(f"{what} {head} takes no parameter {key!r}")
+        if key in bound:
+            raise ValueError(f"{what} {head} takes parameter {key!r} once, got it twice")
+        bound[key] = value
+    for p in params:
+        if p.default is p.empty and p.name not in bound:
+            raise ValueError(f"{what} {head} needs parameter {p.name!r}")
+    return heads[head](*[bound.pop(name) for name in slots[:filled]], **bound)
+
+
+def _check_keys(obj: dict, known: tuple, what: str) -> None:
+    unknown = sorted(obj.keys() - set(known))
+    if unknown:
+        raise ValueError(f"{what} object takes no key {unknown[0]!r}")
+
 
 def matrix_to_obj(a) -> dict:
     m = as_matrix(a)
@@ -531,6 +567,7 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
     rows, cols = int(obj["rows"]), int(obj["cols"])
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
+    _check_keys(obj, ("rows", "cols", "re", "im"), "matrix")
     if re.size != rows * cols or im.size != rows * cols:
         raise DimensionMismatch("re/im length != rows*cols")
     return as_matrix((re + 1j * im).reshape(rows, cols))
@@ -549,7 +586,9 @@ def gram_to_obj(g: GramGeometry) -> dict:
 def gram_from_obj(obj: dict) -> GramGeometry:
     dim = int(obj["dim"])
     if "diag" in obj:
+        _check_keys(obj, ("dim", "diag"), "diagonal Gram")
         return GramGeometry(dim, diag=np.asarray(obj["diag"], dtype=float))
+    _check_keys(obj, ("dim", "gram_re", "gram_im"), "dense Gram")
     re = np.asarray(obj["gram_re"], dtype=float).reshape(dim, dim)
     im = np.asarray(obj["gram_im"], dtype=float).reshape(dim, dim)
     return GramGeometry(dim, dense=re + 1j * im)
@@ -569,6 +608,7 @@ def load_operator(path) -> OperatorModel:
     with open(path) as fh:
         obj = json.load(fh)
     if "matrix" in obj:
+        _check_keys(obj, ("matrix", "gram", "label"), "operator")
         g = gram_from_obj(obj["gram"]) if "gram" in obj else None
         return OperatorModel(matrix_from_obj(obj["matrix"]), geometry=g,
                              label=obj.get("label", ""))

@@ -45,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import (DimensionMismatch, OperatorModel, _power_walk, _stack_size, as_operator,
-                    op_norm)
+from .linop import (DimensionMismatch, OperatorModel, _bind_spec, _power_walk, _stack_size,
+                    as_operator, op_norm)
 
 DEFAULT_TAIL_EPS = 1e-12
 
@@ -482,38 +482,17 @@ def regularity_defect(s: MeanScheme, t, n0: int, x, n: int) -> float:
     return op.vector_norm(op.matrix @ mean_n - mean_later)
 
 
-# spec head -> (factory, the parameters it takes); a piece without "=" is p
-_SPEC_HEADS = {
-    "cesaro": (lambda p=1: cesaro(int(p)), ("p",)),
-    "abel": (abel, ()),
-    "zweier": (zweier, ()),
-    "binomial": (binomial, ()),
-    "powers": (identity_powers, ()),
-    "powseries": (lambda coeffs: power_series([float(c) for c in coeffs.split(",")]),
-                  ("coeffs",)),
-}
+# spec head -> factory (``linop._bind_spec``); powseries takes coeffs by name only
+_SPEC_HEADS = {"cesaro": lambda p=1: cesaro(int(p)), "abel": abel, "zweier": zweier,
+               "binomial": binomial, "powers": identity_powers, "powseries":
+               lambda *, coeffs: power_series(list(map(float, coeffs.split(","))))}
 
 
 def parse_scheme(spec: str) -> MeanScheme:
-    """Parse a scheme spec string: "cesaro:p=2" (or "cesaro:2"), "abel",
-    "zweier", "binomial", "powers", "powseries:coeffs=1,0.5,0.25".  A
-    parameter that the family does not take is a ValueError."""
-    parts = spec.strip().split(":")
-    head = parts[0].lower()
-    if head not in _SPEC_HEADS:
-        raise ValueError(f"unknown scheme spec {spec!r}")
-    factory, takes = _SPEC_HEADS[head]
-    params = {}
-    for piece in parts[1:]:
-        key, eq, val = piece.partition("=")
-        key, val = (key.strip(), val.strip()) if eq else ("p", piece.strip())
-        if key not in takes:
-            raise ValueError(f"scheme {head} takes no parameter {key if eq else val!r}")
-        if eq or key not in params:
-            params[key] = val
-    if head == "powseries" and "coeffs" not in params:
-        raise ValueError("powseries spec needs coeffs=c0,c1,...")
-    return factory(**params)
+    """Parse a scheme spec string: "cesaro:p=2" (or "cesaro:2"), "abel", "zweier",
+    "binomial", "powers", "powseries:coeffs=1,0.5,0.25".  A parameter that the
+    family does not take, one given twice or one missing is a ValueError."""
+    return _bind_spec("scheme", spec, _SPEC_HEADS)
 
 
 def rows_to_csv(s: MeanScheme, ns, path) -> None:

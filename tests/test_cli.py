@@ -1,5 +1,7 @@
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -36,6 +38,40 @@ def test_parse_operator_builtins():
         parse_operator("mystery:3")
     with pytest.raises(ConfigError):
         parse_operator("jordan:x:1")
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ("builtin:jordan:2:1", lambda: linop.jordan_block(2, 1 + 0j)),
+    ("JORDAN:2:1", lambda: linop.jordan_block(2, 1 + 0j)),
+    ("random:4:1.0", lambda: linop.random_operator(4, 1.0, cli.DEFAULT_SEED)),
+    ("random:4:1.0:7", lambda: linop.random_operator(4, 1.0, 7)),
+    ("diag:1,0.5+0.8660254037844386j,0.5",
+     lambda: linop.diag_operator([1, 0.5 + 0.8660254037844386j, 0.5])),
+    ("dirichlet:1:8:backward", lambda: linop.dirichlet_shift(1.0, 8, "backward")),
+    ("identity_minus_volterra:4", lambda: linop.OperatorModel(
+        np.eye(5) - linop.volterra_operator(4).matrix, label="I-V(4)")),
+])
+def test_parse_operator_builds_the_named_operator(spec, expected):
+    t, want = parse_operator(spec), expected()
+    assert (t.label, t.geometry, t.matrix.dtype) == (want.label, None, want.matrix.dtype)
+    assert np.array_equal(t.matrix, want.matrix)
+
+
+def test_each_builtin_usage_names_its_factory_fields_in_order():
+    assert list_builtins() == list(cli._BUILTINS)
+    for usage, factory in cli._BUILTINS.items():
+        params = list(inspect.signature(factory).parameters.values())
+        names = re.findall(r"<([^>]+)>", usage)
+        assert len(names) == len(params), usage
+        # a required field is :<name>, an optional one [:<name>]
+        forms = [":<{}>" if p.default is p.empty else "[:<{}>]" for p in params]
+        assert usage == usage.split(":")[0] + "".join(
+            form.format(name) for form, name in zip(forms, names))
+        for name, p in zip(names, params):
+            assert p.kind == p.POSITIONAL_ONLY, usage
+            # a field shown by its form (v1,v2,..., forward|backward) has no name
+            assert name == p.name or not name.isidentifier(), usage
+    assert "random:<dim>:<radius>[:<seed>]" in list_builtins()
 
 
 def test_parse_operator_file(tmp_path):
@@ -554,6 +590,29 @@ def test_uniform_kreiss_scenario():
     # a fractional Cesaro order
     (["growth", "--op", "jordan:2:1", "--scheme", "cesaro:p=1.5", "--nmax", "16"], None,
      "config error: invalid literal for int() with base 10: '1.5'"),
+    # a spec field past the last its head takes, given twice or missing ran
+    # another operator or scheme, or failed on an index
+    *[(["growth", "--op", spec, "--nmax", "8"], None,
+       f"config error: bad operator spec {spec!r}: operator {fragment}")
+      for spec, fragment in [
+          ("jordan:2:1:junk", "jordan takes no parameter 'junk'"),
+          ("volterra:8:9", "volterra takes no parameter '9'"),
+          ("diag:1,2:3", "diag takes no parameter '3'"),
+          ("identity_minus_volterra:4:x", "identity_minus_volterra takes no parameter 'x'"),
+          ("dirichlet:0.5:8:forward:1", "dirichlet takes no parameter '1'"),
+          ("random:4:1.0:7:9", "random takes no parameter '9'"),
+          ("jordan:2", "jordan needs parameter 'eig'"),
+          # builtin fields are positional only
+          ("jordan:d=2:eig=1", "jordan takes no parameter 'd'")]],
+    *[(["growth", "--op", "jordan:2:1", "--scheme", spec, "--nmax", "8"], None,
+       f"config error: scheme {fragment}")
+      for spec, fragment in [
+          ("cesaro:2:3", "cesaro takes no parameter '3'"),
+          ("cesaro:3:p=2", "cesaro takes parameter 'p' once, got it twice"),
+          ("cesaro:p=2:p=5", "cesaro takes parameter 'p' once, got it twice"),
+          ("powseries:coeffs=1:coeffs=2",
+           "powseries takes parameter 'coeffs' once, got it twice"),
+          ("powseries", "powseries needs parameter 'coeffs'")]],
 ], ids=["misspelt_check", "unread_flag", "h1_check", "flag_type", "window_of_one",
         "config_list", "kernel_tol_m20", "kernel_tol", "kernel_tol_zero",
         "window_fraction_zero", "window_fraction_above_one", "shields_r_above_3",
@@ -564,7 +623,10 @@ def test_uniform_kreiss_scenario():
         "ratio_band_reversed", "kmax_float", "kmax_53", "angles_few", "tol_nan",
         "window_float", "kreiss_no_operator", "growth_no_operator",
         "identities_no_operator", "convergence_no_operator", "uniform_kreiss_no_operator",
-        "rows_nmax_0", "cesaro_order", "zweier_positional", "cesaro_fractional"])
+        "rows_nmax_0", "cesaro_order", "zweier_positional", "cesaro_fractional",
+        "jordan_extra", "volterra_extra", "diag_extra", "i_minus_v_extra", "dirichlet_extra",
+        "random_extra", "jordan_missing", "jordan_named", "cesaro_extra", "cesaro_p_twice",
+        "cesaro_named_p_twice", "coeffs_twice", "powseries_missing"])
 def test_rejected_input_exits_2_with_one_stderr_line(argv, config, fragment, tmp_path,
                                                      capsys):
     if config is not None:
@@ -589,7 +651,18 @@ def test_rejected_input_exits_2_with_one_stderr_line(argv, config, fragment, tmp
     '{"matrix": 5}',
     '{"rows": 1e400, "cols": 1, "re": [1], "im": [0]}',
     '{"matrix": {"rows": 1, "cols": 1, "re": [0.5], "im": [0]}, "gram": [1]}',
-], ids=["array", "rows_null", "number", "matrix_number", "rows_infinite", "gram_array"])
+    # an unknown key was ignored: a misspelt "gram" dropped the geometry,
+    # and a Gram of both forms silently took diag
+    '{"matrix": {"rows": 1, "cols": 1, "re": [0.5], "im": [0]},'
+    ' "gramm": {"dim": 1, "diag": [4]}}',
+    '{"matrix": {"rows": 1, "cols": 1, "re": [0.5], "im": [0], "imag": [0]}}',
+    '{"rows": 1, "cols": 1, "re": [0.5], "im": [0], "label": "bare"}',
+    '{"matrix": {"rows": 1, "cols": 1, "re": [0.5], "im": [0]},'
+    ' "gram": {"dim": 1, "diag": [4], "gram_re": [1], "gram_im": [0]}}',
+    '{"matrix": {"rows": 1, "cols": 1, "re": [0.5], "im": [0]},'
+    ' "gram": {"dim": 1, "gram_re": [1], "gram_im": [0], "hermitian": true}}',
+], ids=["array", "rows_null", "number", "matrix_number", "rows_infinite", "gram_array",
+        "gramm", "matrix_imag", "bare_label", "gram_both_forms", "dense_gram_extra"])
 def test_malformed_operator_file_exits_2_with_one_stderr_line(text, tmp_path, capsys):
     op = tmp_path / "op.json"
     op.write_text(text)
@@ -599,6 +672,26 @@ def test_malformed_operator_file_exits_2_with_one_stderr_line(text, tmp_path, ca
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert err.startswith(f"config error: cannot load operator file {str(op)!r}: ")
     assert not out.exists()
+
+
+def test_main_twice_in_one_process_reports_as_two_fresh_processes(tmp_path, capsys):
+    # main builds its argument parser once per process; a usage error in
+    # one call must leave nothing behind for the next
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cli._build_parser.cache_clear()
+    for k, argv in enumerate([["growth", "--op", "jordan:2:1", "--nmax", "x"],
+                              ["growth", "--op", "jordan:2:1", "--nmax", "8"]]):
+        fresh, same = tmp_path / f"fresh{k}.json", tmp_path / f"same{k}.json"
+        proc = subprocess.run([sys.executable, "-m", "ergolab.cli", *argv, "--out",
+                               str(fresh)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert cli.main(argv + ["--out", str(same)]) == proc.returncode == 2 * (1 - k)
+        assert capsys.readouterr().err == proc.stderr
+        assert same.exists() == fresh.exists() == bool(k)
+        assert not k or same.read_bytes() == fresh.read_bytes()
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_no_command_is_a_config_error(capsys):

@@ -26,11 +26,13 @@ OPERATORS = ["jordan:2:1", "jordan:3:0.5", "diag:1,0.5", "diag:2", "diag:1,-1,1j
              "identity_minus_volterra:8", "random:4:0.9:1", "random:3:1.1",
              # malformed
              "jordan:x:1", "jordan:-3:1", "diag:", "diag:a", "dirichlet:1:4:sideways",
-             "volterra:-3", "random:-3:1", "bogus:1", "", "missing.json"]
+             "volterra:-3", "random:-3:1", "bogus:1", "", "missing.json",
+             "jordan:2:1:junk", "jordan:2", "jordan:d=2:eig=1", "random:4:1.0:7:9"]
 SCHEMES = ["cesaro:p=1", "cesaro:p=2", "abel", "zweier", "binomial", "powers",
            "powseries:coeffs=1,0.5", "powseries:coeffs=0,1",
            # malformed
-           "cesaro:p=0", "cesaro:p=x", "powseries", "powseries:coeffs=1,nan", "bogus"]
+           "cesaro:p=0", "cesaro:p=x", "powseries", "powseries:coeffs=1,nan", "bogus",
+           "cesaro:2:3", "cesaro:3:p=2", "powseries:coeffs=1:coeffs=2", "powseries:1,0.5"]
 CHECKS = list(cli._KEYS["h1"]["check"].choices) + ["typo"]
 
 scalars = st.one_of(st.integers(-3, 40), st.floats(-3.0, 40.0),

@@ -623,6 +623,24 @@ def test_gram_json_round_trip(tmp_path):
 
 
 
+@pytest.mark.parametrize("geometry", [
+    GramGeometry.diagonal([1.0, 2.5, 4.0]),
+    GramGeometry.hermitian(np.array([[2.0, 1j, 0.0], [-1j, 2.0, 0.5], [0.0, 0.5, 3.0]])),
+    GramGeometry.tridiagonal([2.0, 3.0, 2.0], [0.5, -0.5]),
+], ids=["diagonal", "dense", "tridiagonal"])
+def test_saved_operator_file_holds_only_known_keys_and_loads(geometry, tmp_path):
+    # load_operator rejects a key outside the wire format, so everything
+    # save_operator writes must be inside it; a tridiagonal Gram goes as dense
+    t = OperatorModel(np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]]),
+                      geometry=geometry, label="demo")
+    path = tmp_path / "op.json"
+    linop.save_operator(t, path)
+    loaded = linop.load_operator(path)
+    assert loaded.label == "demo" and np.array_equal(loaded.matrix, t.matrix)
+    assert np.array_equal(loaded.geometry.matrix(), geometry.matrix())
+    assert loaded.norm() == pytest.approx(t.norm(), rel=1e-12)
+
+
 def test_real_dense_gram_from_a_file_stays_real(tmp_path):
     # the wire format always carries gram_im; all zeros loads a real Gram,
     # whose norms are those of the in-memory geometry bit for bit

@@ -795,6 +795,22 @@ def test_parse_scheme_round_trip():
     assert parse_scheme("cesaro:3").p == 3 and parse_scheme("cesaro").p == 1
 
 
+@pytest.mark.parametrize("spec, expected", [
+    ("cesaro", lambda: cesaro(1)),
+    ("cesaro:3", lambda: cesaro(3)),
+    # int() reads the order, a sign and digit separators included
+    ("cesaro:p=+2", lambda: cesaro(2)),
+    ("cesaro:p=1_0", lambda: cesaro(10)),
+    ("powseries:coeffs=1,0.5", lambda: means.power_series([1.0, 0.5])),
+])
+def test_parse_scheme_builds_the_named_scheme(spec, expected):
+    s, want = parse_scheme(spec), expected()
+    assert (s.kind, s.name, s.p, s.min_n) == (want.kind, want.name, want.p, want.min_n)
+    for n in range(s.min_n, s.min_n + 6):
+        assert np.array_equal(s.row(n).indices, want.row(n).indices)
+        assert np.array_equal(s.row(n).weights, want.row(n).weights)
+
+
 @pytest.mark.parametrize("spec, fragment", [
     ("cesaro:order=3", "scheme cesaro takes no parameter 'order'"),
     ("cesaro:coeffs=1", "scheme cesaro takes no parameter 'coeffs'"),
