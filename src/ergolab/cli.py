@@ -35,7 +35,11 @@ class ConfigError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors raise ConfigError."""
+    """An argument parser, subparsers included, that reads only flags written
+    in full (``--n`` is not ``--nmax``) and raises usage errors as ConfigError."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)
@@ -260,7 +264,7 @@ def _growth_report(cfg, op):
 def _scenario_growth(cfg):
     report = _growth_report(cfg, parse_operator(cfg["operator"]))
     values = {
-        "points": [[int(n), float(v)] for n, v in report.points],
+        "points": report.points,
         "fit_exponent": report.fit_exponent,
         "fit_residual": report.fit_residual,
         "window": list(report.window) if report.window else None,
@@ -305,9 +309,9 @@ def _scenario_shields(cfg):
                       for n in power_rep.ns])
     power_err = float(np.max(np.abs(power_rep.values - exact)))
     values = {
-        "mean": [[int(n), float(v)] for n, v in mean_rep.points],
-        "power": [[int(n), float(v)] for n, v in power_rep.points],
-        "inner": [[int(n), float(v)] for n, v in inner_rep.points],
+        "mean": mean_rep.points,
+        "power": power_rep.points,
+        "inner": inner_rep.points,
         "log_fit": {"c": c, "d": d, "rel_residual": rel},
         "band": [float(np.min(quotients)), float(np.max(quotients))],
     }
@@ -392,7 +396,7 @@ def _scenario_convergence(cfg):
     rates = [(n, n * v) for n, v in report.points if n >= 1]
     c_measured = max(r for _, r in rates)
     values = {
-        "points": [[int(n), float(v)] for n, v in report.points],
+        "points": report.points,
         "rate_constant": c_measured,
     }
     checks = []
@@ -464,7 +468,7 @@ _KEYS = {
                 "quad_nodes": _INT1, "fit_tol": _TOL, "band_ratio_max": _TOL},
     "h1": {"check": _Rule("choice", choices=("3iso", "pairing", "inequality", "meannorm",
                                              "all")),
-           "degree": _INT0, "seed": _INT0, "trials": _INT1, "tol": _TOL, "n": _INT0,
+           "degree": _INT0, "seed": _INT0, "trials": _INT1, "tol": _TOL, "n": _INT1,
            "n_trunc": _INT1, "nmax": _INT1, "sup_max": _TOL},
     "quotient": {"operator": _SPEC, "scheme": _SPEC, "window": _Rule("band", item=_INT0),
                  "m": _INT0, "kernel_tol": _Rule("number", 0, open_lo=True), "tol": _TOL,
@@ -607,6 +611,9 @@ def main(argv=None) -> int:
         return 2
     except FloatingPointError as exc:
         print(f"error: numerical overflow: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

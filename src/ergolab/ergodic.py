@@ -65,10 +65,18 @@ class GrowthReport:
         return self.ns[start:], self.values[start:]
 
 
+def _line_fit(x, y):
+    """(slope, intercept, deviations) of the least-squares line
+    y ~ slope * x + intercept, with deviations = fit - y."""
+    design = np.vstack([x, np.ones_like(x)]).T
+    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
+    return float(slope), float(intercept), design @ np.array([slope, intercept]) - y
+
+
 def growth_exponent(report: GrowthReport, window_fraction: float = 0.5):
-    """Least-squares slope of log(value) against log(n) over the trailing
-    ``window_fraction`` of the points; the residual is the maximum absolute
-    log deviation from the fit."""
+    """The slope of the line fit (``_line_fit``) of log(value) against
+    log(n) over the trailing ``window_fraction`` of the points; the residual
+    is the maximum absolute log deviation from the fit."""
     if not (0.0 < window_fraction <= 1.0):
         raise ValueError("window_fraction must lie in (0, 1]")
     ns, vals = (np.asarray(a, dtype=float) for a in report._tail(window_fraction))
@@ -76,26 +84,19 @@ def growth_exponent(report: GrowthReport, window_fraction: float = 0.5):
         raise WindowTooSmall("exponent fit needs at least 8 points")
     if np.any(vals <= 0.0):
         raise NonPositiveValues("exponent fit needs positive values")
-    x = np.log(ns)
-    y = np.log(vals)
-    design = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-    residual = float(np.max(np.abs(design @ np.array([slope, intercept]) - y)))
-    return float(slope), residual
+    slope, _, deviations = _line_fit(np.log(ns), np.log(vals))
+    return slope, float(np.max(np.abs(deviations)))
 
 
 def log_fit(ns, values):
-    """Least-squares fit value ~ c*log(n) + d; returns (c, d, rel_residual)
-    with rel_residual the max of |fit - value| / value."""
+    """The line fit (``_line_fit``) value ~ c*log(n) + d; returns
+    (c, d, rel_residual) with rel_residual the max of |fit - value| / value."""
     ns = np.asarray(ns, dtype=float)
     vals = np.asarray(values, dtype=float)
     if np.any(vals <= 0.0):
         raise NonPositiveValues("log fit needs positive values")
-    x = np.log(ns)
-    design = np.vstack([x, np.ones_like(x)]).T
-    (c, d), *_ = np.linalg.lstsq(design, vals, rcond=None)
-    rel = float(np.max(np.abs(design @ np.array([c, d]) - vals) / vals))
-    return float(c), float(d), rel
+    c, d, deviations = _line_fit(np.log(ns), vals)
+    return c, d, float(np.max(np.abs(deviations) / vals))
 
 
 def fitted(report: GrowthReport, window_fraction: float = 0.5) -> GrowthReport:

@@ -16,15 +16,10 @@ operator norm of ``A`` is the largest singular value of ``L_H A L_G^{-1}``,
 where ``L`` is any factor with ``L* L = Gram`` (Cholesky for dense Grams,
 the O(n) banded Cholesky for real tridiagonal ones, kept as its two bands
 and applied in O(n) per column, elementwise square root for diagonal
-ones).  The SVD runs on the nonzero core of that matrix: its zero rows
-and columns (for a stack, those zero in every matrix) carry no singular
-value and are dropped, so the nilpotent powers of a truncated shift cost
-a fraction of a full SVD; and once a walk's power is exactly zero
-(``_power_walk``), the mean and partial-sum sweeps stop walking, so they
-pay nothing past a shift's nilpotency index.  A core with exactly one
-nonzero in each kept row and column (a weighted shift, its powers, a
-diagonal) is a scaled partial permutation and needs no SVD: its norm is
-its largest |entry|.
+ones).  ``op_norm`` takes the SVD of that matrix's nonzero core, and none
+of a scaled partial permutation (a weighted shift, its powers, a
+diagonal), so the nilpotent powers of a truncated shift cost a fraction
+of a full SVD.
 An operator or a dense Gram is real unless its entries are not: an
 imaginary part that is identically zero is dropped (``_real_if_real``), so
 a real Gram read from a file stays real, and complex arithmetic enters
@@ -296,13 +291,13 @@ def op_norm(a, dom: GramGeometry | None = None, cod: GramGeometry | None = None,
     In spectral mode the SVD runs on the nonzero core: after both geometry
     factors are applied, the rows and columns that are zero in every matrix
     of ``a`` are dropped (the singular values of the rest are those of the
-    whole), and an all-zero ``a`` has norm 0.  A stack is thus reduced by
-    the union of its matrices' zero patterns: it equals one call per matrix
-    bit for bit when they share one pattern, and agrees with those calls to
-    rounding otherwise.  When that union core holds exactly one nonzero per
-    row and per column (one popcount against the kept line counts), every
-    matrix of ``a`` is a scaled partial permutation, and its norm is its
-    largest |entry| with no SVD.
+    whole).  A stack is thus reduced by the union of its matrices' zero
+    patterns: it equals one call per matrix bit for bit when they share one
+    pattern, and agrees with those calls to rounding otherwise.  When that
+    union core holds exactly one nonzero per row and per column (one
+    popcount against the kept line counts; an all-zero ``a`` has none),
+    every matrix of ``a`` is a scaled partial permutation, and its norm is
+    its largest |entry| with no SVD.
 
     Parameters
     ----------
@@ -329,11 +324,10 @@ def op_norm(a, dom: GramGeometry | None = None, cod: GramGeometry | None = None,
         # lines zero in every matrix of the stack carry no singular value
         pattern = np.any(b != 0, axis=tuple(range(b.ndim - 2)))
         rows, cols = pattern.any(axis=1), pattern.any(axis=0)
-        if not rows.any():
-            norms = np.zeros(b.shape[:-2])
-        elif np.count_nonzero(pattern) == rows.sum() == cols.sum():
-            # one nonzero per kept row and column: a scaled partial
-            # permutation, whose singular values are its |entries|
+        if np.count_nonzero(pattern) == rows.sum() == cols.sum():
+            # one nonzero per kept row and column (an all-zero stack has
+            # none): a scaled partial permutation, whose singular values are
+            # its |entries|
             norms = np.max(np.abs(b), axis=(-2, -1))
         else:
             if not (rows.all() and cols.all()):

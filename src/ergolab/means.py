@@ -60,7 +60,7 @@ class DegenerateRow(ValueError):
 
 
 class SpectralRadiusTooLarge(ValueError):
-    """Infinite-row scheme applied to an operator with spectral radius > 1."""
+    """An operator that fails ``_check_radius``: spectral radius > 1."""
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,6 @@ def _abel_row(n, tail_eps):
 
 
 def _zweier_row(n, tail_eps):
-    if n == 1:
-        return MeanRow(1, np.arange(2), np.array([0.5, 0.5]))
     return MeanRow(n, np.array([n - 1, n]), np.array([0.5, 0.5]))
 
 
@@ -304,13 +302,12 @@ def _check_unimodular(lam: complex) -> complex:
     return lam
 
 
-def _check_radius_for(s: MeanScheme, op: OperatorModel) -> None:
-    if s.finite_rows:
-        return
+def _check_radius(op: OperatorModel, what: str) -> None:
+    """The one admission test rho(T) <= 1 + 1e-9, of the infinite-row means
+    and of the resolvent series identity; SpectralRadiusTooLarge names ``what``."""
     rho = op.spectral_radius()
     if rho > 1.0 + 1e-9:
-        raise SpectralRadiusTooLarge(
-            f"{s.name} needs spectral radius <= 1, got {rho:.6g}")
+        raise SpectralRadiusTooLarge(f"{what} needs spectral radius <= 1, got {rho:.6g}")
 
 
 def _row_groups(rows):
@@ -376,12 +373,13 @@ def apply_mean(s: MeanScheme, t, n, lam: complex = 1.0, x=None) -> np.ndarray:
     the same right-multiplying step.  A walk ends at its first power that
     is exactly zero (``_group_means``), so a long row on a nilpotent T, or
     an ``x`` that a power of T annihilates, costs only the nonzero powers.
-    ``lam = 1`` gives the plain mean.  Infinite-row kinds require spectral
-    radius <= 1.
+    ``lam = 1`` gives the plain mean.  Infinite-row kinds admit only T
+    with spectral radius <= 1 (``_check_radius``).
     """
     lam = _check_unimodular(lam)
     op = as_operator(t)
-    _check_radius_for(s, op)
+    if not s.finite_rows:
+        _check_radius(op, s.name)
     ns = np.asarray(n)
     b = lam * op.matrix
     left = None

@@ -155,11 +155,11 @@ def h1_mean_pairing(n: int, p, q) -> complex:
     """Gram pairing <F_n * p, q> in the 3-isometry space."""
     left = poly_mul(cesaro_multiplier(n), p)
     right = as_poly(q)
-    degree = max(left.size, right.size) - 1
-    gram = h1_gram(max(degree, 1))
-    a = np.zeros(degree + 1, dtype=complex)
+    # h1_gram needs degree >= 1, so the vectors are sized to its Gram
+    gram = h1_gram(max(left.size, right.size, 2) - 1)
+    a = np.zeros(len(gram), dtype=complex)
     a[: left.size] = left
-    b = np.zeros(degree + 1, dtype=complex)
+    b = np.zeros(len(gram), dtype=complex)
     b[: right.size] = right
     return complex(b.conj() @ gram @ a)
 

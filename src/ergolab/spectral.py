@@ -18,14 +18,13 @@ instead of walking a nilpotent T past its index.
 ``_first_max`` is the one reduction of a sweep's grid of values: its first
 maximum in C order, so of tied grid points the one that comes first in
 (radius, angle, n) order wins.
-``_ring_angles`` is the one mirror rule of the two annulus sweeps: for a
-real T in a real geometry, (T - conj(lambda))^{-1} and the partial sums at
-conj(lambda) are the conjugates of those at lambda, so both functionals
-take equal values there.  ``kreiss_functional`` and
-``partial_sum_functional`` then evaluate the angle indices 0..A/2 of each
-ring and copy index k into index A - k; a copy comes after its source in C
-order, so a real operator's argmax angle lies in [0, pi].  A complex
-operator or a complex Gram keeps the full ring.
+``_ring_angles`` is the one ring of the two annulus sweeps,
+``kreiss_functional`` and ``partial_sum_functional``: its points and its
+mirror rule.  For a real T in a real geometry, (T - conj(lambda))^{-1} and
+the partial sums at conj(lambda) are the conjugates of those at lambda, so
+both functionals take equal values there and half of each ring is
+evaluated.  A copy comes after its source in C order, so a real operator's
+argmax angle lies in [0, pi].
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linop import _chunks, as_operator
-from .means import SpectralRadiusTooLarge, _check_cesaro_order
+from .means import _check_cesaro_order, _check_radius
 
 _SINGULAR_TOL = 1e-12
 
@@ -135,10 +134,11 @@ def _first_max(values):
     return float(values.flat[k]), tuple(int(i) for i in np.unravel_index(k, values.shape))
 
 
-def _ring_angles(op, angles: np.ndarray):
-    """(evaluated, sources) for a ring at ``angles``: the angles a sweep
-    evaluates, and for each angle index k of the ring the index into
-    ``evaluated`` whose value it takes.
+def _ring_angles(op, grid: AnnulusGrid):
+    """(angles, points, sources) of the annulus sweeps on ``grid``: the
+    ring's angles, the points rho e^{i theta} a sweep evaluates (one row per
+    radius), and for each angle index k of the ring the column of
+    ``points`` whose value it takes.
 
     A real operator in a real geometry evaluates indices 0..A/2 and index k
     takes min(k, A - k): lambda_{A-k} is conj(lambda_k), where its
@@ -146,11 +146,15 @@ def _ring_angles(op, angles: np.ndarray):
     the whole ring.  A diagonal or tridiagonal geometry is real and holds no
     dense Gram until one is asked for, so this builds none.
     """
+    angles = grid.angle_values()
     k = np.arange(angles.size)
     gram = op.geometry
     if np.iscomplexobj(op.matrix) or (gram is not None and np.iscomplexobj(gram._dense)):
-        return angles, k
-    return angles[:angles.size // 2 + 1], np.minimum(k, angles.size - k)
+        evaluated, sources = angles, k
+    else:
+        evaluated, sources = angles[:angles.size // 2 + 1], np.minimum(k, angles.size - k)
+    points = np.array(grid.radii)[:, None] * np.exp(1j * evaluated)
+    return angles, points, sources
 
 
 def resolvent_norm(t, lam):
@@ -192,18 +196,15 @@ def resolvent_norm(t, lam):
 def kreiss_functional(t, r: int, grid: AnnulusGrid) -> FunctionalReport:
     """Grid sup of ((|lambda|-1)^{r+1} / |lambda|^r) ||(T - lambda I)^{-1}||.
 
-    Each radius ring is one ``resolvent_norm`` call, over angle indices
-    0..A/2 for a real operator in a real geometry, whose other half it
-    mirrors (``_ring_angles``), and over the full ring otherwise.  Grid
+    Each radius ring is one ``resolvent_norm`` call at the points of
+    ``_ring_angles``, whose mirror fills the rest of the ring.  Grid
     points inside the (numerical) spectrum are skipped and counted, mirrored
     copies included.  The refinement ratio compares the sup with and without
     the innermost radius ring.
     """
     op = as_operator(t)
-    angles = grid.angle_values()
-    evaluated, sources = _ring_angles(op, angles)
-    norms = np.array([resolvent_norm(op, rho * np.exp(1j * evaluated))
-                      for rho in grid.radii])[:, sources]
+    angles, points, sources = _ring_angles(op, grid)
+    norms = np.array([resolvent_norm(op, ring) for ring in points])[:, sources]
     skipped = np.isnan(norms)
     values = np.where(skipped, -math.inf, np.array(grid.kreiss_weights(r))[:, None] * norms)
     best, (i, m) = _first_max(values)
@@ -224,9 +225,8 @@ def partial_sum_functional(t, r: int, nmax: int, grid: AnnulusGrid) -> Functiona
 
     The sums are the order-1 Pascal sums of T/lambda, walked for a stack
     of angles at once, so the whole n-range costs one stacked matrix
-    product and one stacked norm per step.  A real operator in a real
-    geometry is walked at angle indices 0..A/2 of each ring, which give the
-    other half by mirroring (``_ring_angles``); any other at every angle.
+    product and one stacked norm per step.  Each ring is walked at the
+    points of ``_ring_angles``, whose mirror fills the rest of the ring.
     At the first n >= 1 whose stacked power (T/lambda)^n is exactly zero
     (a nilpotent T, such as a truncated shift), the partial sums stay
     S_{n-1} for good: its values are copied to n..nmax and that stack's
@@ -235,12 +235,10 @@ def partial_sum_functional(t, r: int, nmax: int, grid: AnnulusGrid) -> Functiona
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     op = as_operator(t)
-    angles = grid.angle_values()
-    evaluated, sources = _ring_angles(op, angles)
-    values = np.empty((len(grid.radii), evaluated.size, nmax + 1))
-    for i, (rho, w) in enumerate(zip(grid.radii, grid.kreiss_weights(r))):
-        lams = rho * np.exp(1j * evaluated)
-        for part in _chunks(evaluated.size, op.dim ** 2):
+    angles, points, sources = _ring_angles(op, grid)
+    values = np.empty(points.shape + (nmax + 1,))
+    for i, (rho, w, lams) in enumerate(zip(grid.radii, grid.kreiss_weights(r), points)):
+        for part in _chunks(lams.size, op.dim ** 2):
             for n, sums in _pascal_sums(op.matrix / lams[part, None, None], 1, nmax):
                 if not sums[0].any():
                     values[i, part, n:] = values[i, part, n - 1, None]
@@ -320,27 +318,27 @@ def mean_growth_functional(t, p: int, r: int, nmax: int, angles: int) -> Functio
 def resolvent_series_residual(t, p: int, lam: complex, rho: float,
                               nterms: int | None = None) -> float:
     """Residual of the generating identity
-    (I - rho lam T)^{-1} = (1-rho)^p sum_n C(n+p, p) M_n^{(p)}(lam T) rho^n,
-    truncated after ``nterms`` terms (default ceil(40 / (1 - rho))).
+    (I - rho lam T)^{-1} = (1-rho)^p sum_n A_n^{(p)}(lam T) rho^n,
+    with the Pascal sums A_n^{(p)} = C(n+p, p) M_n^{(p)} of ``_pascal_sums``,
+    truncated after ``nterms`` terms (default ceil(40 / (1 - rho))); T must
+    pass ``means._check_radius``.
     """
     if not (0.0 < rho <= 0.9):
         raise ValueError("rho must lie in (0, 0.9] for a negligible tail")
     op = as_operator(t)
-    if op.spectral_radius() > 1.0 + 1e-9:
-        raise SpectralRadiusTooLarge("series identity needs spectral radius <= 1")
+    _check_radius(op, "series identity")
+    p = _check_cesaro_order(p)
     if nterms is None:
         nterms = int(math.ceil(40.0 / (1.0 - rho)))
     eye = np.eye(op.dim)
     lhs = np.linalg.solve(eye - rho * lam * op.matrix, eye)
     scale = (1.0 - rho) ** p
     rhs = np.zeros_like(lhs)
-    binom = 1.0  # C(n+p, p)
     rho_n = 1.0
-    for n, mean in cesaro_mean_sequence(op, p, nterms, lam):
-        if n > 0:
-            binom *= (n + p) / n
+    for n, sums in _pascal_sums(lam * op.matrix, p, nterms):
+        if n:
             rho_n *= rho
-        rhs += scale * binom * rho_n * mean
+        rhs += scale * rho_n * sums[p]
     return op.norm(lhs - rhs)
 
 

@@ -120,14 +120,6 @@ def _kreiss_report(threads, path):
     return path.read_bytes()
 
 
-def _numbers(value):
-    if isinstance(value, dict):
-        return [x for key in sorted(value) for x in _numbers(value[key])]
-    if isinstance(value, list):
-        return [x for item in value for x in _numbers(item)]
-    return [value] if isinstance(value, float) else []
-
-
 @pytest.fixture(scope="module")
 def one_thread_report(tmp_path_factory):
     return _kreiss_report(1, tmp_path_factory.mktemp("kreiss") / "r.json")
@@ -613,6 +605,11 @@ def test_uniform_kreiss_scenario():
           ("powseries:coeffs=1:coeffs=2",
            "powseries takes parameter 'coeffs' once, got it twice"),
           ("powseries", "powseries needs parameter 'coeffs'")]],
+    # <F_n 1, 1> = 2/(n+1) holds from n = 1 on
+    (["h1"], {"check": "pairing", "n": 0}, "config error: n must be an integer >= 1, got 0"),
+    # a flag is read only when written in full: --n is not --nmax
+    (["h1", "--check", "pairing", "--n", "0"], None,
+     "config error: unrecognized arguments: --n 0"),
 ], ids=["misspelt_check", "unread_flag", "h1_check", "flag_type", "window_of_one",
         "config_list", "kernel_tol_m20", "kernel_tol", "kernel_tol_zero",
         "window_fraction_zero", "window_fraction_above_one", "shields_r_above_3",
@@ -626,7 +623,8 @@ def test_uniform_kreiss_scenario():
         "rows_nmax_0", "cesaro_order", "zweier_positional", "cesaro_fractional",
         "jordan_extra", "volterra_extra", "diag_extra", "i_minus_v_extra", "dirichlet_extra",
         "random_extra", "jordan_missing", "jordan_named", "cesaro_extra", "cesaro_p_twice",
-        "cesaro_named_p_twice", "coeffs_twice", "powseries_missing"])
+        "cesaro_named_p_twice", "coeffs_twice", "powseries_missing", "h1_pairing_n0",
+        "abbreviated_flag"])
 def test_rejected_input_exits_2_with_one_stderr_line(argv, config, fragment, tmp_path,
                                                      capsys):
     if config is not None:
@@ -672,6 +670,50 @@ def test_malformed_operator_file_exits_2_with_one_stderr_line(text, tmp_path, ca
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert err.startswith(f"config error: cannot load operator file {str(op)!r}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, text", [("missing.json", None), ("dir", None),
+                                        ("bad.json", "{not json")],
+                         ids=["missing", "directory", "not_json"])
+def test_unreadable_config_exits_2_with_one_stderr_line(name, text, tmp_path, capsys):
+    cfg = tmp_path / name
+    if name == "dir":
+        cfg.mkdir()
+    elif text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "r.json"
+    assert cli.main(["kreiss", "--op", "jordan:2:1", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert err.startswith(f"config error: cannot read {cfg}: ")
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_2_with_one_stderr_line(monkeypatch, tmp_path, capsys):
+    def too_large(d, eig):
+        raise MemoryError(f"Unable to allocate the {d} x {d} block")
+
+    monkeypatch.setattr(linop, "jordan_block", too_large)
+    out = tmp_path / "r.json"
+    assert cli.main(["growth", "--op", "jordan:2:1", "--nmax", "8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: out of memory: Unable to allocate the 2 x 2 block"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("band, code", [([1.8, 2.2], 0), ([3, 4], 1)])
+def test_kreiss_step_ratios_are_checked_against_the_band(band, code, tmp_path):
+    # the Jordan block's resolvent sup doubles with each halving of |lambda| - 1
+    code_seen, report = _main_with_config(
+        tmp_path, ["kreiss", "--op", "jordan:2:1", "--r", "0", "--kmax", "6",
+                   "--angles", "8"], {"expect_ratio_band": band})
+    assert code_seen == code
+    checks = [c for c in report["checks"] if c["name"].startswith("step_ratio_")]
+    assert [c["name"] for c in checks] == ["step_ratio_0", "step_ratio_1", "step_ratio_2"]
+    assert [c["value"] for c in checks] == report["values"]["step_ratios"][-3:]
+    assert all(c["pass"] == (code == 0) and c["threshold"] == band for c in checks)
+    assert [round(c["value"], 3) for c in checks] == [1.977, 1.994, 1.999]
 
 
 def test_main_twice_in_one_process_reports_as_two_fresh_processes(tmp_path, capsys):

@@ -199,6 +199,8 @@ def test_shift_lower_bound_values_and_property():
 
 
 def test_h1_mean_pairing_values():
+    # F_0 = 1, so <F_0 1, 1> = <1, 1> = G_00 = 1 + 2^2, on degree-0 vectors
+    assert h1_mean_pairing(0, [1.0], [1.0]) == h1_gram(1)[0, 0] == 5.0
     assert h1_mean_pairing(1, [1.0], [1.0]) == pytest.approx(1.0, abs=1e-13)
     assert h1_mean_pairing(9, [1.0], [1.0]) == pytest.approx(0.2, abs=1e-13)
     assert h1_mean_pairing(1, [1.0], [0.0, 1.0]) == pytest.approx(3.5, abs=1e-13)
