@@ -230,13 +230,10 @@ def _scenario_uniform_kreiss(cfg):
     r = cfg.get("r", 0)
     nmax = cfg.get("nmax", 64)
     angles = cfg.get("angles", 16)
-    radii = sorted({1.0 + 1.0 / n for n in range(1, nmax + 1)
-                    if (n & (n - 1)) == 0}, reverse=True)
-    grid = spectral.AnnulusGrid(tuple(radii), angles)
-    result = spectral.uniform_kreiss_mean_bound(op, r, nmax, angles, grid)
+    result = spectral.uniform_kreiss_mean_bound(op, r, nmax, angles)
     checks = [_check("mean_bound_ratio", result["max_ratio"],
                      cfg.get("tol", 1.0 + 1e-6))]
-    return result, checks + _ring_weight_checks(grid, r)
+    return result, checks + _ring_weight_checks(spectral.AnnulusGrid.harmonic(nmax, angles), r)
 
 
 def _growth_report(cfg, op):

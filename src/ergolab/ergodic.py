@@ -270,8 +270,9 @@ def gamma_quotient(t, s: MeanScheme, m: int, n_window,
     """Window estimate of gamma(x) = limsup_n ||T_n (T - I)^m x|| and the
     operator induced on the quotient by its kernel.
 
-    The limsup is approximated by the max over n in [lo, hi]; the kernel is
-    read off the averaged Gram of the window maps (eigendirections whose
+    The limsup is approximated by the max over n in [lo, hi], lo raised to
+    the scheme's first row (WindowTooSmall below hi - lo = 16); the kernel
+    is read off the averaged Gram of the window maps (eigendirections whose
     scale falls below ``kernel_tol`` times the largest probed gamma).  The
     quotient coordinates are scaled so the Euclidean norm there matches the
     Gram-estimated seminorm, and the induced operator is expressed in those
@@ -282,10 +283,9 @@ def gamma_quotient(t, s: MeanScheme, m: int, n_window,
     """
     if not kernel_tol > 0:
         raise ValueError(f"kernel_tol must be > 0, got {kernel_tol}")
-    lo, hi = int(n_window[0]), int(n_window[1])
+    lo, hi = max(int(n_window[0]), s.min_n), int(n_window[1])
     if hi - lo < 16:
-        raise WindowTooSmall("gamma window needs hi - lo >= 16")
-    lo = max(lo, s.min_n)
+        raise WindowTooSmall(f"gamma window [{lo}, {hi}] needs hi - lo >= 16")
     op = as_operator(t)
     a = op.matrix
     d = op.dim

@@ -399,7 +399,8 @@ def volterra_operator(n: int) -> OperatorModel:
 def _power_walk(a: np.ndarray, ns, left=None, size=1):
     """Yield the powers ``a^n``, or ``left @ a^n``, at the ascending indices
     ``ns`` (repeats allowed) from one walk, as stacks: one stack per
-    consecutive slice of at most ``size`` entries of ``ns``.
+    consecutive slice of at most ``size`` entries of ``ns``.  ``a`` is a
+    matrix or, with no ``left``, a stack ``(..., d, d)`` walked as one.
 
     Each power costs one product.  A single step (any index a run does not
     fill) is one product by ``a`` for a gap of 1, and one product per set
@@ -410,7 +411,7 @@ def _power_walk(a: np.ndarray, ns, left=None, size=1):
     powers, grown on demand, so the walk forms no power above the largest
     index it yields.  A run holds at most _STACK_CELLS cells of ``a``, so
     its squares cost less than the run, and from dimension 128 every run is
-    one power.  A triangular ``a`` (an exact-zero test) of dimension >=
+    one power.  A triangular matrix ``a`` (exact-zero test) of dimension >=
     _TRMM_MIN_DIM takes its single steps and squares by BLAS trmm, typed by
     ``a`` and ``left`` together, at half the flops of ``@``; it takes the
     transposes, ``x @ y = (y^T x^T)^T``, so no C-ordered operand is copied.
@@ -419,13 +420,15 @@ def _power_walk(a: np.ndarray, ns, left=None, size=1):
     and each stack is the view ``p[None]`` of the walk's own power (``a``
     itself at n = 1, ``left`` itself at n = 0).
 
-    Once a yielded stack's first power is exactly zero, every later power
-    the walk forms is a product by that zero matrix, so it is exactly zero
-    too.  A consumer that finds a zero first power (one ``.any()``) may
-    stop drawing stacks and take every later power as zero: its results
-    are bit for bit those of the whole walk."""
+    The zero-power rule: once a yielded stack's first power is exactly
+    zero, every later power the walk forms is a product by that zero
+    matrix, so it is exactly zero too.  A consumer that finds a zero first
+    power (one ``.any()``) may stop drawing stacks and take every later
+    power as zero, bit for bit: a sum of powers that starts from +0.0
+    entries (zeros or the identity) never holds -0.0, so zeros change none
+    of its bits."""
     mul = np.matmul
-    if a.shape[0] >= _TRMM_MIN_DIM:
+    if a.ndim == 2 and a.shape[0] >= _TRMM_MIN_DIM:
         a = np.ascontiguousarray(a)
         lower = not np.triu(a, 1).any()
         if lower or not np.tril(a, -1).any():
@@ -450,7 +453,7 @@ def _power_walk(a: np.ndarray, ns, left=None, size=1):
                 p = square(bit) if p is None else mul(p, square(bit))
             gap >>= 1
             bit += 1
-        return np.eye(a.shape[0], dtype=a.dtype) if p is None else p
+        return np.eye(a.shape[-1], dtype=a.dtype) if p is None else p
 
     ns = np.asarray(ns, dtype=int)
     # the positions no run goes through: an entry not one above the one before
@@ -494,6 +497,8 @@ def random_operator(dim: int, spectral_radius: float = 0.9,
                     seed: int = 0x5EED) -> OperatorModel:
     """Entrywise uniform-on-the-unit-disk matrix rescaled to a target
     spectral radius.  Deterministic for a given seed."""
+    if dim < 1:
+        raise BadDimension("random operator needs dim >= 1")
     rng = np.random.default_rng(seed)
     r = np.sqrt(rng.uniform(0.0, 1.0, (dim, dim)))
     theta = rng.uniform(0.0, 2.0 * np.pi, (dim, dim))

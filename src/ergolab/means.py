@@ -328,31 +328,26 @@ def _row_groups(rows):
 def _group_means(rows: list, b: np.ndarray, out: np.ndarray, left=None) -> None:
     """Write into ``out`` the means ``sum_j t_nj b^j``, or ``sum_j t_nj
     left b^j`` when a left factor is given, one per row, from one walk of
-    the powers of ``b`` over the union of the rows' supports.  The walk's
-    ``size`` is as many powers as _STACK_CELLS cells hold, so it yields
-    stacks of at most _STACK_CELLS cells, each run of consecutive powers in
-    a stack filled by doubling from the walk's binary squares
-    (``linop._power_walk``; ``size=1`` would be its walk of single steps).
-    Each stack is contracted with its block of row weights in one
-    product.  It stops drawing stacks at the first whose first power (or
-    ``left b^j``) is exactly zero: every later power is zero, and adding
-    zeros changes no bit of the sums, which start at +0.0 and so never
-    hold -0.0.  A nilpotent ``b`` thus pays for no power past its
-    nilpotency index, however long the rows."""
+    the powers of ``b`` over the group's span lo..hi, by which
+    ``_row_groups`` sized the group.  The walk's ``size`` is as many powers
+    as _STACK_CELLS cells hold, so it yields stacks of at most _STACK_CELLS
+    cells, each run of consecutive powers in a stack filled by doubling
+    from the walk's binary squares (``linop._power_walk``; ``size=1`` would
+    be its walk of single steps).  Each stack is contracted with its block
+    of row weights in one product.  It stops drawing stacks at the first
+    whose first power (or ``left b^j``) is exactly zero, by the walk's
+    zero-power rule: the sums start at +0.0.  A nilpotent ``b`` thus pays
+    for no power past its nilpotency index, however long the rows."""
     lo = min(int(row.indices[0]) for row in rows)
-    used = np.zeros(max(int(row.indices[-1]) for row in rows) - lo + 1, dtype=bool)
-    for row in rows:
-        used[row.indices - lo] = True
-    support = lo + np.flatnonzero(used)
-    column = np.cumsum(used) - 1
-    weights = np.zeros((len(rows), support.size))
+    hi = max(int(row.indices[-1]) for row in rows)
+    weights = np.zeros((len(rows), hi - lo + 1))
     for i, row in enumerate(rows):
-        weights[i, column[row.indices - lo]] = row.weights
+        weights[i, row.indices - lo] = row.weights
     cells = out[0].size
     acc = out.reshape(len(rows), cells)
     acc.fill(0.0)
     start = 0
-    for stack in _power_walk(b, support, left, _stack_size(cells)):
+    for stack in _power_walk(b, range(lo, hi + 1), left, _stack_size(cells)):
         if not stack[0].any():
             break
         acc += weights[:, start:start + len(stack)] @ stack.reshape(-1, cells)
@@ -368,11 +363,11 @@ def apply_mean(s: MeanScheme, t, n, lam: complex = 1.0, x=None) -> np.ndarray:
 
     The rows are taken in groups whose weight blocks (rows x support span)
     hold at most _STACK_CELLS cells; one walk per group carries the powers
-    of lam*T over the union of the group's supports.  With ``x`` the walk
-    carries ``x^T (lam*T^T)^j``, the transposed ``(lam*T)^j x``, so it keeps
-    the same right-multiplying step.  A walk ends at its first power that
-    is exactly zero (``_group_means``), so a long row on a nilpotent T, or
-    an ``x`` that a power of T annihilates, costs only the nonzero powers.
+    of lam*T over that span.  With ``x`` the walk carries ``x^T
+    (lam*T^T)^j``, the transposed ``(lam*T)^j x``, so it keeps the same
+    right-multiplying step.  A walk ends at its first power that is exactly
+    zero (``_group_means``), so a long row on a nilpotent T, or an ``x``
+    that a power of T annihilates, costs only the nonzero powers.
     ``lam = 1`` gives the plain mean.  Infinite-row kinds admit only T
     with spectral radius <= 1 (``_check_radius``).
     """

@@ -9,12 +9,12 @@ off without re-running the sweep.  Divergence verdicts are never emitted
 here -- callers compare the recorded ratios against their own thresholds.
 
 Three rules are written once.  ``_pascal_sums`` is the one walk of the Cesaro
-sums A_n^(q) of the powers, one matrix product per step: the order-p means,
-the partial sums of the resolvent series (order 1 in T/lambda) and the Abel
-rearrangement (orders 0 and 1) all read it.  Once its power is exactly
-zero, so is every later one (as in ``linop._power_walk``): the order-1 sums
-keep their last value, and ``partial_sum_functional`` copies that value
-instead of walking a nilpotent T past its index.
+sums A_n^(q) of the powers, which it takes from ``linop._power_walk``, one
+matrix product per step: the order-p means, the partial sums of the
+resolvent series (order 1 in T/lambda) and the Abel rearrangement (orders 0
+and 1) all read it.  By the walk's zero-power rule the order-1 sums keep
+their value from the first zero power on, and ``partial_sum_functional``
+copies that value instead of walking a nilpotent T past its index.
 ``_first_max`` is the one reduction of a sweep's grid of values: its first
 maximum in C order, so of tied grid points the one that comes first in
 (radius, angle, n) order wins.
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linop import _chunks, as_operator
+from .linop import _chunks, _power_walk, as_operator
 from .means import _check_cesaro_order, _check_radius
 
 _SINGULAR_TOL = 1e-12
@@ -72,6 +72,14 @@ class AnnulusGrid:
         distance to the unit circle."""
         return cls(tuple(1.0 + 2.0 ** (-k) for k in range(1, kmax + 1)), angles)
 
+    @classmethod
+    def harmonic(cls, nmax: int, angles: int) -> "AnnulusGrid":
+        """Radii 1 + 1/n at the powers of two n = 2^k <= nmax, the radii
+        that the derivation behind ``uniform_kreiss_mean_bound`` needs."""
+        if nmax < 1:
+            raise ValueError("nmax must be >= 1")
+        return cls(tuple(1.0 + 2.0 ** (-k) for k in range(int(nmax).bit_length())), angles)
+
     def angle_values(self) -> np.ndarray:
         return _angle_values(self.angles)
 
@@ -107,21 +115,17 @@ def _pascal_sums(b, p: int, nmax: int):
     """Yield (n, [A_n^(0), ..., A_n^(p)]) for n = 0..nmax: the Cesaro sums
     of the powers of ``b`` (a matrix or a stack of them), with
     A_n^(0) = b^n and A_n^(q) = A_{n-1}^(q) + A_n^(q-1), all starting from
-    the identity.  One matrix product per step, whatever p.  The list is
-    reused at the next step: a consumer norms the sums at once or divides
-    them into a fresh array, and never writes to them.
-
-    Once A_n^(0) is exactly zero, every later A^(0) is a product by that
-    zero matrix and exactly zero too, and A^(1) adds only zeros from there
-    on: it starts from the identity, whose zeros are +0.0, so it never
-    holds -0.0 and keeps its bits.  A consumer of order 1 may stop at the
-    first zero power (``partial_sum_functional`` does); the sums of order
-    2 and up keep growing.
+    the identity.  The powers come from one ``linop._power_walk``, one
+    matrix product per step, whatever p; by its zero-power rule a consumer
+    of order 1 may stop at the first zero power (the sums of order 2 and up
+    keep growing).  The list is reused at the next step: a consumer norms
+    the sums at once or divides them into a fresh array, and never writes
+    to them.
     """
     sums = [np.broadcast_to(np.eye(b.shape[-1]), b.shape)] * (p + 1)
     yield 0, sums
-    for n in range(1, nmax + 1):
-        sums[0] = sums[0] @ b
+    for n, (power,) in enumerate(_power_walk(b, range(1, nmax + 1)), start=1):
+        sums[0] = power
         for q in range(1, p + 1):
             sums[q] = sums[q] + sums[q - 1]
         yield n, sums
@@ -228,9 +232,8 @@ def partial_sum_functional(t, r: int, nmax: int, grid: AnnulusGrid) -> Functiona
     product and one stacked norm per step.  Each ring is walked at the
     points of ``_ring_angles``, whose mirror fills the rest of the ring.
     At the first n >= 1 whose stacked power (T/lambda)^n is exactly zero
-    (a nilpotent T, such as a truncated shift), the partial sums stay
-    S_{n-1} for good: its values are copied to n..nmax and that stack's
-    walk ends, bit for bit the values the whole walk would give.
+    (a nilpotent T, such as a truncated shift), the values of S_{n-1} are
+    copied to n..nmax and that stack's walk ends (the zero-power rule).
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
@@ -369,18 +372,17 @@ def abel_summation_residual(t, lam: complex, rho: float, n: int) -> float:
     return op.norm(lhs - rhs)
 
 
-def uniform_kreiss_mean_bound(t, r: int, nmax: int, angles: int,
-                              grid: AnnulusGrid) -> dict:
+def uniform_kreiss_mean_bound(t, r: int, nmax: int, angles: int) -> dict:
     """Check the explicit mean bound implied by the partial-sum condition.
 
-    Computes C as the grid sup of the weighted partial sums, then the max
-    over n <= nmax and unimodular mu of
-    || M_n(mu T) || / (2^r (2e - 1) C n^r), read off the order-1
-    ``mean_growth_functional``.  For the grid to dominate the constants used
-    in the derivation it should contain radii 1 + 1/n for the n of interest.
+    Computes C as the sup of the weighted partial sums on
+    ``AnnulusGrid.harmonic(nmax, angles)``, whose radii 1 + 1/n dominate
+    the constants used in the derivation, then the max over n <= nmax and
+    unimodular mu of || M_n(mu T) || / (2^r (2e - 1) C n^r), read off the
+    order-1 ``mean_growth_functional``.
     """
     op = as_operator(t)
-    c_value = partial_sum_functional(op, r, nmax, grid).value
+    c_value = partial_sum_functional(op, r, nmax, AnnulusGrid.harmonic(nmax, angles)).value
     bound = 2.0 ** r * (2.0 * math.e - 1.0) * c_value
     growth = mean_growth_functional(op, 1, r, nmax, angles)
     return {

@@ -339,6 +339,14 @@ def test_gamma_quotient_degenerate_cases():
         gamma_quotient(identity_operator(2), identity_powers(), 0, (8, 16))
 
 
+def test_gamma_quotient_measures_its_window_from_the_scheme_first_row():
+    # the Abel rows start at n = 1: (0, 16) covers rows 1..16, as (1, 16) does
+    for window in ((0, 16), (1, 16)):
+        with pytest.raises(WindowTooSmall):
+            gamma_quotient(identity_operator(2), abel(), 0, window)
+    assert gamma_quotient(identity_operator(2), abel(), 0, (0, 17)).quotient_dim == 2
+
+
 @pytest.mark.parametrize("kernel_tol", [0.0, -1.0, float("nan")])
 def test_gamma_quotient_rejects_a_kernel_tol_that_is_not_positive(kernel_tol):
     with pytest.raises(ValueError, match="kernel_tol"):

@@ -130,28 +130,55 @@ def test_kreiss_monotonicity_under_refinement():
     assert big.value >= small.value - 1e-12
 
 
+def _pascal_product_loop(b, p, nmax):
+    """Oracle: the Pascal sums of orders 0..p at n = 0..nmax, each power
+    the one before it times ``b`` by ``@``, starting from the identity."""
+    sums = [np.broadcast_to(np.eye(b.shape[-1]), b.shape)] * (p + 1)
+    out = [np.array(sums)]
+    for _ in range(nmax):
+        sums[0] = sums[0] @ b
+        for q in range(1, p + 1):
+            sums[q] = sums[q] + sums[q - 1]
+        out.append(np.array(sums))
+    return out
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("stacked", [False, True])
-def test_pascal_sums_match_explicit_sums_of_powers(dtype, stacked):
+def test_pascal_sums_match_explicit_sums_of_powers(dtype, stacked, request):
     rng = np.random.default_rng(11)
     m = rng.standard_normal((3, 4, 4)) / 2.0
     if dtype is complex:
         m = m + 1j * rng.standard_normal((3, 4, 4)) / 2.0
-    b = m if stacked else m[0]
+    # nilpotent: weighted 4 x 4 shifts, whose powers from n = 4 on are zero
+    shifts = np.array([np.eye(4, k=-1) * z for z in (1.0, -0.5, 2.0)], dtype=dtype)
     nmax = 9
-    for p in range(4):
-        # A_n^(0) = b^n, and each order the running sum of the order below
-        explicit = np.array([[power(a, n) for n in range(nmax + 1)]
-                             for a in b.reshape(-1, 4, 4)])
-        for _ in range(p):
-            explicit = np.cumsum(explicit, axis=1)
-        got = []
-        for n, sums in _pascal_sums(b, p, nmax):
-            assert len(sums) == p + 1
-            assert all(a.shape == b.shape for a in sums)
-            got.append(np.array(sums[p]).reshape(-1, 4, 4))
-        assert len(got) == nmax + 1
-        np.testing.assert_allclose(np.stack(got, axis=1), explicit, rtol=1e-12, atol=1e-12)
+    for b in (m, shifts):
+        b = b if stacked else b[0]
+        for p in range(4):
+            # A_n^(0) = b^n, and each order the running sum of the order below
+            explicit = np.array([[power(a, n) for n in range(nmax + 1)]
+                                 for a in b.reshape(-1, 4, 4)])
+            for _ in range(p):
+                explicit = np.cumsum(explicit, axis=1)
+            oracle = _pascal_product_loop(b, p, nmax)
+            got = []
+            for n, sums in _pascal_sums(b, p, nmax):
+                assert len(sums) == p + 1
+                assert all(a.shape == b.shape for a in sums)
+                # every order is the product loop's, bit for bit
+                assert np.array_equal(np.array(sums), oracle[n])
+                got.append(np.array(sums[p]).reshape(-1, 4, 4))
+            assert len(got) == nmax + 1
+            np.testing.assert_allclose(np.stack(got, axis=1), explicit,
+                                       rtol=1e-12, atol=1e-12)
+    # a triangular b: a matrix takes the walk's trmm route, a stack does not
+    lookups = request.getfixturevalue("trmm_lookups")
+    tri = np.tril(m if stacked else m[0])
+    oracle = _pascal_product_loop(tri, 2, nmax)
+    for n, sums in _pascal_sums(tri, 2, nmax):
+        np.testing.assert_allclose(np.array(sums), oracle[n], rtol=1e-12, atol=1e-12)
+    assert lookups == ([] if stacked else ["trmm"])
 
 
 def test_first_max_takes_the_first_of_exact_ties_in_c_order():
@@ -245,22 +272,25 @@ def test_abel_summation_residual_random_instances():
         assert abel_summation_residual(t, lam, rho, n) <= 1e-10
 
 
-def _harmonic_grid(nmax, angles=16):
-    radii = sorted({1.0 + 1.0 / n for n in range(1, nmax + 1)
-                    if (n & (n - 1)) == 0}, reverse=True)
-    return AnnulusGrid(tuple(radii), angles)
+def test_harmonic_grid_takes_radii_one_plus_one_over_n_at_powers_of_two():
+    for nmax in (1, 2, 3, 63, 64, 1000):
+        radii = sorted({1.0 + 1.0 / n for n in range(1, nmax + 1) if (n & (n - 1)) == 0},
+                       reverse=True)
+        grid = AnnulusGrid.harmonic(nmax, 16)
+        assert grid.radii == tuple(radii) and grid.angles == 16
+    with pytest.raises(ValueError, match="nmax"):
+        AnnulusGrid.harmonic(0, 16)
 
 
 def test_uniform_kreiss_mean_bound_cases():
-    grid = _harmonic_grid(64)
-    res = uniform_kreiss_mean_bound(scalar_op(1.0), 0, 64, 16, grid)
+    res = uniform_kreiss_mean_bound(scalar_op(1.0), 0, 64, 16)
     # C <= 1 and ||M_n|| = 1: the ratio is 1/((2e-1) C) < 1
     assert res["partial_sum_constant"] <= 1.0 + 1e-9
     assert res["max_ratio"] < 1.0
-    res0 = uniform_kreiss_mean_bound(scalar_op(0.0), 0, 16, 8, _harmonic_grid(16, 8))
+    res0 = uniform_kreiss_mean_bound(scalar_op(0.0), 0, 16, 8)
     assert res0["max_ratio"] < 1.0
     shift = dirichlet_shift(1.0, 16, "backward")  # a contraction
-    res_s = uniform_kreiss_mean_bound(shift, 0, 32, 8, _harmonic_grid(32, 8))
+    res_s = uniform_kreiss_mean_bound(shift, 0, 32, 8)
     assert res_s["max_ratio"] < 1.0
 
 
