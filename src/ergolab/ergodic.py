@@ -194,15 +194,21 @@ def ergodic_projection(t) -> np.ndarray:
 
 
 def mean_norms(s: MeanScheme, t, ns, mode: str = "spectral", minus=0.0) -> np.ndarray:
-    """|| T_n - minus || at the ascending consecutive indices ``ns``, normed in
-    stacks of at most _STACK_CELLS cells: by the Pascal walk for a Cesaro
-    scheme while C(ns[-1] + p, p) <= 2**64, else by one ``apply_mean`` each."""
+    """|| T_n - minus || at the ascending indices ``ns`` (gaps and repeats
+    allowed), normed in stacks of at most _STACK_CELLS cells: by the Pascal
+    walk for a Cesaro scheme while C(ns[-1] + p, p) <= 2**64, else by one
+    ``apply_mean`` each.  A descending ``ns`` is a ValueError."""
     op = as_operator(t)
     ns = np.asarray(ns)
+    if np.any(np.diff(ns) < 0):
+        raise ValueError("mean_norms needs ascending indices")
     parts = _chunks(ns.size, op.dim ** 2)
     # the Pascal sums are exactly C(n + p, p) times the means: past 2**64 they may overflow
-    if s.kind == "cesaro" and ns.size and math.comb(int(ns[-1]) + s.p, s.p) <= 2 ** 64:
-        walk = (m for n, m in cesaro_mean_sequence(op, s.p, int(ns[-1])) if n >= ns[0])
+    if (s.kind == "cesaro" and ns.size and ns[0] >= s.min_n
+            and math.comb(int(ns[-1]) + s.p, s.p) <= 2 ** 64):
+        # the mean at n once for each time ns holds n
+        counts = np.bincount(ns)
+        walk = (m for n, m in cesaro_mean_sequence(op, s.p, int(ns[-1])) for _ in range(counts[n]))
         stacks = (np.stack([next(walk) for _ in ns[part]]) for part in parts)
     else:
         stacks = (apply_mean(s, op, ns[part]) for part in parts)

@@ -6,10 +6,11 @@ norms, eigenvalues and labels from the resulting model; this module supplies
 the norm engine, the one power walk (``_power_walk``) behind every power and
 mean, the spec and JSON wire formats, and constructors for the test operators:
 Jordan blocks, weighted Dirichlet shifts, and the discretized Volterra operator.
-The walk yields its powers in stacks of at most ``size`` indices and fills
-each run of consecutive powers in a stack by doubling from its one memo, the
-binary squares; at ``size=1`` (powers and power norms) it is the walk of
-single steps, one product by ``a`` or by a binary square at a time.
+A stacked walk (``size > 1``, the mean groups) takes one consecutive span of
+indices and fills each stack in runs of at most 2^14 cells of ``a``, by
+doubling from its one memo, the binary squares.  The walk of single steps
+(``size=1``: powers, power norms and Pascal sums) takes any ascending
+indices, one product by ``a`` or by a binary square at a time.
 
 With a Gram geometry ``G`` on the domain and ``H`` on the codomain, the
 operator norm of ``A`` is the largest singular value of ``L_H A L_G^{-1}``,
@@ -36,7 +37,6 @@ numpy and a run that reaches no scipy kernel never pays for scipy's import.
 
 from __future__ import annotations
 
-import bisect
 import inspect
 import json
 from dataclasses import dataclass, field
@@ -397,24 +397,26 @@ def volterra_operator(n: int) -> OperatorModel:
 
 
 def _power_walk(a: np.ndarray, ns, left=None, size=1):
-    """Yield the powers ``a^n``, or ``left @ a^n``, at the ascending indices
-    ``ns`` (repeats allowed) from one walk, as stacks: one stack per
-    consecutive slice of at most ``size`` entries of ``ns``.  ``a`` is a
-    matrix or, with no ``left``, a stack ``(..., d, d)`` walked as one.
+    """Yield the powers ``a^n``, or ``left @ a^n``, at the indices ``ns``
+    from one walk, as stacks: one stack per consecutive slice of at most
+    ``size`` entries of ``ns``.  ``a`` is a matrix or, with no ``left``, a
+    stack ``(..., d, d)`` walked as one.  The two contracts on ``ns``: with
+    ``size > 1`` it is one consecutive span ``lo, lo + 1, ..., hi``; with
+    ``size=1`` it is any ascending indices, gaps and repeats allowed.
 
-    Each power costs one product.  A single step (any index a run does not
-    fill) is one product by ``a`` for a gap of 1, and one product per set
-    bit by the binary squares a^(2^k) for a longer gap.  A run of
-    consecutive indices in a stack takes its first power by a single step
-    and is then filled by doubling, ``run[m:2m] = run[:m] @ a^m``, one
+    Each power costs one product.  A single step is one product by ``a``
+    for a gap of 1, and one product per set bit by the binary squares
+    a^(2^k) for a longer gap.  A stack is filled in runs of at most
+    _STACK_CELLS cells of ``a``: a run's first power is one single step,
+    and the rest is filled by doubling, ``run[m:2m] = run[:m] @ a^m``, one
     batched product per square.  The squares are the walk's one memo of
     powers, grown on demand, so the walk forms no power above the largest
-    index it yields.  A run holds at most _STACK_CELLS cells of ``a``, so
-    its squares cost less than the run, and from dimension 128 every run is
-    one power.  A triangular matrix ``a`` (exact-zero test) of dimension >=
-    _TRMM_MIN_DIM takes its single steps and squares by BLAS trmm, typed by
-    ``a`` and ``left`` together, at half the flops of ``@``; it takes the
-    transposes, ``x @ y = (y^T x^T)^T``, so no C-ordered operand is copied.
+    index it yields.  The cap keeps a run's squares cheaper than the run,
+    and from dimension 128 every run is one power.  A triangular matrix
+    ``a`` (exact-zero test) of dimension >= _TRMM_MIN_DIM takes its single
+    steps and squares by BLAS trmm, typed by ``a`` and ``left`` together,
+    at half the flops of ``@``; it takes the transposes, ``x @ y = (y^T
+    x^T)^T``, so no C-ordered operand is copied.
 
     With ``size=1`` there are no runs: the walk is the single steps alone,
     and each stack is the view ``p[None]`` of the walk's own power (``a``
@@ -455,33 +457,24 @@ def _power_walk(a: np.ndarray, ns, left=None, size=1):
             bit += 1
         return np.eye(a.shape[-1], dtype=a.dtype) if p is None else p
 
-    ns = np.asarray(ns, dtype=int)
-    # the positions no run goes through: an entry not one above the one before
-    # it (the walk starts from index 0), so index 0, a repeat or a gap > 1
-    breaks = np.flatnonzero(np.diff(ns, prepend=0) != 1).tolist() + [ns.size]
-    ns = ns.tolist()
-    for start in range(0, len(ns), size):
-        stop = min(start + size, len(ns))
-        if stop - start == 1:
+    if size == 1:
+        for n in np.asarray(ns, dtype=int).tolist():
             # no local keeps the yielded power, so the next step can free it
-            yield step(ns[start])[None]
-            prev = ns[start]
-            continue
-        stack = np.empty((stop - start,) + (a.shape if left is None else left.shape),
+            yield step(n)[None]
+            prev = n
+        return
+    for start in range(0, len(ns), size):
+        stack = np.empty((min(size, len(ns) - start),) + (a.shape if left is None else left.shape),
                          a.dtype if left is None else np.result_type(a, left))
-        i = start
-        while i < stop:
-            end = i + 1
-            if ns[i] == prev + 1:
-                end = min(breaks[bisect.bisect(breaks, i)], stop, i + most)
-            run = stack[i - start:end - start]
-            run[0] = step(ns[i])
+        for i in range(0, len(stack), most):
+            run = stack[i:i + most]
+            run[0] = step(ns[start + i])
             for k in range((len(run) - 1).bit_length()):
                 fill = run[1 << k:2 << k]
                 np.matmul(run[:len(fill)], square(k), out=fill)
             if len(run) > 1:
                 p = run[-1]
-            i, prev = end, ns[end - 1]
+            prev = ns[start + i] + len(run) - 1
         yield stack
 
 

@@ -311,43 +311,43 @@ def _check_radius(op: OperatorModel, what: str) -> None:
 
 
 def _row_groups(rows):
-    """Consecutive runs of ``rows`` whose weight blocks (rows x support
-    span) hold at most _STACK_CELLS cells, at least one row each."""
+    """Yield ``(group, span)``: consecutive runs of ``rows`` whose weight
+    blocks (rows x support span) hold at most _STACK_CELLS cells, at least
+    one row each, and each one's support span ``range(lo, hi + 1)``."""
     group, lo, hi = [], 0, 0
     for row in rows:
         first, last = int(row.indices[0]), int(row.indices[-1])
         if group and len(group) >= _stack_size(max(hi, last) - min(lo, first) + 1):
-            yield group
+            yield group, range(lo, hi + 1)
             group = []
         lo, hi = (min(lo, first), max(hi, last)) if group else (first, last)
         group.append(row)
     if group:
-        yield group
+        yield group, range(lo, hi + 1)
 
 
-def _group_means(rows: list, b: np.ndarray, out: np.ndarray, left=None) -> None:
+def _group_means(rows: list, span: range, b: np.ndarray, out: np.ndarray,
+                 left=None) -> None:
     """Write into ``out`` the means ``sum_j t_nj b^j``, or ``sum_j t_nj
     left b^j`` when a left factor is given, one per row, from one walk of
-    the powers of ``b`` over the group's span lo..hi, by which
+    the powers of ``b`` over the group's support ``span``, the one by which
     ``_row_groups`` sized the group.  The walk's ``size`` is as many powers
     as _STACK_CELLS cells hold, so it yields stacks of at most _STACK_CELLS
-    cells, each run of consecutive powers in a stack filled by doubling
-    from the walk's binary squares (``linop._power_walk``; ``size=1`` would
-    be its walk of single steps).  Each stack is contracted with its block
-    of row weights in one product.  It stops drawing stacks at the first
-    whose first power (or ``left b^j``) is exactly zero, by the walk's
-    zero-power rule: the sums start at +0.0.  A nilpotent ``b`` thus pays
-    for no power past its nilpotency index, however long the rows."""
-    lo = min(int(row.indices[0]) for row in rows)
-    hi = max(int(row.indices[-1]) for row in rows)
-    weights = np.zeros((len(rows), hi - lo + 1))
+    cells, each filled in runs by doubling from the walk's binary squares
+    (``linop._power_walk``; ``size=1`` would be its walk of single steps).
+    Each stack is contracted with its block of row weights in one product.
+    It stops drawing stacks at the first whose first power (or ``left
+    b^j``) is exactly zero, by the walk's zero-power rule: the sums start
+    at +0.0.  A nilpotent ``b`` thus pays for no power past its nilpotency
+    index, however long the rows."""
+    weights = np.zeros((len(rows), len(span)))
     for i, row in enumerate(rows):
-        weights[i, row.indices - lo] = row.weights
+        weights[i, row.indices - span.start] = row.weights
     cells = out[0].size
     acc = out.reshape(len(rows), cells)
     acc.fill(0.0)
     start = 0
-    for stack in _power_walk(b, range(lo, hi + 1), left, _stack_size(cells)):
+    for stack in _power_walk(b, span, left, _stack_size(cells)):
         if not stack[0].any():
             break
         acc += weights[:, start:start + len(stack)] @ stack.reshape(-1, cells)
@@ -388,8 +388,8 @@ def apply_mean(s: MeanScheme, t, n, lam: complex = 1.0, x=None) -> np.ndarray:
         left, b = x.reshape(op.dim, -1).T, b.T
         out = np.empty((ns.size,) + left.shape, dtype=np.result_type(b, left))
     start = 0
-    for group in _row_groups(s.row(k) for k in ns.reshape(-1).tolist()):
-        _group_means(group, b, out[start:start + len(group)], left)
+    for group, span in _row_groups(s.row(k) for k in ns.reshape(-1).tolist()):
+        _group_means(group, span, b, out[start:start + len(group)], left)
         start += len(group)
     if x is None:
         return out.reshape(ns.shape + b.shape)

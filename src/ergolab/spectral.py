@@ -256,7 +256,8 @@ def partial_sum_functional(t, r: int, nmax: int, grid: AnnulusGrid) -> Functiona
 
 
 def cesaro_mean_sequence(t, p: int, nmax: int, lam=1.0):
-    """Yield (n, M_n of order p applied to lam*T) for n = 0..nmax.
+    """Yield (n, M_n of order p applied to lam*T) for n = 0..nmax (a
+    negative nmax is a ValueError).
 
     ``lam`` is one rotation or an array of them; an array yields stacks of
     means, one per rotation.  M_n^{(p)} = A_n^{(p)} / C(n+p, p), with the
@@ -265,6 +266,8 @@ def cesaro_mean_sequence(t, p: int, nmax: int, lam=1.0):
     row-coefficient route in the test suite.
     """
     p = _check_cesaro_order(p)
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
     op = as_operator(t)
     binom = 1.0
     for n, sums in _pascal_sums(np.asarray(lam)[..., None, None] * op.matrix, p, nmax):
@@ -323,8 +326,8 @@ def resolvent_series_residual(t, p: int, lam: complex, rho: float,
     """Residual of the generating identity
     (I - rho lam T)^{-1} = (1-rho)^p sum_n A_n^{(p)}(lam T) rho^n,
     with the Pascal sums A_n^{(p)} = C(n+p, p) M_n^{(p)} of ``_pascal_sums``,
-    truncated after ``nterms`` terms (default ceil(40 / (1 - rho))); T must
-    pass ``means._check_radius``.
+    truncated after ``nterms`` >= 1 terms (default ceil(40 / (1 - rho)));
+    T must pass ``means._check_radius``.
     """
     if not (0.0 < rho <= 0.9):
         raise ValueError("rho must lie in (0, 0.9] for a negligible tail")
@@ -333,6 +336,8 @@ def resolvent_series_residual(t, p: int, lam: complex, rho: float,
     p = _check_cesaro_order(p)
     if nterms is None:
         nterms = int(math.ceil(40.0 / (1.0 - rho)))
+    if nterms < 1:
+        raise ValueError("nterms must be >= 1")
     eye = np.eye(op.dim)
     lhs = np.linalg.solve(eye - rho * lam * op.matrix, eye)
     scale = (1.0 - rho) ** p

@@ -261,14 +261,17 @@ def test_mean_norms_pascal_walk_matches_the_row_route(name, p, monkeypatch):
     rng = np.random.default_rng(p)
     shift = rng.standard_normal((op.dim, op.dim)) / op.dim
     last = 13 if op.dim == 64 else 40
-    for first in (0, 1):
-        ns = np.arange(first, last + 1)
+    # consecutive indices from 0 and from 1, and ascending ones with gaps and
+    # a repeat: the walk takes the means at the indices asked for
+    index_lists = [np.arange(0, last + 1), np.arange(1, last + 1),
+                   np.array([5, 6, 7, 20]), np.array([1, 5, 9]), np.array([3, 3, 4])]
+    for ns in index_lists:
         for mode in ("spectral", "colsum", "rowsum"):
             for minus in (0.0, shift):
                 got = mean_norms(cesaro(p), op, ns, mode, minus)
                 want = _row_route_norms(cesaro(p), op, ns, mode, minus)
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-    assert len(walks) == 2 * 3 * 2
+    assert len(walks) == len(index_lists) * 3 * 2
 
 
 def test_mean_norms_past_the_binomial_bound_take_the_row_route(monkeypatch):
@@ -284,6 +287,12 @@ def test_mean_norms_past_the_binomial_bound_take_the_row_route(monkeypatch):
     for mode in ("spectral", "colsum"):
         got = mean_norms(cesaro(20), op, ns, mode, minus)
         assert np.array_equal(got, _row_route_norms(cesaro(20), op, ns, mode, minus))
+
+
+@pytest.mark.parametrize("s", [cesaro(2), abel()], ids=["pascal", "rows"])
+def test_mean_norms_rejects_descending_indices(s):
+    with pytest.raises(ValueError, match="ascending"):
+        mean_norms(s, jordan_block(2, 1.0), [9, 5, 1])
 
 
 def test_alternating_sum_residual_cases():

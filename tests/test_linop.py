@@ -453,10 +453,18 @@ def test_power_walk_matches_power_at_every_index(via_trmm, form, request):
     assert lookups == (["trmm", "trmm"] if via_trmm else [])
 
 
-# Index lists for the stacked walk: runs from index 0 and from index 1 and 5,
-# a repeat inside a run (12, 12), runs longer than a capped run (4 powers)
-# and gaps longer than it (15 -> 40, 53 -> 80)
+# Index spans for the stacked walk, which takes one consecutive span: from
+# index 0, 1 and 5, each longer than a capped run (4 powers)
 STACKED_NS = {
+    "from0": list(range(0, 33)),
+    "from1": list(range(1, 21)),
+    "from5": list(range(5, 25)),
+}
+
+# Index lists for the walk of single steps, which takes gaps and repeats:
+# runs from index 0 and from index 1 and 5, a repeat (12, 12) and gaps longer
+# than a capped run (15 -> 40, 53 -> 80)
+STEPPED_NS = {
     "from0": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 12, 13, 14, 15, 40, 41, 42, 43,
               44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 80, 81],
     "from1": [1, 2, 3, 4, 5, 6, 7, 7, 8, 9, 20, 21, 22, 23, 24, 25, 26, 27, 28, 60],
@@ -559,11 +567,11 @@ def _pinned_walk(a, ns, left):
     return out
 
 
-@pytest.mark.parametrize("start", sorted(STACKED_NS))
+@pytest.mark.parametrize("start", sorted(STEPPED_NS))
 @pytest.mark.parametrize("form", ["matrix", "vector", "block"])
 def test_walk_of_size_one_is_the_single_steps_bit_for_bit(start, form):
     rng = np.random.default_rng(14)
-    ns = STACKED_NS[start]
+    ns = STEPPED_NS[start]
     k = {"matrix": None, "vector": 1, "block": 3}[form]
     for a in _walk_operators():
         left = None if k is None else rng.standard_normal((k, 5))

@@ -1,0 +1,126 @@
+"""Range checks, one table: each call raises the documented exception with
+a message that names what is out of range."""
+
+import math
+
+import numpy as np
+import pytest
+
+from ergolab.ergodic import (
+    GrowthReport,
+    NonPositiveValues,
+    alternating_sum_residual,
+    growth_exponent,
+    log_fit,
+    power_norm_samples,
+    power_norm_sequence,
+)
+from ergolab.linop import (
+    BadDimension,
+    DimensionMismatch,
+    GramGeometry,
+    dirichlet_shift,
+    jordan_block,
+    matrix_from_obj,
+    op_norm,
+    power,
+)
+from ergolab.means import (
+    RowOutOfRange,
+    block_mean_residual,
+    cesaro,
+    identity_powers,
+    power_series,
+)
+from ergolab.spaces import (
+    as_poly,
+    cesaro_multiplier,
+    d_alpha_norm,
+    h1_gram,
+    shields_report,
+    xr_norm,
+)
+from ergolab.spectral import (
+    AnnulusGrid,
+    abel_summation_residual,
+    cesaro_mean_sequence,
+    mean_growth_functional,
+    partial_sum_functional,
+    resolvent_series_residual,
+)
+
+T = jordan_block(2, 0.5)
+_REPORT = GrowthReport("g", np.arange(1, 17), np.ones(16))
+
+# (id, call, exception, message fragment)
+REJECTIONS = [
+    ("power_negative", lambda: power(T, -1), ValueError, "exponent must be >= 0"),
+    ("dirichlet_alpha", lambda: dirichlet_shift(-1.0, 4), ValueError, "alpha must exceed -1"),
+    ("dirichlet_direction", lambda: dirichlet_shift(0.5, 4, "sideways"), ValueError,
+     "direction must be"),
+    ("gram_dim_0", lambda: GramGeometry(0, diag=[]), BadDimension, "dimension must be >= 1"),
+    ("gram_diag_length", lambda: GramGeometry(3, diag=[1.0, 2.0]), DimensionMismatch,
+     "diagonal weight length"),
+    ("gram_dense_shape", lambda: GramGeometry(3, dense=np.eye(2)), DimensionMismatch,
+     "dense Gram shape"),
+    ("vector_norm_length", lambda: GramGeometry.diagonal([1.0, 2.0]).vector_norm([1.0]),
+     DimensionMismatch, "vector length"),
+    ("op_norm_cod", lambda: op_norm(np.eye(2), cod=GramGeometry.diagonal([1.0, 2.0, 3.0])),
+     DimensionMismatch, "codomain geometry dim"),
+    ("matrix_short_re",
+     lambda: matrix_from_obj({"rows": 2, "cols": 2, "re": [1.0, 0.0, 0.0], "im": [0.0] * 4}),
+     DimensionMismatch, "re/im length"),
+    ("growth_window_0", lambda: growth_exponent(_REPORT, 0.0), ValueError, "window_fraction"),
+    ("log_fit_nonpositive", lambda: log_fit([1, 2, 3], [1.0, 0.0, 2.0]), NonPositiveValues,
+     "positive values"),
+    ("power_norm_sequence_1", lambda: power_norm_sequence(T, 1), ValueError, "nmax >= 2"),
+    ("power_norm_samples_0", lambda: power_norm_samples(T, [0, 4]), ValueError,
+     "all >= 1"),
+    ("alternating_k_below_m",
+     lambda: alternating_sum_residual(identity_powers(), T, 1, 2, 1, [1.0, 1.0], 4),
+     ValueError, "k >= m"),
+    ("power_series_2d", lambda: power_series([[1.0, 2.0]]), ValueError, "1-D sequence"),
+    ("power_series_underflow", lambda: power_series([0.0, 5e-324]).row(2), RowOutOfRange,
+     "F(r_n) = 0"),
+    ("block_mean_column", lambda: block_mean_residual(T, [1.0, 2.0, 3.0], 1.0, cesaro(1), 4),
+     ValueError, "column length"),
+    ("as_poly_empty", lambda: as_poly([]), ValueError, "nonempty 1-D"),
+    ("d_alpha_minus_1", lambda: d_alpha_norm([1.0, 2.0], -1.0), ValueError,
+     "alpha must exceed -1"),
+    ("h1_gram_0", lambda: h1_gram(0), ValueError, "n >= 1"),
+    ("cesaro_multiplier_negative", lambda: cesaro_multiplier(-1), ValueError, "n >= 0"),
+    ("xr_norm_negative", lambda: xr_norm([1.0, 2.0], -1), ValueError, "r >= 0"),
+    ("shields_nmax", lambda: shields_report(1, 2 ** 15), ValueError, "nmax capped"),
+    ("partial_sum_nmax_0", lambda: partial_sum_functional(T, 1, 0, AnnulusGrid.dyadic(2, 8)),
+     ValueError, "nmax must be >= 1"),
+    ("mean_growth_angles_0", lambda: mean_growth_functional(T, 1, 0, 8, 0), ValueError,
+     "at least one angle"),
+    ("mean_growth_nmax_0", lambda: mean_growth_functional(T, 1, 0, 0, 8), ValueError,
+     "nmax must be >= 1"),
+    ("abel_summation_rho_0", lambda: abel_summation_residual(T, 1.0, 0.0, 4), ValueError,
+     "rho must lie in (0, 1]"),
+    ("abel_summation_n_0", lambda: abel_summation_residual(T, 1.0, 0.5, 0), ValueError,
+     "n must be >= 1"),
+    ("cesaro_sequence_nmax_negative", lambda: list(cesaro_mean_sequence(T, 1, -3)), ValueError,
+     "nmax must be >= 0"),
+    ("series_nterms_negative", lambda: resolvent_series_residual(T, 1, 1.0, 0.5, nterms=-5),
+     ValueError, "nterms must be >= 1"),
+    ("series_nterms_0", lambda: resolvent_series_residual(T, 1, 1.0, 0.5, nterms=0),
+     ValueError, "nterms must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("call, exception, fragment", [row[1:] for row in REJECTIONS],
+                         ids=[row[0] for row in REJECTIONS])
+def test_out_of_range_input_raises(call, exception, fragment):
+    with pytest.raises(exception) as info:
+        call()
+    assert fragment in str(info.value)
+
+
+def test_resolvent_series_residual_default_nterms():
+    # the default truncation is ceil(40 / (1 - rho)) terms
+    rho = 0.5
+    got = resolvent_series_residual(T, 2, 1.0, rho)
+    assert got == resolvent_series_residual(T, 2, 1.0, rho, nterms=math.ceil(40 / (1 - rho)))
+    assert got < 1e-12

@@ -30,22 +30,16 @@ from ergolab.spectral import AnnulusGrid, partial_sum_functional
 # --- the uncut mean walk ---------------------------------------------------------
 
 
-def _uncut_group_means(rows, b, out, left=None):
+def _uncut_group_means(rows, span, b, out, left=None):
     """``means._group_means`` contracting every stack of the walk."""
-    lo = min(int(row.indices[0]) for row in rows)
-    used = np.zeros(max(int(row.indices[-1]) for row in rows) - lo + 1, dtype=bool)
-    for row in rows:
-        used[row.indices - lo] = True
-    support = lo + np.flatnonzero(used)
-    column = np.cumsum(used) - 1
-    weights = np.zeros((len(rows), support.size))
+    weights = np.zeros((len(rows), len(span)))
     for i, row in enumerate(rows):
-        weights[i, column[row.indices - lo]] = row.weights
+        weights[i, row.indices - span.start] = row.weights
     cells = out[0].size
     acc = out.reshape(len(rows), cells)
     acc.fill(0.0)
     start = 0
-    for stack in _power_walk(b, support, left, _stack_size(cells)):
+    for stack in _power_walk(b, span, left, _stack_size(cells)):
         acc += weights[:, start:start + len(stack)] @ stack.reshape(-1, cells)
         start += len(stack)
 
