@@ -8,7 +8,8 @@ missing diagnostic, such as an unfittable growth exponent, fails its
 check), 2 configuration error, numerical overflow or an input the library
 rejects (one line on stderr, no traceback).  A scenario takes the keys of
 its ``_KEYS`` table, each checked for kind and range before the run, and
-the flags among them; a .csv report is written for growth and convergence.
+the flags among them; ``ergolab <scenario> --help`` lists every key with
+its rule.  A .csv report is written for growth and convergence.
 """
 
 from __future__ import annotations
@@ -551,7 +552,11 @@ def _build_parser():
     parser = _Parser(prog="ergolab", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
     for name, keys in _KEYS.items():
-        sub = subs.add_parser(name)
+        # a flag's help is its rule; the keys without a flag list theirs here
+        epilog = "\n".join(["keys set only by --config:"] + [
+            f"  {key}: {rule}" for key, rule in keys.items() if key not in _FLAG_KEYS])
+        sub = subs.add_parser(name, epilog=epilog,
+                              formatter_class=argparse.RawDescriptionHelpFormatter)
         for key, rule in keys.items():
             if key in _FLAG_KEYS:
                 sub.add_argument("--op" if key == "operator" else f"--{key}", dest=key,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .linop import (OperatorModel, _chunks, _power_walk, as_matrix, as_operator, op_norm,
                     power)
-from .means import MeanScheme, apply_mean
+from .means import MeanScheme, _check_row_index, apply_mean
 from .spectral import cesaro_mean_sequence
 
 _OVERFLOW_LIMIT = 1e300
@@ -82,6 +82,8 @@ def growth_exponent(report: GrowthReport, window_fraction: float = 0.5):
     ns, vals = (np.asarray(a, dtype=float) for a in report._tail(window_fraction))
     if ns.size < 8:
         raise WindowTooSmall("exponent fit needs at least 8 points")
+    if np.any(ns < 1):
+        raise ValueError("exponent fit needs indices n >= 1")
     if np.any(vals <= 0.0):
         raise NonPositiveValues("exponent fit needs positive values")
     slope, _, deviations = _line_fit(np.log(ns), np.log(vals))
@@ -93,6 +95,8 @@ def log_fit(ns, values):
     (c, d, rel_residual) with rel_residual the max of |fit - value| / value."""
     ns = np.asarray(ns, dtype=float)
     vals = np.asarray(values, dtype=float)
+    if np.any(ns < 1):
+        raise ValueError("log fit needs indices n >= 1")
     if np.any(vals <= 0.0):
         raise NonPositiveValues("log fit needs positive values")
     c, d, deviations = _line_fit(np.log(ns), vals)
@@ -112,10 +116,9 @@ def fitted(report: GrowthReport, window_fraction: float = 0.5) -> GrowthReport:
 
 def _power_norms(op: OperatorModel, ns: list, mode: str, label: str) -> GrowthReport:
     """||T^n|| at the ascending indices ``ns`` (all >= 1) from one power
-    walk of single steps (``linop._power_walk`` at ``size=1``: memoized
-    binary squares, a gap of 1 as one product, BLAS trmm for a triangular T
-    from d = 128).  It stops (and records where) at the first power with a
-    non-finite entry or a norm above 1e300.
+    walk of single steps (``linop._power_walk`` at ``size=1``).  It stops
+    (and records where) at the first power with a non-finite entry or a
+    norm above 1e300.
     """
     # map drops each stack of one power once normed, so the walk can free it
     # as it steps on
@@ -197,9 +200,12 @@ def mean_norms(s: MeanScheme, t, ns, mode: str = "spectral", minus=0.0) -> np.nd
     """|| T_n - minus || at the ascending indices ``ns`` (gaps and repeats
     allowed), normed in stacks of at most _STACK_CELLS cells: by the Pascal
     walk for a Cesaro scheme while C(ns[-1] + p, p) <= 2**64, else by one
-    ``apply_mean`` each.  A descending ``ns`` is a ValueError."""
+    ``apply_mean`` each.  A descending ``ns`` is a ValueError, and so is a
+    float or bool index (``MeanScheme.row``'s message, on either route)."""
     op = as_operator(t)
     ns = np.asarray(ns)
+    if ns.size and ns.dtype.kind not in "iu":
+        _check_row_index(s, ns.flat[0].item())
     if np.any(np.diff(ns) < 0):
         raise ValueError("mean_norms needs ascending indices")
     parts = _chunks(ns.size, op.dim ** 2)

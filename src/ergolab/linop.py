@@ -3,24 +3,15 @@
 Everything downstream (summability means, resolvent functionals, growth
 reports) coerces its operator argument once with ``as_operator`` and takes
 norms, eigenvalues and labels from the resulting model; this module supplies
-the norm engine, the one power walk (``_power_walk``) behind every power and
-mean, the spec and JSON wire formats, and constructors for the test operators:
-Jordan blocks, weighted Dirichlet shifts, and the discretized Volterra operator.
-A stacked walk (``size > 1``, the mean groups) takes one consecutive span of
-indices and fills each stack in runs of at most 2^14 cells of ``a``, by
-doubling from its one memo, the binary squares.  The walk of single steps
-(``size=1``: powers, power norms and Pascal sums) takes any ascending
-indices, one product by ``a`` or by a binary square at a time.
+the norm engine (``op_norm``), the one power walk (``_power_walk``) behind
+every power and mean, the spec and JSON wire formats, and constructors for
+the test operators: Jordan blocks, weighted Dirichlet shifts, and the
+discretized Volterra operator.
 
 With a Gram geometry ``G`` on the domain and ``H`` on the codomain, the
 operator norm of ``A`` is the largest singular value of ``L_H A L_G^{-1}``,
-where ``L`` is any factor with ``L* L = Gram`` (Cholesky for dense Grams,
-the O(n) banded Cholesky for real tridiagonal ones, kept as its two bands
-and applied in O(n) per column, elementwise square root for diagonal
-ones).  ``op_norm`` takes the SVD of that matrix's nonzero core, and none
-of a scaled partial permutation (a weighted shift, its powers, a
-diagonal), so the nilpotent powers of a truncated shift cost a fraction
-of a full SVD.
+where ``L`` is any factor with ``L* L = Gram`` (``GramGeometry`` says which
+factor each kind keeps).
 An operator or a dense Gram is real unless its entries are not: an
 imaginary part that is identically zero is dropped (``_real_if_real``), so
 a real Gram read from a file stays real, and complex arithmetic enters
@@ -489,9 +480,12 @@ def power(t, n: int) -> np.ndarray:
 def random_operator(dim: int, spectral_radius: float = 0.9,
                     seed: int = 0x5EED) -> OperatorModel:
     """Entrywise uniform-on-the-unit-disk matrix rescaled to a target
-    spectral radius.  Deterministic for a given seed."""
+    spectral radius (finite and >= 0).  Deterministic for a given seed."""
     if dim < 1:
         raise BadDimension("random operator needs dim >= 1")
+    if not 0.0 <= spectral_radius < np.inf:
+        raise ValueError(f"random operator needs a finite spectral radius >= 0, "
+                         f"got {spectral_radius}")
     rng = np.random.default_rng(seed)
     r = np.sqrt(rng.uniform(0.0, 1.0, (dim, dim)))
     theta = rng.uniform(0.0, 2.0 * np.pi, (dim, dim))

@@ -87,6 +87,13 @@ def _check_tail_eps(tail_eps: float) -> None:
         raise ValueError("tail_eps must lie in (0, 1e-6]")
 
 
+def _check_row_index(s, n) -> None:
+    """A row index is an integer: a float or a bool is a ValueError naming ``s``."""
+    # a plain int skips the abstract-class check, which costs about 0.5 us
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)):
+        raise ValueError(f"{s.name} row index n must be an integer, got {n!r}")
+
+
 class MeanScheme:
     """A summability scheme: row n is ``rule(n, tail_eps)``, under the
     metadata that reports and dispatch read (``p``: the Cesaro order)."""
@@ -101,6 +108,7 @@ class MeanScheme:
 
     def row(self, n: int, tail_eps: float = DEFAULT_TAIL_EPS) -> MeanRow:
         _check_tail_eps(tail_eps)
+        _check_row_index(self, n)
         if n < self.min_n:
             raise RowOutOfRange(f"{self.name}: row {n} < min_n {self.min_n}")
         return self.rule(int(n), float(tail_eps))
@@ -222,6 +230,14 @@ def power_series(coeffs) -> MeanScheme:
     ``coeffs`` is either a finite sequence (F a polynomial; rows exact) or a
     callable j -> f_j (rows truncated by an observed-ratio geometric bound).
     Row n is taken at the radius r_n = 1 - 1/n.
+
+    A polynomial row keeps the indices of the positive terms c_j r_n^j and
+    rescales the terms by an exact power of two to a maximum in [1/2, 1).
+    The row is scale-invariant, so it is bit for bit that of the given
+    coefficients unless a sum overflowed or a term is subnormal on one side
+    of the rescale: coefficients such as 1e308, 1e308 do not overflow
+    F(r_n), and a coefficient far below the largest (f_0 = 1e-300 beside
+    1e308) keeps its index, with weight 0 where its term vanishes.
     """
     if callable(coeffs):
         rule = functools.partial(_series_row, coeffs)
@@ -333,9 +349,8 @@ def _group_means(rows: list, span: range, b: np.ndarray, out: np.ndarray,
     the powers of ``b`` over the group's support ``span``, the one by which
     ``_row_groups`` sized the group.  The walk's ``size`` is as many powers
     as _STACK_CELLS cells hold, so it yields stacks of at most _STACK_CELLS
-    cells, each filled in runs by doubling from the walk's binary squares
-    (``linop._power_walk``; ``size=1`` would be its walk of single steps).
-    Each stack is contracted with its block of row weights in one product.
+    cells (``linop._power_walk`` says how it fills them).  Each stack is
+    contracted with its block of row weights in one product.
     It stops drawing stacks at the first whose first power (or ``left
     b^j``) is exactly zero, by the walk's zero-power rule: the sums start
     at +0.0.  A nilpotent ``b`` thus pays for no power past its nilpotency
@@ -361,11 +376,10 @@ def apply_mean(s: MeanScheme, t, n, lam: complex = 1.0, x=None) -> np.ndarray:
     returns the means applied to ``x``, of shape ``n.shape + x.shape``,
     without forming the mean matrices.
 
-    The rows are taken in groups whose weight blocks (rows x support span)
-    hold at most _STACK_CELLS cells; one walk per group carries the powers
-    of lam*T over that span.  With ``x`` the walk carries ``x^T
-    (lam*T^T)^j``, the transposed ``(lam*T)^j x``, so it keeps the same
-    right-multiplying step.  A walk ends at its first power that is exactly
+    The rows are taken in the groups of ``_row_groups``; one walk per group
+    carries the powers of lam*T over its span.  With ``x`` the walk carries
+    ``x^T (lam*T^T)^j``, the transposed ``(lam*T)^j x``, so it keeps the
+    same right-multiplying step.  A walk ends at its first power that is exactly
     zero (``_group_means``), so a long row on a nilpotent T, or an ``x``
     that a power of T annihilates, costs only the nonzero powers.
     ``lam = 1`` gives the plain mean.  Infinite-row kinds admit only T

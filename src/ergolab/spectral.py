@@ -8,23 +8,12 @@ that refinement diagnostics (doubling ratios, plateau detection) can be read
 off without re-running the sweep.  Divergence verdicts are never emitted
 here -- callers compare the recorded ratios against their own thresholds.
 
-Three rules are written once.  ``_pascal_sums`` is the one walk of the Cesaro
-sums A_n^(q) of the powers, which it takes from ``linop._power_walk``, one
-matrix product per step: the order-p means, the partial sums of the
+Three rules are written once: ``_pascal_sums``, the one walk of the Cesaro
+sums of the powers, which the order-p means, the partial sums of the
 resolvent series (order 1 in T/lambda) and the Abel rearrangement (orders 0
-and 1) all read it.  By the walk's zero-power rule the order-1 sums keep
-their value from the first zero power on, and ``partial_sum_functional``
-copies that value instead of walking a nilpotent T past its index.
-``_first_max`` is the one reduction of a sweep's grid of values: its first
-maximum in C order, so of tied grid points the one that comes first in
-(radius, angle, n) order wins.
-``_ring_angles`` is the one ring of the two annulus sweeps,
-``kreiss_functional`` and ``partial_sum_functional``: its points and its
-mirror rule.  For a real T in a real geometry, (T - conj(lambda))^{-1} and
-the partial sums at conj(lambda) are the conjugates of those at lambda, so
-both functionals take equal values there and half of each ring is
-evaluated.  A copy comes after its source in C order, so a real operator's
-argmax angle lies in [0, pi].
+and 1) all read; ``_first_max``, the one reduction of a sweep's grid of
+values; and ``_ring_angles``, the one ring of the two annulus sweeps,
+``kreiss_functional`` and ``partial_sum_functional``, with its mirror rule.
 """
 
 from __future__ import annotations
@@ -145,10 +134,13 @@ def _ring_angles(op, grid: AnnulusGrid):
     ``points`` whose value it takes.
 
     A real operator in a real geometry evaluates indices 0..A/2 and index k
-    takes min(k, A - k): lambda_{A-k} is conj(lambda_k), where its
-    functionals take the values they take at lambda_k.  Any other evaluates
-    the whole ring.  A diagonal or tridiagonal geometry is real and holds no
-    dense Gram until one is asked for, so this builds none.
+    takes min(k, A - k): lambda_{A-k} is conj(lambda_k), where
+    (T - lambda)^{-1} and the partial sums are the conjugates of those at
+    lambda_k, so the functionals take the same values.  A copy comes after
+    its source in C order, so by ``_first_max`` a real operator's argmax
+    angle lies in [0, pi].  Any other evaluates the whole ring.  A diagonal
+    or tridiagonal geometry is real and holds no dense Gram until one is
+    asked for, so this builds none.
     """
     angles = grid.angle_values()
     k = np.arange(angles.size)
@@ -326,8 +318,8 @@ def resolvent_series_residual(t, p: int, lam: complex, rho: float,
     """Residual of the generating identity
     (I - rho lam T)^{-1} = (1-rho)^p sum_n A_n^{(p)}(lam T) rho^n,
     with the Pascal sums A_n^{(p)} = C(n+p, p) M_n^{(p)} of ``_pascal_sums``,
-    truncated after ``nterms`` >= 1 terms (default ceil(40 / (1 - rho)));
-    T must pass ``means._check_radius``.
+    truncated after ``nterms`` >= 1 terms, n = 0..nterms - 1 (default
+    ceil(40 / (1 - rho))); T must pass ``means._check_radius``.
     """
     if not (0.0 < rho <= 0.9):
         raise ValueError("rho must lie in (0, 0.9] for a negligible tail")
@@ -343,7 +335,7 @@ def resolvent_series_residual(t, p: int, lam: complex, rho: float,
     scale = (1.0 - rho) ** p
     rhs = np.zeros_like(lhs)
     rho_n = 1.0
-    for n, sums in _pascal_sums(lam * op.matrix, p, nterms):
+    for n, sums in _pascal_sums(lam * op.matrix, p, nterms - 1):
         if n:
             rho_n *= rho
         rhs += scale * rho_n * sums[p]

@@ -599,6 +599,10 @@ def test_uniform_kreiss_scenario():
     # a random operator of dimension 0 failed in a reduction with no identity
     (["growth", "--op", "random:0:1.0", "--nmax", "4"], None,
      "config error: bad operator spec 'random:0:1.0': random operator needs dim >= 1"),
+    # a negative radius ran an operator of spectral radius 1
+    (["growth", "--op", "random:4:-1", "--nmax", "8"], None,
+     "config error: bad operator spec 'random:4:-1': random operator needs a finite "
+     "spectral radius >= 0, got -1.0"),
     *[(["growth", "--op", "jordan:2:1", "--scheme", spec, "--nmax", "8"], None,
        f"config error: scheme {fragment}")
       for spec, fragment in [
@@ -625,7 +629,8 @@ def test_uniform_kreiss_scenario():
         "identities_no_operator", "convergence_no_operator", "uniform_kreiss_no_operator",
         "rows_nmax_0", "cesaro_order", "zweier_positional", "cesaro_fractional",
         "jordan_extra", "volterra_extra", "diag_extra", "i_minus_v_extra", "dirichlet_extra",
-        "random_extra", "jordan_missing", "jordan_named", "random_dim_0", "cesaro_extra",
+        "random_extra", "jordan_missing", "jordan_named", "random_dim_0",
+        "random_radius_negative", "cesaro_extra",
         "cesaro_p_twice", "cesaro_named_p_twice", "coeffs_twice", "powseries_missing",
         "h1_pairing_n0", "abbreviated_flag"])
 def test_rejected_input_exits_2_with_one_stderr_line(argv, config, fragment, tmp_path,

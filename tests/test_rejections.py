@@ -12,6 +12,7 @@ from ergolab.ergodic import (
     alternating_sum_residual,
     growth_exponent,
     log_fit,
+    mean_norms,
     power_norm_samples,
     power_norm_sequence,
 )
@@ -24,13 +25,16 @@ from ergolab.linop import (
     matrix_from_obj,
     op_norm,
     power,
+    random_operator,
 )
 from ergolab.means import (
     RowOutOfRange,
+    apply_mean,
     block_mean_residual,
     cesaro,
     identity_powers,
     power_series,
+    zweier,
 )
 from ergolab.spaces import (
     as_poly,
@@ -40,6 +44,7 @@ from ergolab.spaces import (
     shields_report,
     xr_norm,
 )
+from ergolab import spectral
 from ergolab.spectral import (
     AnnulusGrid,
     abel_summation_residual,
@@ -73,6 +78,29 @@ REJECTIONS = [
     ("growth_window_0", lambda: growth_exponent(_REPORT, 0.0), ValueError, "window_fraction"),
     ("log_fit_nonpositive", lambda: log_fit([1, 2, 3], [1.0, 0.0, 2.0]), NonPositiveValues,
      "positive values"),
+    # log(0) was taken, a divide-by-zero warning
+    ("log_fit_index_0", lambda: log_fit([0, 1, 2], [1.0, 2.0, 3.0]), ValueError,
+     "indices n >= 1"),
+    ("growth_index_0",
+     lambda: growth_exponent(GrowthReport("g", np.arange(16), np.ones(16)), 1.0),
+     ValueError, "indices n >= 1"),
+    # a float or bool row index ran another row (row 2 for 2.7, row 1 for 1.5
+    # and True), or failed in np.bincount on the Cesaro route of mean_norms
+    ("row_float", lambda: zweier().row(2.7), ValueError,
+     "zweier row index n must be an integer, got 2.7"),
+    ("apply_mean_float", lambda: apply_mean(zweier(), T, 1.5), ValueError,
+     "zweier row index n must be an integer, got 1.5"),
+    ("apply_mean_bool", lambda: apply_mean(zweier(), T, True), ValueError,
+     "zweier row index n must be an integer, got True"),
+    ("mean_norms_float", lambda: mean_norms(zweier(), T, [1.5, 2.5]), ValueError,
+     "zweier row index n must be an integer, got 1.5"),
+    ("mean_norms_cesaro_float", lambda: mean_norms(cesaro(1), T, [1.5, 2.5]), ValueError,
+     "cesaro(p=1) row index n must be an integer, got 1.5"),
+    # a negative radius ran an operator of spectral radius 1
+    ("random_radius_negative", lambda: random_operator(4, -1.0), ValueError,
+     "finite spectral radius >= 0, got -1.0"),
+    ("random_radius_nan", lambda: random_operator(4, math.nan), ValueError,
+     "finite spectral radius >= 0, got nan"),
     ("power_norm_sequence_1", lambda: power_norm_sequence(T, 1), ValueError, "nmax >= 2"),
     ("power_norm_samples_0", lambda: power_norm_samples(T, [0, 4]), ValueError,
      "all >= 1"),
@@ -116,6 +144,21 @@ def test_out_of_range_input_raises(call, exception, fragment):
     with pytest.raises(exception) as info:
         call()
     assert fragment in str(info.value)
+
+
+def test_resolvent_series_residual_sums_nterms_terms(monkeypatch):
+    # the series is truncated after nterms terms, n = 0..nterms - 1
+    seen = []
+
+    def counting(b, p, nmax):
+        for n, sums in pascal_sums(b, p, nmax):
+            seen.append(n)
+            yield n, sums
+
+    pascal_sums = spectral._pascal_sums
+    monkeypatch.setattr(spectral, "_pascal_sums", counting)
+    resolvent_series_residual(T, 2, 1.0, 0.5, nterms=3)
+    assert seen == [0, 1, 2]
 
 
 def test_resolvent_series_residual_default_nterms():
