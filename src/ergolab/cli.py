@@ -445,7 +445,7 @@ class _Rule(NamedTuple):
 _SPEC, _INT0, _INT1 = _Rule("spec"), _Rule("int", 0), _Rule("int", 1)
 _TOL, _BAND = _Rule("number", 0), _Rule("band", item=_Rule("number"))
 _NORMS = _Rule("choice", choices=("spectral", "colsum", "rowsum"))
-_ANGLES = _Rule("int", 8)  # the least AnnulusGrid takes
+_ANGLES = _Rule("int", spectral._MIN_ANGLES)
 _GROWTH = {"operator": _SPEC, "norm": _NORMS,
            "window_fraction": _Rule("number", 0, 1, open_lo=True), "scheme": _SPEC,
            "nmax": _INT1, "sampled": _Rule("bool"), "samples": _Rule("int", 2)}
@@ -461,9 +461,8 @@ _KEYS = {
                        "tol": _TOL},
     "growth": dict(_GROWTH, expect_exponent_band=_BAND),
     "nevanlinna": dict(_GROWTH, r=_INT0),
-    # spaces.shields_report covers r <= 3 and nmax <= 2^14
-    "shields": {"r": _Rule("int", 0, 3), "nmax": _Rule("int", 2, 2 ** 14), "fit_from": _INT1,
-                "quad_nodes": _INT1, "fit_tol": _TOL, "band_ratio_max": _TOL},
+    "shields": {"r": _Rule("int", *spaces._SHIELDS_R), "nmax": _Rule("int", *spaces._SHIELDS_NMAX),
+                "fit_from": _INT1, "quad_nodes": _INT1, "fit_tol": _TOL, "band_ratio_max": _TOL},
     "h1": {"check": _Rule("choice", choices=("3iso", "pairing", "inequality", "meannorm",
                                              "all")),
            "degree": _INT0, "seed": _INT0, "trials": _INT1, "tol": _TOL, "n": _INT1,

@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linop import (OperatorModel, _chunks, _power_walk, as_matrix, as_operator, op_norm,
-                    power)
-from .means import MeanScheme, _check_row_index, apply_mean
+from .linop import (OperatorModel, _check_integer, _check_integers, _chunks, _power_walk,
+                    as_matrix, as_operator, op_norm, power)
+from .means import MeanScheme, apply_mean
 from .spectral import cesaro_mean_sequence
 
 _OVERFLOW_LIMIT = 1e300
@@ -143,8 +143,7 @@ def power_norm_sequence(t, nmax: int, mode: str = "spectral",
     """(n, ||T^n||) for n = 1..nmax by incremental multiplication, with the
     default trailing-half exponent fit.  Stops early (and records where) on
     overflow: a non-finite entry or a norm above 1e300."""
-    if nmax < 2:
-        raise ValueError("need nmax >= 2")
+    nmax = _check_integer(nmax, "nmax", least=2)
     op = as_operator(t)
     report = _power_norms(op, list(range(1, nmax + 1)), mode,
                           f"||{op.label}^n|| ({mode})")
@@ -156,9 +155,9 @@ def power_norm_samples(t, ns, mode: str = "spectral",
     """||T^n|| at the given sample indices via memoized binary powering;
     cheap enough for large dimensions where a full sweep is not."""
     op = as_operator(t)
-    ns = sorted(int(n) for n in ns)
-    if len(ns) < 2 or ns[0] < 1:
-        raise ValueError("need at least two sample indices, all >= 1")
+    ns = sorted(_check_integers(list(ns), "sample index n", least=1).tolist())
+    if len(ns) < 2:
+        raise ValueError("need at least two sample indices")
     report = _power_norms(op, ns, mode, f"||{op.label}^n|| ({mode}, sampled)")
     return fitted(report, window_fraction)
 
@@ -203,9 +202,7 @@ def mean_norms(s: MeanScheme, t, ns, mode: str = "spectral", minus=0.0) -> np.nd
     ``apply_mean`` each.  A descending ``ns`` is a ValueError, and so is a
     float or bool index (``MeanScheme.row``'s message, on either route)."""
     op = as_operator(t)
-    ns = np.asarray(ns)
-    if ns.size and ns.dtype.kind not in "iu":
-        _check_row_index(s, ns.flat[0].item())
+    ns = _check_integers(ns, f"{s.name} row index n")
     if np.any(np.diff(ns) < 0):
         raise ValueError("mean_norms needs ascending indices")
     parts = _chunks(ns.size, op.dim ** 2)
@@ -270,11 +267,8 @@ def _probe_vectors(d: int) -> np.ndarray:
     """The probes as columns: the d unit vectors, then 8 random unit
     vectors."""
     rng = np.random.default_rng(_PROBE_SEED)
-    probes = [np.eye(d)[:, i] for i in range(d)]
-    for _ in range(8):
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        probes.append(v / np.linalg.norm(v))
-    return np.stack(probes, axis=1)
+    randoms = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(8)]
+    return np.column_stack([np.eye(d)] + [v / np.linalg.norm(v) for v in randoms])
 
 
 def gamma_quotient(t, s: MeanScheme, m: int, n_window,
@@ -295,7 +289,8 @@ def gamma_quotient(t, s: MeanScheme, m: int, n_window,
     """
     if not kernel_tol > 0:
         raise ValueError(f"kernel_tol must be > 0, got {kernel_tol}")
-    lo, hi = max(int(n_window[0]), s.min_n), int(n_window[1])
+    lo, hi = (_check_integer(end, "gamma window end") for end in n_window[:2])
+    lo = max(lo, s.min_n)
     if hi - lo < 16:
         raise WindowTooSmall(f"gamma window [{lo}, {hi}] needs hi - lo >= 16")
     op = as_operator(t)
@@ -357,6 +352,8 @@ def almost_convergence_defect(s: MeanScheme, t, p, k: int, n_sup: int,
     first valid index through n_sup + k are used, all from one batched
     ``apply_mean`` call.
     """
+    k = _check_integer(k, "k", least=0)
+    n_sup = _check_integer(n_sup, "n_sup")
     op = as_operator(t)
     target = as_matrix(p) @ np.asarray(x)
     start = s.min_n

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,30 @@ _TRMM_MIN_DIM = 128
 # resolvent rings and mean sweeps at small dim, one matrix per stack at dim
 # 128, and a peak memory close to that of one matrix at a time.
 _STACK_CELLS = 1 << 14
+
+
+def _check_integer(value, what: str, least=None, most=None, error=ValueError) -> int:
+    """The one rule of a count or index argument: ``value`` as an int if it
+    is an integer (not a float or a bool) in [least, most], else ``error``
+    with the message "<what> must be an integer[ >= least][ and <= most],
+    got <value>"."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or least is not None and value < least or most is not None and value > most):
+        bounds = " and ".join(f"{op} {x}" for op, x in ((">=", least), ("<=", most))
+                              if x is not None)
+        rule = f"an integer {bounds}" if bounds else "an integer"
+        raise error(f"{what} must be {rule}, got {value!r}")
+    return int(value)
+
+
+def _check_integers(values, what: str, least=None) -> np.ndarray:
+    """``values`` as an array whose entries pass ``_check_integer``; the
+    error names the first entry that fails."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu" or least is not None and a.size and a.min() < least:
+        for value in a.ravel().tolist():
+            _check_integer(value, what, least)
+    return a
 
 
 def _stack_size(cells: int) -> int:
@@ -105,9 +130,7 @@ class GramGeometry:
     """
 
     def __init__(self, dim, diag=None, dense=None, bands=None):
-        self.dim = int(dim)
-        if self.dim < 1:
-            raise BadDimension("geometry dimension must be >= 1")
+        self.dim = _check_integer(dim, "geometry dim", least=1, error=BadDimension)
         if sum(arg is not None for arg in (diag, dense, bands)) != 1:
             raise ValueError("provide exactly one of diag=, dense= or bands=")
         self.diag = self._dense = self._gram_bands = self._factor_bands = None
@@ -170,6 +193,12 @@ class GramGeometry:
     @property
     def is_diagonal(self) -> bool:
         return self.diag is not None
+
+    @property
+    def is_real(self) -> bool:
+        """Whether the Gram is real.  A diagonal or tridiagonal one always is,
+        and asking builds no dense Gram."""
+        return not np.iscomplexobj(self._dense)
 
     @property
     def dense(self) -> np.ndarray | None:
@@ -343,8 +372,7 @@ def diag_operator(values) -> OperatorModel:
 
 def jordan_block(d: int, eig: complex) -> OperatorModel:
     """d x d upper bidiagonal block: ``eig`` on the diagonal, ones above."""
-    if d < 1:
-        raise BadDimension("Jordan block needs d >= 1")
+    d = _check_integer(d, "Jordan block d", least=1, error=BadDimension)
     m = eig * np.eye(d) + np.eye(d, k=1)
     return OperatorModel(m, label=f"jordan({d},{eig})")
 
@@ -359,8 +387,7 @@ def dirichlet_shift(alpha: float, n: int, direction: str = "forward") -> Operato
     """
     if alpha <= -1:
         raise ValueError("alpha must exceed -1")
-    if n < 2:
-        raise BadDimension("dirichlet shift needs N >= 2")
+    n = _check_integer(n, "dirichlet shift N", least=2, error=BadDimension)
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     k = np.arange(n - 1, dtype=float)
@@ -378,8 +405,7 @@ def volterra_operator(n: int) -> OperatorModel:
     over columns 0..i with h = 1/n, so the result is the (n+1) x (n+1)
     lower-triangular matrix that is exact on linear integrands.
     """
-    if n < 2:
-        raise BadDimension("volterra discretization needs N >= 2")
+    n = _check_integer(n, "volterra N", least=2, error=BadDimension)
     h = 1.0 / n
     m = h * (np.tril(np.ones((n + 1, n + 1))) - 0.5 * np.eye(n + 1))
     m[1:, 0] = 0.5 * h
@@ -472,8 +498,7 @@ def _power_walk(a: np.ndarray, ns, left=None, size=1):
 def power(t, n: int) -> np.ndarray:
     """n-th power, a fresh array, from one binary-squares walk (see
     ``_power_walk``); ``power(t, 0)`` is the identity."""
-    if n < 0:
-        raise ValueError("power exponent must be >= 0")
+    n = _check_integer(n, "power exponent n", least=0)
     return next(_power_walk(as_operator(t).matrix, [n]))[0].copy()
 
 
@@ -481,8 +506,7 @@ def random_operator(dim: int, spectral_radius: float = 0.9,
                     seed: int = 0x5EED) -> OperatorModel:
     """Entrywise uniform-on-the-unit-disk matrix rescaled to a target
     spectral radius (finite and >= 0).  Deterministic for a given seed."""
-    if dim < 1:
-        raise BadDimension("random operator needs dim >= 1")
+    dim = _check_integer(dim, "random operator dim", least=1, error=BadDimension)
     if not 0.0 <= spectral_radius < np.inf:
         raise ValueError(f"random operator needs a finite spectral radius >= 0, "
                          f"got {spectral_radius}")
@@ -550,7 +574,8 @@ def matrix_to_obj(a) -> dict:
 
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = (_check_integer(obj[key], f"matrix {key}", least=1, error=DimensionMismatch)
+                  for key in ("rows", "cols"))
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
     _check_keys(obj, ("rows", "cols", "re", "im"), "matrix")
@@ -570,7 +595,7 @@ def gram_to_obj(g: GramGeometry) -> dict:
 
 
 def gram_from_obj(obj: dict) -> GramGeometry:
-    dim = int(obj["dim"])
+    dim = _check_integer(obj["dim"], "Gram dim", least=1, error=BadDimension)
     if "diag" in obj:
         _check_keys(obj, ("dim", "diag"), "diagonal Gram")
         return GramGeometry(dim, diag=np.asarray(obj["diag"], dtype=float))

@@ -40,13 +40,12 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import (DimensionMismatch, OperatorModel, _bind_spec, _power_walk, _stack_size,
-                    as_operator, op_norm)
+from .linop import (DimensionMismatch, OperatorModel, _bind_spec, _check_integer, _power_walk,
+                    _stack_size, as_operator, op_norm)
 
 DEFAULT_TAIL_EPS = 1e-12
 
@@ -87,13 +86,6 @@ def _check_tail_eps(tail_eps: float) -> None:
         raise ValueError("tail_eps must lie in (0, 1e-6]")
 
 
-def _check_row_index(s, n) -> None:
-    """A row index is an integer: a float or a bool is a ValueError naming ``s``."""
-    # a plain int skips the abstract-class check, which costs about 0.5 us
-    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)):
-        raise ValueError(f"{s.name} row index n must be an integer, got {n!r}")
-
-
 class MeanScheme:
     """A summability scheme: row n is ``rule(n, tail_eps)``, under the
     metadata that reports and dispatch read (``p``: the Cesaro order)."""
@@ -108,10 +100,12 @@ class MeanScheme:
 
     def row(self, n: int, tail_eps: float = DEFAULT_TAIL_EPS) -> MeanRow:
         _check_tail_eps(tail_eps)
-        _check_row_index(self, n)
+        # a plain int skips the abstract-class check, which costs about 0.5 us
+        if type(n) is not int:
+            n = _check_integer(n, f"{self.name} row index n")
         if n < self.min_n:
             raise RowOutOfRange(f"{self.name}: row {n} < min_n {self.min_n}")
-        return self.rule(int(n), float(tail_eps))
+        return self.rule(n, float(tail_eps))
 
     def __repr__(self):
         return f"<MeanScheme {self.name}>"
@@ -200,15 +194,8 @@ def _series_row(coeff, n, tail_eps):
             raise RuntimeError("power_series row truncation did not converge")
 
 
-def _check_cesaro_order(p) -> int:
-    """``p`` as an int, if it is an integer >= 1 (not a float or a bool)."""
-    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
-        raise ValueError(f"cesaro order p must be an integer >= 1, got {p!r}")
-    return int(p)
-
-
 def cesaro(p: int = 1) -> MeanScheme:
-    p = _check_cesaro_order(p)
+    p = _check_integer(p, "cesaro order p", least=1)
     return MeanScheme("cesaro", f"cesaro(p={p})", functools.partial(_cesaro_row, p), p=p)
 
 
@@ -508,6 +495,6 @@ def rows_to_csv(s: MeanScheme, ns, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["n", "j", "t"])
         for n in ns:
-            row = s.row(int(n))
+            row = s.row(n)
             for j, t in zip(row.indices, row.weights):
-                writer.writerow([int(n), int(j), repr(float(t))])
+                writer.writerow([row.n, int(j), repr(float(t))])

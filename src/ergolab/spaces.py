@@ -23,7 +23,11 @@ import math
 import numpy as np
 
 from .ergodic import GrowthReport
-from .linop import GramGeometry, op_norm
+from .linop import GramGeometry, _check_integer, _check_integers, op_norm
+
+# the ranges of r and nmax that shields_report covers
+_SHIELDS_R = (0, 3)
+_SHIELDS_NMAX = (2, 2 ** 14)
 
 
 class TooFewNodes(ValueError):
@@ -95,9 +99,7 @@ def h1_star_norm(p) -> float:
 
 def _h1_bands(n: int):
     """Diagonal and off-diagonal of the h1 Gram of z^0..z^n (closed form)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    k = np.arange(n + 1, dtype=float)
+    k = np.arange(_check_integer(n, "h1 degree n", least=1) + 1, dtype=float)
     diag = 1.0 + (k + 2.0) ** 2
     off = -(k[:-1] + 2.0) * (k[:-1] + 3.0) / 2.0
     return diag, off
@@ -136,8 +138,7 @@ def h1_shift_lower_bound(f, n: int):
     """(lhs, rhs) of the power growth inequality in the 3-isometry space:
     lhs = ||z^n f||_1,  rhs = ||(1-z) f||_2 * sqrt(n(n-1)/2).
     The contract is lhs >= rhs."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n = _check_integer(n, "n", least=2)
     c = as_poly(f)
     lhs = h1_norm(shift_by_z(c, n))
     rhs = l2_norm(np.convolve(c, np.array([1.0, -1.0]))) * math.sqrt(n * (n - 1) / 2.0)
@@ -146,8 +147,7 @@ def h1_shift_lower_bound(f, n: int):
 
 def cesaro_multiplier(n: int) -> np.ndarray:
     """Coefficients of F_n(z) = (1/(n+1)) sum_{j<=n} z^j."""
-    if n < 0:
-        raise ValueError("need n >= 0")
+    n = _check_integer(n, "n", least=0)
     return np.full(n + 1, 1.0 / (n + 1), dtype=complex)
 
 
@@ -181,11 +181,8 @@ def h1_mean_norm(n, n_trunc: int):
     of S_n beyond n_trunc + n are zero, so the result for an index does not
     depend on the others it is swept with.
     """
-    ns = np.asarray(n)
-    if ns.dtype.kind not in "iu" or np.any(ns < 0):
-        raise ValueError(f"mean indices must be integers >= 0, got {n!r}")
-    if isinstance(n_trunc, bool) or not isinstance(n_trunc, (int, np.integer)):
-        raise ValueError(f"n_trunc must be an integer, got {n_trunc!r}")
+    ns = _check_integers(n, "mean index n", least=0)
+    n_trunc = _check_integer(n_trunc, "n_trunc")
     uniq, where = np.unique(ns.reshape(-1), return_inverse=True)
     top = int(uniq[-1]) if uniq.size else 0
     if n_trunc < 4 * top:
@@ -215,7 +212,7 @@ def _quad_node_count(degree: int, quad_nodes) -> int:
     floor = 4 * (degree + 1)
     if quad_nodes is None:
         return max(1024, 8 * max(degree, 1))
-    quad_nodes = int(quad_nodes)
+    quad_nodes = _check_integer(quad_nodes, "quad_nodes")
     if quad_nodes < floor:
         raise TooFewNodes(f"need at least {floor} nodes for degree {degree}")
     return quad_nodes
@@ -224,7 +221,7 @@ def _quad_node_count(degree: int, quad_nodes) -> int:
 def circle_abs_mean(p, nodes: int) -> float:
     """(1/2pi) int |p(e^it)| dt by the M-node trapezoid rule (FFT values)."""
     c = as_poly(p)
-    values = np.fft.fft(c, n=int(nodes))
+    values = np.fft.fft(c, n=_check_integer(nodes, "nodes", least=1))
     return float(np.mean(np.abs(values)))
 
 
@@ -234,8 +231,7 @@ def xr_norm(f, r: int, quad_nodes=None) -> float:
     Derivative values at 0 are j! f_j exactly; the circle integral uses the
     trapezoid rule with ``quad_nodes`` nodes (default max(1024, 8*degree)).
     """
-    if r < 0:
-        raise ValueError("need r >= 0")
+    r = _check_integer(r, "r", least=0)
     c = as_poly(f)
     nodes = _quad_node_count(c.size - 1, quad_nodes)
     point_terms = sum(math.factorial(j) * abs(c[j]) for j in range(min(r + 1, c.size)))
@@ -260,10 +256,8 @@ def shields_report(r: int, nmax: int, quad_nodes=None):
     * ``inner`` : n^{-r} (1/2pi) int |F_n^{(r+1)}((1-1/n) e^it)| dt, the
       inner-circle lower-bound integrand at radius 1 - 1/n.
     """
-    if r > 3:
-        raise ValueError("r <= 3 supported")
-    if nmax > 2 ** 14:
-        raise ValueError("nmax capped at 2^14")
+    r = _check_integer(r, "r", *_SHIELDS_R)
+    nmax = _check_integer(nmax, "nmax", *_SHIELDS_NMAX)
     ns = sorted({int(round(2.0 ** (k / 3.0)))
                  for k in range(3, int(3 * math.log2(nmax)) + 1)})
     ns = [n for n in ns if 2 <= n <= nmax]

@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linop import _chunks, _power_walk, as_operator
-from .means import _check_cesaro_order, _check_radius
+from .linop import _check_integer, _chunks, _power_walk, as_operator
+from .means import _check_radius
 
 _SINGULAR_TOL = 1e-12
+_MIN_ANGLES = 8  # the fewest angles of an AnnulusGrid
 
 
 def _angle_values(count: int) -> np.ndarray:
@@ -51,8 +52,8 @@ class AnnulusGrid:
         r = np.asarray(self.radii, dtype=float)
         if r.size == 0 or np.any(r <= 1.0) or np.any(np.diff(r) >= 0):
             raise ValueError("radii must be > 1 and strictly decreasing toward 1")
-        if self.angles < 8:
-            raise ValueError("need at least 8 angles")
+        angles = _check_integer(self.angles, "angles", least=_MIN_ANGLES)
+        object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "radii", tuple(float(x) for x in r))
 
     @classmethod
@@ -65,9 +66,8 @@ class AnnulusGrid:
     def harmonic(cls, nmax: int, angles: int) -> "AnnulusGrid":
         """Radii 1 + 1/n at the powers of two n = 2^k <= nmax, the radii
         that the derivation behind ``uniform_kreiss_mean_bound`` needs."""
-        if nmax < 1:
-            raise ValueError("nmax must be >= 1")
-        return cls(tuple(1.0 + 2.0 ** (-k) for k in range(int(nmax).bit_length())), angles)
+        nmax = _check_integer(nmax, "nmax", least=1)
+        return cls(tuple(1.0 + 2.0 ** (-k) for k in range(nmax.bit_length())), angles)
 
     def angle_values(self) -> np.ndarray:
         return _angle_values(self.angles)
@@ -144,8 +144,7 @@ def _ring_angles(op, grid: AnnulusGrid):
     """
     angles = grid.angle_values()
     k = np.arange(angles.size)
-    gram = op.geometry
-    if np.iscomplexobj(op.matrix) or (gram is not None and np.iscomplexobj(gram._dense)):
+    if np.iscomplexobj(op.matrix) or not (op.geometry is None or op.geometry.is_real):
         evaluated, sources = angles, k
     else:
         evaluated, sources = angles[:angles.size // 2 + 1], np.minimum(k, angles.size - k)
@@ -227,8 +226,7 @@ def partial_sum_functional(t, r: int, nmax: int, grid: AnnulusGrid) -> Functiona
     (a nilpotent T, such as a truncated shift), the values of S_{n-1} are
     copied to n..nmax and that stack's walk ends (the zero-power rule).
     """
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
+    nmax = _check_integer(nmax, "nmax", least=1)
     op = as_operator(t)
     angles, points, sources = _ring_angles(op, grid)
     values = np.empty(points.shape + (nmax + 1,))
@@ -257,9 +255,8 @@ def cesaro_mean_sequence(t, p: int, nmax: int, lam=1.0):
     product per step regardless of p; validated against the
     row-coefficient route in the test suite.
     """
-    p = _check_cesaro_order(p)
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
+    p = _check_integer(p, "cesaro order p", least=1)
+    nmax = _check_integer(nmax, "nmax", least=0)
     op = as_operator(t)
     binom = 1.0
     for n, sums in _pascal_sums(np.asarray(lam)[..., None, None] * op.matrix, p, nmax):
@@ -291,10 +288,8 @@ def mean_growth_functional(t, p: int, r: int, nmax: int, angles: int) -> Functio
     benchmark gate that reads the value at the argmax rather than its angle
     (ROADMAP item 1).
     """
-    if angles < 1:
-        raise ValueError("need at least one angle")
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
+    angles = _check_integer(angles, "angles", least=1)
+    nmax = _check_integer(nmax, "nmax", least=1)
     op = as_operator(t)
     thetas = _angle_values(angles)
     lams = np.exp(1j * thetas)
@@ -325,11 +320,9 @@ def resolvent_series_residual(t, p: int, lam: complex, rho: float,
         raise ValueError("rho must lie in (0, 0.9] for a negligible tail")
     op = as_operator(t)
     _check_radius(op, "series identity")
-    p = _check_cesaro_order(p)
-    if nterms is None:
-        nterms = int(math.ceil(40.0 / (1.0 - rho)))
-    if nterms < 1:
-        raise ValueError("nterms must be >= 1")
+    p = _check_integer(p, "cesaro order p", least=1)
+    nterms = _check_integer(math.ceil(40.0 / (1.0 - rho)) if nterms is None else nterms,
+                            "nterms", least=1)
     eye = np.eye(op.dim)
     lhs = np.linalg.solve(eye - rho * lam * op.matrix, eye)
     scale = (1.0 - rho) ** p
@@ -353,8 +346,7 @@ def abel_summation_residual(t, lam: complex, rho: float, n: int) -> float:
     """
     if not (0.0 < rho <= 1.0):
         raise ValueError("rho must lie in (0, 1]")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_integer(n, "n", least=1)
     op = as_operator(t)
     b = lam * op.matrix
     lhs = np.zeros_like(b)

@@ -598,7 +598,8 @@ def test_uniform_kreiss_scenario():
           ("jordan:d=2:eig=1", "jordan takes no parameter 'd'")]],
     # a random operator of dimension 0 failed in a reduction with no identity
     (["growth", "--op", "random:0:1.0", "--nmax", "4"], None,
-     "config error: bad operator spec 'random:0:1.0': random operator needs dim >= 1"),
+     "config error: bad operator spec 'random:0:1.0': random operator dim must be an integer "
+     ">= 1, got 0"),
     # a negative radius ran an operator of spectral radius 1
     (["growth", "--op", "random:4:-1", "--nmax", "8"], None,
      "config error: bad operator spec 'random:4:-1': random operator needs a finite "
@@ -667,8 +668,13 @@ def test_rejected_input_exits_2_with_one_stderr_line(argv, config, fragment, tmp
     ' "gram": {"dim": 1, "diag": [4], "gram_re": [1], "gram_im": [0]}}',
     '{"matrix": {"rows": 1, "cols": 1, "re": [0.5], "im": [0]},'
     ' "gram": {"dim": 1, "gram_re": [1], "gram_im": [0], "hermitian": true}}',
+    # a fractional size was truncated: the operator loaded as a 2 x 2 one
+    '{"rows": 2.5, "cols": 2, "re": [1, 0, 0, 0.5], "im": [0, 0, 0, 0]}',
+    '{"matrix": {"rows": 2, "cols": 2, "re": [1, 0, 0, 0.5], "im": [0, 0, 0, 0]},'
+    ' "gram": {"dim": 2.9, "diag": [1, 2]}}',
 ], ids=["array", "rows_null", "number", "matrix_number", "rows_infinite", "gram_array",
-        "gramm", "matrix_imag", "bare_label", "gram_both_forms", "dense_gram_extra"])
+        "gramm", "matrix_imag", "bare_label", "gram_both_forms", "dense_gram_extra",
+        "rows_fractional", "gram_dim_fractional"])
 def test_malformed_operator_file_exits_2_with_one_stderr_line(text, tmp_path, capsys):
     op = tmp_path / "op.json"
     op.write_text(text)

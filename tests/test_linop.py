@@ -154,6 +154,14 @@ def test_tridiagonal_dense_forms_are_built_on_first_use_as_before():
     assert obj["gram_im"] == [0.0] * 81
 
 
+def test_is_real_tells_a_complex_dense_gram_and_builds_no_dense_gram():
+    g = GramGeometry.tridiagonal(*_tridiagonal_bands(9, 4))
+    assert g.is_real and g._dense is None
+    assert GramGeometry.diagonal([1.0, 2.0]).is_real
+    assert GramGeometry.hermitian(np.diag([1.0, 2.0]) + 0j).is_real
+    assert not GramGeometry.hermitian([[2.0, 1j], [-1j, 2.0]]).is_real
+
+
 def test_tridiagonal_geometry_applied_as_a_factor_allocates_no_square_array():
     import tracemalloc
     g = GramGeometry.tridiagonal(*_tridiagonal_bands(2000, 6))

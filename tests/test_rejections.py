@@ -1,7 +1,9 @@
 """Range checks, one table: each call raises the documented exception with
 a message that names what is out of range."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ import pytest
 from ergolab.ergodic import (
     GrowthReport,
     NonPositiveValues,
+    almost_convergence_defect,
     alternating_sum_residual,
+    gamma_quotient,
     growth_exponent,
     log_fit,
     mean_norms,
@@ -22,6 +26,7 @@ from ergolab.linop import (
     GramGeometry,
     dirichlet_shift,
     jordan_block,
+    load_operator,
     matrix_from_obj,
     op_norm,
     power,
@@ -34,13 +39,16 @@ from ergolab.means import (
     cesaro,
     identity_powers,
     power_series,
+    rows_to_csv,
     zweier,
 )
 from ergolab.spaces import (
     as_poly,
     cesaro_multiplier,
+    circle_abs_mean,
     d_alpha_norm,
     h1_gram,
+    h1_mean_norm,
     shields_report,
     xr_norm,
 )
@@ -55,15 +63,18 @@ from ergolab.spectral import (
 )
 
 T = jordan_block(2, 0.5)
+P, X = np.zeros((2, 2)), [1.0, 1.0]
 _REPORT = GrowthReport("g", np.arange(1, 17), np.ones(16))
 
 # (id, call, exception, message fragment)
 REJECTIONS = [
-    ("power_negative", lambda: power(T, -1), ValueError, "exponent must be >= 0"),
+    ("power_negative", lambda: power(T, -1), ValueError,
+     "power exponent n must be an integer >= 0, got -1"),
     ("dirichlet_alpha", lambda: dirichlet_shift(-1.0, 4), ValueError, "alpha must exceed -1"),
     ("dirichlet_direction", lambda: dirichlet_shift(0.5, 4, "sideways"), ValueError,
      "direction must be"),
-    ("gram_dim_0", lambda: GramGeometry(0, diag=[]), BadDimension, "dimension must be >= 1"),
+    ("gram_dim_0", lambda: GramGeometry(0, diag=[]), BadDimension,
+     "geometry dim must be an integer >= 1, got 0"),
     ("gram_diag_length", lambda: GramGeometry(3, diag=[1.0, 2.0]), DimensionMismatch,
      "diagonal weight length"),
     ("gram_dense_shape", lambda: GramGeometry(3, dense=np.eye(2)), DimensionMismatch,
@@ -101,9 +112,10 @@ REJECTIONS = [
      "finite spectral radius >= 0, got -1.0"),
     ("random_radius_nan", lambda: random_operator(4, math.nan), ValueError,
      "finite spectral radius >= 0, got nan"),
-    ("power_norm_sequence_1", lambda: power_norm_sequence(T, 1), ValueError, "nmax >= 2"),
+    ("power_norm_sequence_1", lambda: power_norm_sequence(T, 1), ValueError,
+     "nmax must be an integer >= 2, got 1"),
     ("power_norm_samples_0", lambda: power_norm_samples(T, [0, 4]), ValueError,
-     "all >= 1"),
+     "sample index n must be an integer >= 1, got 0"),
     ("alternating_k_below_m",
      lambda: alternating_sum_residual(identity_powers(), T, 1, 2, 1, [1.0, 1.0], 4),
      ValueError, "k >= m"),
@@ -115,26 +127,66 @@ REJECTIONS = [
     ("as_poly_empty", lambda: as_poly([]), ValueError, "nonempty 1-D"),
     ("d_alpha_minus_1", lambda: d_alpha_norm([1.0, 2.0], -1.0), ValueError,
      "alpha must exceed -1"),
-    ("h1_gram_0", lambda: h1_gram(0), ValueError, "n >= 1"),
-    ("cesaro_multiplier_negative", lambda: cesaro_multiplier(-1), ValueError, "n >= 0"),
-    ("xr_norm_negative", lambda: xr_norm([1.0, 2.0], -1), ValueError, "r >= 0"),
-    ("shields_nmax", lambda: shields_report(1, 2 ** 15), ValueError, "nmax capped"),
+    ("h1_gram_0", lambda: h1_gram(0), ValueError,
+     "h1 degree n must be an integer >= 1, got 0"),
+    ("cesaro_multiplier_negative", lambda: cesaro_multiplier(-1), ValueError,
+     "n must be an integer >= 0, got -1"),
+    ("xr_norm_negative", lambda: xr_norm([1.0, 2.0], -1), ValueError,
+     "r must be an integer >= 0, got -1"),
+    ("shields_nmax", lambda: shields_report(1, 2 ** 15), ValueError,
+     "nmax must be an integer >= 2 and <= 16384, got 32768"),
     ("partial_sum_nmax_0", lambda: partial_sum_functional(T, 1, 0, AnnulusGrid.dyadic(2, 8)),
-     ValueError, "nmax must be >= 1"),
+     ValueError, "nmax must be an integer >= 1, got 0"),
     ("mean_growth_angles_0", lambda: mean_growth_functional(T, 1, 0, 8, 0), ValueError,
-     "at least one angle"),
+     "angles must be an integer >= 1, got 0"),
     ("mean_growth_nmax_0", lambda: mean_growth_functional(T, 1, 0, 0, 8), ValueError,
-     "nmax must be >= 1"),
+     "nmax must be an integer >= 1, got 0"),
     ("abel_summation_rho_0", lambda: abel_summation_residual(T, 1.0, 0.0, 4), ValueError,
      "rho must lie in (0, 1]"),
     ("abel_summation_n_0", lambda: abel_summation_residual(T, 1.0, 0.5, 0), ValueError,
-     "n must be >= 1"),
+     "n must be an integer >= 1, got 0"),
     ("cesaro_sequence_nmax_negative", lambda: list(cesaro_mean_sequence(T, 1, -3)), ValueError,
-     "nmax must be >= 0"),
+     "nmax must be an integer >= 0, got -3"),
     ("series_nterms_negative", lambda: resolvent_series_residual(T, 1, 1.0, 0.5, nterms=-5),
-     ValueError, "nterms must be >= 1"),
+     ValueError, "nterms must be an integer >= 1, got -5"),
     ("series_nterms_0", lambda: resolvent_series_residual(T, 1, 1.0, 0.5, nterms=0),
-     ValueError, "nterms must be >= 1"),
+     ValueError, "nterms must be an integer >= 1, got 0"),
+    # a count or index that is a float or a bool was truncated, or read as 0
+    # or 1, and ran another input than the one given
+    ("power_float", lambda: power(T, 2.7), ValueError,
+     "power exponent n must be an integer >= 0, got 2.7"),
+    ("power_bool", lambda: power(T, True), ValueError,
+     "power exponent n must be an integer >= 0, got True"),
+    ("power_norm_samples_float", lambda: power_norm_samples(T, [1.5, 2.9, 3.9, 4.9]),
+     ValueError, "sample index n must be an integer >= 1, got 1.5"),
+    ("annulus_angles_float", lambda: AnnulusGrid((2.0, 1.5), 8.5), ValueError,
+     "angles must be an integer >= 8, got 8.5"),
+    ("harmonic_nmax_float", lambda: AnnulusGrid.harmonic(8.5, 8), ValueError,
+     "nmax must be an integer >= 1, got 8.5"),
+    ("dirichlet_n_float", lambda: dirichlet_shift(0.5, 4.5), BadDimension,
+     "dirichlet shift N must be an integer >= 2, got 4.5"),
+    ("h1_gram_float", lambda: h1_gram(3.5), ValueError,
+     "h1 degree n must be an integer >= 1, got 3.5"),
+    ("xr_norm_nodes_float", lambda: xr_norm([1.0, 2.0], 0, quad_nodes=1024.5), ValueError,
+     "quad_nodes must be an integer, got 1024.5"),
+    ("circle_abs_mean_float", lambda: circle_abs_mean([1.0, 1.0], 8.7), ValueError,
+     "nodes must be an integer >= 1, got 8.7"),
+    ("gamma_window_float", lambda: gamma_quotient(T, identity_powers(), 0, (16.9, 40.2)),
+     ValueError, "gamma window end must be an integer, got 16.9"),
+    ("shields_nmax_float", lambda: shields_report(1, 64.5), ValueError,
+     "nmax must be an integer >= 2 and <= 16384, got 64.5"),
+    ("rows_to_csv_float", lambda: rows_to_csv(zweier(), [1.5], os.devnull), ValueError,
+     "zweier row index n must be an integer, got 1.5"),
+    # a float k failed on the row index 0.0, a negative k divided by k + 1 = 0
+    ("almost_k_float", lambda: almost_convergence_defect(cesaro(1), T, P, 2.5, 4, X),
+     ValueError, "k must be an integer >= 0, got 2.5"),
+    ("almost_k_negative", lambda: almost_convergence_defect(cesaro(1), T, P, -1, 4, X),
+     ValueError, "k must be an integer >= 0, got -1"),
+    ("almost_n_sup_float", lambda: almost_convergence_defect(cesaro(1), T, P, 2, 4.5, X),
+     ValueError, "n_sup must be an integer, got 4.5"),
+    # returned empty reports
+    ("shields_nmax_1", lambda: shields_report(1, 1), ValueError,
+     "nmax must be an integer >= 2 and <= 16384, got 1"),
 ]
 
 
@@ -144,6 +196,30 @@ def test_out_of_range_input_raises(call, exception, fragment):
     with pytest.raises(exception) as info:
         call()
     assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("obj, exception, fragment", [
+    ({"rows": 2.5, "cols": 2, "re": [1, 0, 0, 0.5], "im": [0, 0, 0, 0]}, DimensionMismatch,
+     "matrix rows must be an integer >= 1, got 2.5"),
+    ({"rows": "2", "cols": 2, "re": [1, 0, 0, 0.5], "im": [0, 0, 0, 0]}, DimensionMismatch,
+     "matrix rows must be an integer >= 1, got '2'"),
+    ({"matrix": {"rows": 2, "cols": 2, "re": [1, 0, 0, 0.5], "im": [0, 0, 0, 0]},
+      "gram": {"dim": 2.9, "diag": [1.0, 2.0]}}, BadDimension,
+     "Gram dim must be an integer >= 1, got 2.9"),
+], ids=["rows_float", "rows_string", "gram_dim_float"])
+def test_load_operator_rejects_a_size_that_is_not_an_integer(tmp_path, obj, exception, fragment):
+    # each file loaded, as an operator of the truncated (or parsed) size
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(exception) as info:
+        load_operator(path)
+    assert fragment in str(info.value)
+
+
+def test_empty_index_arrays_give_empty_results():
+    # one rule for the index arrays: an empty one has no entry that fails
+    assert h1_mean_norm([], 16).shape == (0,)
+    assert mean_norms(zweier(), T, []).shape == (0,)
 
 
 def test_resolvent_series_residual_sums_nterms_terms(monkeypatch):
