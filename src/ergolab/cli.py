@@ -49,8 +49,9 @@ class _Parser(argparse.ArgumentParser):
 class _Config(dict):
     """A scenario config that records each key read through ``[]``, ``get``
     or ``in``.  ``[key]`` raises a ConfigError naming a missing ``key``, and
-    ``get(key, default, least=x)`` one naming ``key`` when the value is
-    below ``x``."""
+    ``get(key, default, least=x)`` the integer rule's error
+    (``linop._check_integer``) naming ``key`` when the value is not an
+    integer >= ``x``."""
 
     def __init__(self, config):
         super().__init__(config)
@@ -70,8 +71,8 @@ class _Config(dict):
     def get(self, key, default=None, least=None):
         self.read.add(key)
         value = super().get(key, default)
-        if least is not None and value < least:
-            raise ConfigError(f"{key} must be >= {least}, got {value}")
+        if least is not None:
+            linop._check_integer(value, key, least, error=ConfigError)
         return value
 
 
@@ -406,23 +407,22 @@ def _scenario_convergence(cfg):
 
 class _Rule(NamedTuple):
     """A config value's kind and static range: an ``int`` or finite
-    ``number`` from lo (excluded if ``open_lo``) to hi, a ``bool``, a
-    ``choice`` of ``choices``, a ``spec`` string (operator or scheme) or a
-    ``band`` [lo, hi] of two ``item``s."""
+    ``number`` from lo (excluded if ``open_lo``) to hi, either bound None
+    for none, under the library's numeric rule (``linop._is_number`` and
+    its phrase ``linop._number_rule``); a ``bool``, a ``choice`` of
+    ``choices``, a ``spec`` string (operator or scheme) or a ``band``
+    [lo, hi] of two ``item``s."""
 
     kind: str
-    lo: float = -math.inf
-    hi: float = math.inf
+    lo: float | None = None
+    hi: float | None = None
     choices: tuple = ()
     item: _Rule | None = None
     open_lo: bool = False
 
     def admits(self, value) -> bool:
         if self.kind in ("int", "number"):
-            return (isinstance(value, int if self.kind == "int" else (int, float))
-                    and not isinstance(value, bool) and -math.inf < value < math.inf
-                    and (value > self.lo if self.open_lo else value >= self.lo)
-                    and value <= self.hi)
+            return linop._is_number(value, self.kind == "int", self.lo, self.hi, self.open_lo)
         if self.kind == "band":
             return (isinstance(value, (list, tuple)) and len(value) == 2
                     and all(map(self.item.admits, value)) and value[0] <= value[1])
@@ -430,14 +430,9 @@ class _Rule(NamedTuple):
                 and (self.kind != "choice" or value in self.choices))
 
     def __str__(self):
-        bounds = []
-        if self.lo > -math.inf:
-            bounds.append(f"{'>' if self.open_lo else '>='} {self.lo}")
-        if self.hi < math.inf:
-            bounds.append(f"<= {self.hi}")
-        span = " " + " and ".join(bounds) if bounds else ""
-        return {"int": f"an integer{span}", "number": f"a finite number{span}",
-                "bool": "true or false", "choice": "one of " + "|".join(self.choices),
+        if self.kind in ("int", "number"):
+            return linop._number_rule(self.kind == "int", self.lo, self.hi, self.open_lo)
+        return {"bool": "true or false", "choice": "one of " + "|".join(self.choices),
                 "spec": "a spec string",
                 "band": f"[lo, hi] with lo <= hi, each {self.item}"}[self.kind]
 
@@ -454,8 +449,7 @@ _GROWTH = {"operator": _SPEC, "norm": _NORMS,
 _KEYS = {
     "identities": {"operator": _SPEC, "tol": _TOL, "p": _INT1, "scheme": _SPEC,
                    "nmax": _INT1},
-    # the radius 1 + 2^-kmax rounds to 1.0 in double precision from kmax = 53
-    "kreiss": {"operator": _SPEC, "r": _INT0, "kmax": _Rule("int", 1, 52),
+    "kreiss": {"operator": _SPEC, "r": _INT0, "kmax": _Rule("int", 1, spectral._MAX_KMAX),
                "angles": _ANGLES, "expect_stable_tol": _TOL, "expect_ratio_band": _BAND},
     "uniform_kreiss": {"operator": _SPEC, "r": _INT0, "nmax": _INT1, "angles": _ANGLES,
                        "tol": _TOL},

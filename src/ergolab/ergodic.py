@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linop import (OperatorModel, _check_integer, _check_integers, _chunks, _power_walk,
-                    as_matrix, as_operator, op_norm, power)
+from .linop import (OperatorModel, _check_integer, _check_integers, _check_real, _chunks,
+                    _power_walk, as_matrix, as_operator, op_norm, power)
 from .means import MeanScheme, apply_mean
 from .spectral import cesaro_mean_sequence
 
@@ -77,8 +77,7 @@ def growth_exponent(report: GrowthReport, window_fraction: float = 0.5):
     """The slope of the line fit (``_line_fit``) of log(value) against
     log(n) over the trailing ``window_fraction`` of the points; the residual
     is the maximum absolute log deviation from the fit."""
-    if not (0.0 < window_fraction <= 1.0):
-        raise ValueError("window_fraction must lie in (0, 1]")
+    _check_real(window_fraction, "window_fraction", least=0, most=1, open_least=True)
     ns, vals = (np.asarray(a, dtype=float) for a in report._tail(window_fraction))
     if ns.size < 8:
         raise WindowTooSmall("exponent fit needs at least 8 points")
@@ -236,6 +235,9 @@ def alternating_sum_residual(s: MeanScheme, t, k: int, m: int, n0: int,
     defect sequence that decays when the scheme is (n0, m)-regular on x.
     All q + 2 means come from one batched ``apply_mean`` call.
     """
+    k = _check_integer(k, "k", least=0)
+    m = _check_integer(m, "m", least=0)
+    n0 = _check_integer(n0, "n0", least=0)
     if k < m:
         raise ValueError("need k >= m")
     q = k - m
@@ -285,10 +287,10 @@ def gamma_quotient(t, s: MeanScheme, m: int, n_window,
     coordinates.  gamma_values records per-probe estimates on the full
     window and on its halves (window-sensitivity diagnostic).  Raises
     OverflowError, naming the window, when the window maps or their Gram
-    are not finite, and ValueError when ``kernel_tol`` is not positive.
+    are not finite, and ValueError when ``kernel_tol`` is not a finite
+    number > 0.
     """
-    if not kernel_tol > 0:
-        raise ValueError(f"kernel_tol must be > 0, got {kernel_tol}")
+    _check_real(kernel_tol, "kernel_tol", least=0, open_least=True)
     lo, hi = (_check_integer(end, "gamma window end") for end in n_window[:2])
     lo = max(lo, s.min_n)
     if hi - lo < 16:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -58,18 +59,45 @@ _TRMM_MIN_DIM = 128
 _STACK_CELLS = 1 << 14
 
 
+def _number_rule(integer: bool, least=None, most=None, open_least=False) -> str:
+    """The phrase of a numeric rule, as the errors and ``ergolab --help``
+    print it: "an integer >= 1 and <= 52", "a finite number > 0"."""
+    bounds = " and ".join(f"{op} {x}" for op, x in ((">" if open_least else ">=", least),
+                                                    ("<=", most)) if x is not None)
+    rule = "an integer" if integer else "a finite number"
+    return f"{rule} {bounds}" if bounds else rule
+
+
+def _is_number(value, integer: bool, least=None, most=None, open_least=False) -> bool:
+    """Whether ``value`` keeps the rule ``_number_rule`` states: an integer
+    (``numbers.Integral``) or a finite real (``numbers.Real``), never a
+    bool, from least (excluded if ``open_least``) to most."""
+    return (not isinstance(value, bool)
+            and isinstance(value, numbers.Integral if integer else numbers.Real)
+            and -math.inf < value < math.inf
+            and (least is None or (value > least if open_least else value >= least))
+            and (most is None or value <= most))
+
+
 def _check_integer(value, what: str, least=None, most=None, error=ValueError) -> int:
     """The one rule of a count or index argument: ``value`` as an int if it
     is an integer (not a float or a bool) in [least, most], else ``error``
     with the message "<what> must be an integer[ >= least][ and <= most],
     got <value>"."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or least is not None and value < least or most is not None and value > most):
-        bounds = " and ".join(f"{op} {x}" for op, x in ((">=", least), ("<=", most))
-                              if x is not None)
-        rule = f"an integer {bounds}" if bounds else "an integer"
-        raise error(f"{what} must be {rule}, got {value!r}")
+    if not _is_number(value, True, least, most):
+        raise error(f"{what} must be {_number_rule(True, least, most)}, got {value!r}")
     return int(value)
+
+
+def _check_real(value, what: str, least=None, most=None, open_least=False) -> float:
+    """The one rule of a real parameter: ``value`` as a float if it is a
+    finite real (not a bool, a complex or a string) from least (excluded if
+    ``open_least``) to most, else a ValueError with the message "<what> must
+    be a finite number[ > or >= least][ and <= most], got <value>"."""
+    if not _is_number(value, False, least, most, open_least):
+        raise ValueError(f"{what} must be {_number_rule(False, least, most, open_least)}, "
+                         f"got {value!r}")
+    return float(value)
 
 
 def _check_integers(values, what: str, least=None) -> np.ndarray:
@@ -385,8 +413,7 @@ def dirichlet_shift(alpha: float, n: int, direction: str = "forward") -> Operato
     transpose (the adjoint shift).  Expressed in orthonormal coordinates the
     geometry is Euclidean, so no Gram is attached.
     """
-    if alpha <= -1:
-        raise ValueError("alpha must exceed -1")
+    _check_real(alpha, "dirichlet shift alpha", least=-1, open_least=True)
     n = _check_integer(n, "dirichlet shift N", least=2, error=BadDimension)
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
@@ -507,9 +534,7 @@ def random_operator(dim: int, spectral_radius: float = 0.9,
     """Entrywise uniform-on-the-unit-disk matrix rescaled to a target
     spectral radius (finite and >= 0).  Deterministic for a given seed."""
     dim = _check_integer(dim, "random operator dim", least=1, error=BadDimension)
-    if not 0.0 <= spectral_radius < np.inf:
-        raise ValueError(f"random operator needs a finite spectral radius >= 0, "
-                         f"got {spectral_radius}")
+    _check_real(spectral_radius, "random operator spectral radius", least=0)
     rng = np.random.default_rng(seed)
     r = np.sqrt(rng.uniform(0.0, 1.0, (dim, dim)))
     theta = rng.uniform(0.0, 2.0 * np.pi, (dim, dim))

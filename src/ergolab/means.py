@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import (DimensionMismatch, OperatorModel, _bind_spec, _check_integer, _power_walk,
-                    _stack_size, as_operator, op_norm)
+from .linop import (DimensionMismatch, OperatorModel, _bind_spec, _check_integer, _check_real,
+                    _power_walk, _stack_size, as_operator, op_norm)
 
 DEFAULT_TAIL_EPS = 1e-12
 
@@ -81,11 +81,6 @@ class MeanRow:
         return out
 
 
-def _check_tail_eps(tail_eps: float) -> None:
-    if not (0.0 < tail_eps <= 1e-6):
-        raise ValueError("tail_eps must lie in (0, 1e-6]")
-
-
 class MeanScheme:
     """A summability scheme: row n is ``rule(n, tail_eps)``, under the
     metadata that reports and dispatch read (``p``: the Cesaro order)."""
@@ -99,10 +94,12 @@ class MeanScheme:
         self.p = p
 
     def row(self, n: int, tail_eps: float = DEFAULT_TAIL_EPS) -> MeanRow:
-        _check_tail_eps(tail_eps)
-        # a plain int skips the abstract-class check, which costs about 0.5 us
+        # a plain int and the default tail_eps skip the helpers, whose
+        # abstract-class checks cost about 0.5 us a call
         if type(n) is not int:
             n = _check_integer(n, f"{self.name} row index n")
+        if tail_eps != DEFAULT_TAIL_EPS:
+            tail_eps = _check_real(tail_eps, "tail_eps", least=0, most=1e-6, open_least=True)
         if n < self.min_n:
             raise RowOutOfRange(f"{self.name}: row {n} < min_n {self.min_n}")
         return self.rule(n, float(tail_eps))
@@ -300,8 +297,9 @@ def backward_iterate(s: MeanScheme) -> MeanScheme:
 
 
 def _check_unimodular(lam: complex) -> complex:
-    if abs(abs(lam) - 1.0) > 1e-12:
-        raise ValueError("rotation parameter must have modulus 1")
+    # "not <=" rejects a NaN, which fails every comparison
+    if not abs(abs(lam) - 1.0) <= 1e-12:
+        raise ValueError(f"rotation parameter must have modulus 1, got {lam!r}")
     return lam
 
 
@@ -471,6 +469,7 @@ def regularity_defect(s: MeanScheme, t, n0: int, x, n: int) -> float:
     The probe x is expected to lie in the relevant range space already;
     callers apply (T - I)^m themselves.
     """
+    n0 = _check_integer(n0, "n0", least=0)
     op = as_operator(t)
     mean_n, mean_later = apply_mean(s, op, [n, n + n0], x=x)
     return op.vector_norm(op.matrix @ mean_n - mean_later)

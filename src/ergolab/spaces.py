@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .ergodic import GrowthReport
-from .linop import GramGeometry, _check_integer, _check_integers, op_norm
+from .linop import GramGeometry, _check_integer, _check_integers, _check_real, op_norm
 
 # the ranges of r and nmax that shields_report covers
 _SHIELDS_R = (0, 3)
@@ -52,12 +52,13 @@ def poly_mul(p, q) -> np.ndarray:
 
 def shift_by_z(p, k: int = 1) -> np.ndarray:
     """Multiply by z^k: prepend k zeros."""
+    k = _check_integer(k, "shift k", least=0)
     return np.concatenate([np.zeros(k, dtype=complex), as_poly(p)])
 
 
 def poly_derivative(p, order: int = 1) -> np.ndarray:
     c = as_poly(p)
-    for _ in range(order):
+    for _ in range(_check_integer(order, "derivative order", least=0)):
         if c.size == 1:
             return np.zeros(1, dtype=complex)
         c = c[1:] * np.arange(1, c.size)
@@ -70,8 +71,7 @@ def l2_norm(p) -> float:
 
 def d_alpha_norm(p, alpha: float) -> float:
     """sqrt( sum_k (k+1)^{1-alpha} |p_k|^2 )."""
-    if alpha <= -1:
-        raise ValueError("alpha must exceed -1")
+    _check_real(alpha, "alpha", least=-1, open_least=True)
     c = as_poly(p)
     k = np.arange(c.size, dtype=float)
     return float(math.sqrt(np.sum((k + 1.0) ** (1.0 - alpha) * np.abs(c) ** 2)))
@@ -122,8 +122,7 @@ def h1_geometry(n: int) -> GramGeometry:
 def m_isometry_defect(norm, shift, order: int, p) -> float:
     """Signed binomial difference sum_k (-1)^k C(order, k) norm(shift^k p)^2;
     zero iff the shift is an ``order``-isometry at p."""
-    if order not in (2, 3):
-        raise ValueError("order must be 2 or 3")
+    order = _check_integer(order, "isometry order", least=2, most=3)
     c = as_poly(p)
     total = 0.0
     current = c

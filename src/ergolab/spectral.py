@@ -23,11 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linop import _check_integer, _chunks, _power_walk, as_operator
+from .linop import _check_integer, _check_real, _chunks, _power_walk, as_operator
 from .means import _check_radius
 
 _SINGULAR_TOL = 1e-12
 _MIN_ANGLES = 8  # the fewest angles of an AnnulusGrid
+# the largest kmax of AnnulusGrid.dyadic: the radius 1 + 2^-kmax rounds to
+# 1.0 in double precision from kmax = 53
+_MAX_KMAX = 52
 
 
 def _angle_values(count: int) -> np.ndarray:
@@ -49,17 +52,18 @@ class AnnulusGrid:
     angles: int
 
     def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
-        if r.size == 0 or np.any(r <= 1.0) or np.any(np.diff(r) >= 0):
-            raise ValueError("radii must be > 1 and strictly decreasing toward 1")
+        radii = tuple(_check_real(x, "radius", least=1, open_least=True) for x in self.radii)
+        if not radii or any(a <= b for a, b in zip(radii, radii[1:])):
+            raise ValueError("radii must be nonempty and strictly decreasing toward 1")
         angles = _check_integer(self.angles, "angles", least=_MIN_ANGLES)
         object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "radii", tuple(float(x) for x in r))
+        object.__setattr__(self, "radii", radii)
 
     @classmethod
     def dyadic(cls, kmax: int = 10, angles: int = 512) -> "AnnulusGrid":
         """Radii 1 + 2^{-k}, k = 1..kmax: each refinement step halves the
-        distance to the unit circle."""
+        distance to the unit circle; kmax is at most _MAX_KMAX."""
+        kmax = _check_integer(kmax, "kmax", least=1, most=_MAX_KMAX)
         return cls(tuple(1.0 + 2.0 ** (-k) for k in range(1, kmax + 1)), angles)
 
     @classmethod
@@ -73,9 +77,10 @@ class AnnulusGrid:
         return _angle_values(self.angles)
 
     def kreiss_weights(self, r: int) -> list:
-        """(rho - 1)^{r+1} / rho^r for each radius rho.  Where rho^r
-        overflows the weight is taken in log form, so a weight too small
-        for a float is 0 instead of an error."""
+        """(rho - 1)^{r+1} / rho^r for each radius rho, r a finite number
+        >= 0.  Where rho^r overflows the weight is taken in log form, so a
+        weight too small for a float is 0 instead of an error."""
+        _check_real(r, "r", least=0)
         weights = []
         for rho in self.radii:
             try:
@@ -197,11 +202,12 @@ def kreiss_functional(t, r: int, grid: AnnulusGrid) -> FunctionalReport:
     copies included.  The refinement ratio compares the sup with and without
     the innermost radius ring.
     """
+    weights = np.array(grid.kreiss_weights(r))[:, None]
     op = as_operator(t)
     angles, points, sources = _ring_angles(op, grid)
     norms = np.array([resolvent_norm(op, ring) for ring in points])[:, sources]
     skipped = np.isnan(norms)
-    values = np.where(skipped, -math.inf, np.array(grid.kreiss_weights(r))[:, None] * norms)
+    values = np.where(skipped, -math.inf, weights * norms)
     best, (i, m) = _first_max(values)
     argmax = {"radius": grid.radii[i], "angle": float(angles[m])} if best > -math.inf else {}
     per_radius = [float(v) for v in values.max(axis=1)]
@@ -288,6 +294,7 @@ def mean_growth_functional(t, p: int, r: int, nmax: int, angles: int) -> Functio
     benchmark gate that reads the value at the argmax rather than its angle
     (ROADMAP item 1).
     """
+    _check_real(r, "r", least=0)
     angles = _check_integer(angles, "angles", least=1)
     nmax = _check_integer(nmax, "nmax", least=1)
     op = as_operator(t)
@@ -316,8 +323,8 @@ def resolvent_series_residual(t, p: int, lam: complex, rho: float,
     truncated after ``nterms`` >= 1 terms, n = 0..nterms - 1 (default
     ceil(40 / (1 - rho))); T must pass ``means._check_radius``.
     """
-    if not (0.0 < rho <= 0.9):
-        raise ValueError("rho must lie in (0, 0.9] for a negligible tail")
+    # rho <= 0.9 keeps the tail past the default nterms negligible
+    _check_real(rho, "rho", least=0, most=0.9, open_least=True)
     op = as_operator(t)
     _check_radius(op, "series identity")
     p = _check_integer(p, "cesaro order p", least=1)
@@ -344,8 +351,7 @@ def abel_summation_residual(t, lam: complex, rho: float, n: int) -> float:
     and 1 (the powers, and (k+1) M_k); the identity is algebraic so the
     residual is rounding-level for any T.
     """
-    if not (0.0 < rho <= 1.0):
-        raise ValueError("rho must lie in (0, 1]")
+    _check_real(rho, "rho", least=0, most=1, open_least=True)
     n = _check_integer(n, "n", least=1)
     op = as_operator(t)
     b = lam * op.matrix

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergolab import cli, linop
+from ergolab import cli, linop, spectral
 from ergolab.cli import ConfigError, list_builtins, parse_operator, run, write_report
 
 
@@ -256,6 +256,41 @@ def test_nmax_out_of_range_is_a_config_error_naming_the_key(argv, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error: ") and "nmax" in err[0]
+
+
+@pytest.mark.parametrize("scenario, key, value", [
+    ("kreiss", "kmax", 53), ("kreiss", "r", 1.5), ("identities", "tol", True),
+    ("quotient", "kernel_tol", float("nan")), ("growth", "window_fraction", 0),
+    ("quotient", "kernel_tol", float("inf")), ("h1", "seed", None),
+])
+def test_a_rejected_number_key_has_the_library_message(scenario, key, value):
+    # the CLI's int and number rules are the library's numeric rule, in its words
+    rule = cli._KEYS[scenario][key]
+    with pytest.raises(ValueError) as library:
+        if rule.kind == "int":
+            linop._check_integer(value, key, rule.lo, rule.hi)
+        else:
+            linop._check_real(value, key, rule.lo, rule.hi, rule.open_lo)
+    with pytest.raises(ConfigError) as config:
+        run({"scenario": scenario, key: value})
+    assert str(config.value) == str(library.value)
+
+
+@pytest.mark.parametrize("value", [4.5, True])
+def test_config_get_least_is_the_integer_rule(value):
+    # a float above least passed a plain comparison with it
+    with pytest.raises(ConfigError) as info:
+        cli._Config({"nmax": value}).get("nmax", least=3)
+    assert str(info.value) == f"nmax must be an integer >= 3, got {value!r}"
+
+
+def test_kmax_limit_is_the_library_limit(capsys):
+    # the CLI rule reads the limit of AnnulusGrid.dyadic, and both say it alike
+    assert cli._KEYS["kreiss"]["kmax"].hi == spectral._MAX_KMAX == 52
+    with pytest.raises(ValueError) as info:
+        spectral.AnnulusGrid.dyadic(spectral._MAX_KMAX + 1, 8)
+    assert cli.main(["kreiss", "--op", "builtin:jordan:2:1", "--kmax", "53"]) == 2
+    assert capsys.readouterr().err == f"config error: {info.value}\n"
 
 
 @pytest.mark.parametrize("p", ["0", "-1"])
@@ -537,10 +572,11 @@ def test_uniform_kreiss_scenario():
      "config error: samples must be an integer >= 2, got 1"),
     # the sampled sweep reported n = 2 beyond nmax 1, and had one index at nmax 2
     (["growth", "--op", "jordan:2:1", "--nmax", "1"], {"sampled": True},
-     "config error: nmax must be >= 3, got 1"),
+     "config error: nmax must be an integer >= 3, got 1"),
     (["nevanlinna", "--nmax", "2"], {"sampled": True},
-     "config error: nmax must be >= 3, got 2"),
-    (["nevanlinna", "--nmax", "1"], None, "config error: nmax must be >= 2, got 1"),
+     "config error: nmax must be an integer >= 3, got 2"),
+    (["nevanlinna", "--nmax", "1"], None,
+     "config error: nmax must be an integer >= 2, got 1"),
     # a Kreiss order that is negative or not an integer, a reversed band, a
     # float where an integer goes, a NaN tolerance and a truncated window
     (["kreiss", "--op", "jordan:2:1", "--kmax", "3", "--angles", "8"], {"r": -1},
@@ -573,7 +609,7 @@ def test_uniform_kreiss_scenario():
     (["uniform_kreiss"], None, "config error: missing config key 'operator'"),
     # a rows nmax below the scheme's first row wrote a header-only CSV
     (["rows", "--scheme", "abel", "--nmax", "0"], None,
-     "config error: nmax must be >= 1, got 0"),
+     "config error: nmax must be an integer >= 1, got 0"),
     # a scheme parameter that its family does not take ran the default scheme
     (["growth", "--op", "jordan:2:1", "--scheme", "cesaro:order=3", "--nmax", "16"], None,
      "config error: scheme cesaro takes no parameter 'order'"),
@@ -602,8 +638,8 @@ def test_uniform_kreiss_scenario():
      ">= 1, got 0"),
     # a negative radius ran an operator of spectral radius 1
     (["growth", "--op", "random:4:-1", "--nmax", "8"], None,
-     "config error: bad operator spec 'random:4:-1': random operator needs a finite "
-     "spectral radius >= 0, got -1.0"),
+     "config error: bad operator spec 'random:4:-1': random operator spectral radius must be "
+     "a finite number >= 0, got -1.0"),
     *[(["growth", "--op", "jordan:2:1", "--scheme", spec, "--nmax", "8"], None,
        f"config error: scheme {fragment}")
       for spec, fragment in [

@@ -45,12 +45,13 @@ NEEDS_OPERATOR = ("identities", "kreiss", "uniform_kreiss", "growth", "convergen
 
 def own_kind(key, rule):
     """Values that ``rule`` admits, from -3 (or its lower bound, excluded if
-    the rule excludes it) to 40 (or its upper bound)."""
+    the rule excludes it) to 40 (or its upper bound); a bound of None is none."""
+    lo = -3 if rule.lo is None else max(rule.lo, -3)
+    hi = 40 if rule.hi is None else min(rule.hi, 40)
     if rule.kind == "int":
-        return st.integers(max(rule.lo, -3), min(rule.hi, 40))
+        return st.integers(lo, hi)
     if rule.kind == "number":
-        return st.floats(max(rule.lo, -3.0), min(rule.hi, 40.0),
-                         exclude_min=rule.open_lo)
+        return st.floats(lo, hi, exclude_min=rule.open_lo)
     if rule.kind == "bool":
         return st.booleans()
     if rule.kind == "band":

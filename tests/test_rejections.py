@@ -34,12 +34,15 @@ from ergolab.linop import (
 )
 from ergolab.means import (
     RowOutOfRange,
+    abel,
     apply_mean,
     block_mean_residual,
     cesaro,
     identity_powers,
     power_series,
+    regularity_defect,
     rows_to_csv,
+    scalar_mean,
     zweier,
 )
 from ergolab.spaces import (
@@ -49,7 +52,11 @@ from ergolab.spaces import (
     d_alpha_norm,
     h1_gram,
     h1_mean_norm,
+    h1_norm,
+    m_isometry_defect,
+    poly_derivative,
     shields_report,
+    shift_by_z,
     xr_norm,
 )
 from ergolab import spectral
@@ -57,20 +64,25 @@ from ergolab.spectral import (
     AnnulusGrid,
     abel_summation_residual,
     cesaro_mean_sequence,
+    kreiss_functional,
     mean_growth_functional,
     partial_sum_functional,
     resolvent_series_residual,
+    uniform_kreiss_mean_bound,
 )
 
 T = jordan_block(2, 0.5)
 P, X = np.zeros((2, 2)), [1.0, 1.0]
 _REPORT = GrowthReport("g", np.arange(1, 17), np.ones(16))
+GRID = AnnulusGrid.dyadic(2, 8)
+NAN, INF = math.nan, math.inf
 
 # (id, call, exception, message fragment)
 REJECTIONS = [
     ("power_negative", lambda: power(T, -1), ValueError,
      "power exponent n must be an integer >= 0, got -1"),
-    ("dirichlet_alpha", lambda: dirichlet_shift(-1.0, 4), ValueError, "alpha must exceed -1"),
+    ("dirichlet_alpha", lambda: dirichlet_shift(-1.0, 4), ValueError,
+     "dirichlet shift alpha must be a finite number > -1, got -1.0"),
     ("dirichlet_direction", lambda: dirichlet_shift(0.5, 4, "sideways"), ValueError,
      "direction must be"),
     ("gram_dim_0", lambda: GramGeometry(0, diag=[]), BadDimension,
@@ -86,7 +98,8 @@ REJECTIONS = [
     ("matrix_short_re",
      lambda: matrix_from_obj({"rows": 2, "cols": 2, "re": [1.0, 0.0, 0.0], "im": [0.0] * 4}),
      DimensionMismatch, "re/im length"),
-    ("growth_window_0", lambda: growth_exponent(_REPORT, 0.0), ValueError, "window_fraction"),
+    ("growth_window_0", lambda: growth_exponent(_REPORT, 0.0), ValueError,
+     "window_fraction must be a finite number > 0 and <= 1, got 0.0"),
     ("log_fit_nonpositive", lambda: log_fit([1, 2, 3], [1.0, 0.0, 2.0]), NonPositiveValues,
      "positive values"),
     # log(0) was taken, a divide-by-zero warning
@@ -109,9 +122,9 @@ REJECTIONS = [
      "cesaro(p=1) row index n must be an integer, got 1.5"),
     # a negative radius ran an operator of spectral radius 1
     ("random_radius_negative", lambda: random_operator(4, -1.0), ValueError,
-     "finite spectral radius >= 0, got -1.0"),
+     "random operator spectral radius must be a finite number >= 0, got -1.0"),
     ("random_radius_nan", lambda: random_operator(4, math.nan), ValueError,
-     "finite spectral radius >= 0, got nan"),
+     "random operator spectral radius must be a finite number >= 0, got nan"),
     ("power_norm_sequence_1", lambda: power_norm_sequence(T, 1), ValueError,
      "nmax must be an integer >= 2, got 1"),
     ("power_norm_samples_0", lambda: power_norm_samples(T, [0, 4]), ValueError,
@@ -126,7 +139,7 @@ REJECTIONS = [
      ValueError, "column length"),
     ("as_poly_empty", lambda: as_poly([]), ValueError, "nonempty 1-D"),
     ("d_alpha_minus_1", lambda: d_alpha_norm([1.0, 2.0], -1.0), ValueError,
-     "alpha must exceed -1"),
+     "alpha must be a finite number > -1, got -1.0"),
     ("h1_gram_0", lambda: h1_gram(0), ValueError,
      "h1 degree n must be an integer >= 1, got 0"),
     ("cesaro_multiplier_negative", lambda: cesaro_multiplier(-1), ValueError,
@@ -142,7 +155,7 @@ REJECTIONS = [
     ("mean_growth_nmax_0", lambda: mean_growth_functional(T, 1, 0, 0, 8), ValueError,
      "nmax must be an integer >= 1, got 0"),
     ("abel_summation_rho_0", lambda: abel_summation_residual(T, 1.0, 0.0, 4), ValueError,
-     "rho must lie in (0, 1]"),
+     "rho must be a finite number > 0 and <= 1, got 0.0"),
     ("abel_summation_n_0", lambda: abel_summation_residual(T, 1.0, 0.5, 0), ValueError,
      "n must be an integer >= 1, got 0"),
     ("cesaro_sequence_nmax_negative", lambda: list(cesaro_mean_sequence(T, 1, -3)), ValueError,
@@ -187,6 +200,90 @@ REJECTIONS = [
     # returned empty reports
     ("shields_nmax_1", lambda: shields_report(1, 1), ValueError,
      "nmax must be an integer >= 2 and <= 16384, got 1"),
+    # a NaN or infinite real parameter returned NaN, a wrong answer, or
+    # failed later on a message that named no parameter
+    ("kreiss_r_nan", lambda: kreiss_functional(T, NAN, GRID), ValueError,
+     "r must be a finite number >= 0, got nan"),
+    ("partial_sum_r_nan", lambda: partial_sum_functional(T, NAN, 4, GRID), ValueError,
+     "r must be a finite number >= 0, got nan"),
+    ("mean_growth_r_nan", lambda: mean_growth_functional(T, 1, NAN, 8, 8), ValueError,
+     "r must be a finite number >= 0, got nan"),
+    ("uniform_kreiss_r_nan", lambda: uniform_kreiss_mean_bound(T, NAN, 8, 8), ValueError,
+     "r must be a finite number >= 0, got nan"),
+    ("apply_mean_lam_nan", lambda: apply_mean(zweier(), T, 3, lam=NAN), ValueError,
+     "rotation parameter must have modulus 1, got nan"),
+    ("scalar_mean_mu_nan", lambda: scalar_mean(zweier(), 3, NAN), ValueError,
+     "rotation parameter must have modulus 1, got nan"),
+    ("d_alpha_nan", lambda: d_alpha_norm([1.0, 2.0], NAN), ValueError,
+     "alpha must be a finite number > -1, got nan"),
+    ("d_alpha_inf", lambda: d_alpha_norm([1.0, 2.0, 3.0], INF), ValueError,
+     "alpha must be a finite number > -1, got inf"),
+    ("dirichlet_alpha_inf", lambda: dirichlet_shift(INF, 4), ValueError,
+     "dirichlet shift alpha must be a finite number > -1, got inf"),
+    ("dirichlet_alpha_nan", lambda: dirichlet_shift(NAN, 4), ValueError,
+     "dirichlet shift alpha must be a finite number > -1, got nan"),
+    ("annulus_radius_nan", lambda: AnnulusGrid((NAN,), 8), ValueError,
+     "radius must be a finite number > 1, got nan"),
+    ("annulus_radius_inf", lambda: AnnulusGrid((INF, 1.5), 8), ValueError,
+     "radius must be a finite number > 1, got inf"),
+    ("kreiss_weights_r_nan", lambda: GRID.kreiss_weights(NAN), ValueError,
+     "r must be a finite number >= 0, got nan"),
+    ("annulus_radii_empty", lambda: AnnulusGrid((), 8), ValueError,
+     "radii must be nonempty and strictly decreasing toward 1"),
+    ("gamma_kernel_tol_inf",
+     lambda: gamma_quotient(T, identity_powers(), 0, (8, 40), kernel_tol=INF), ValueError,
+     "kernel_tol must be a finite number > 0, got inf"),
+    # a count that is a bool, a float or negative was read as another count
+    # or failed in numpy, Python or a row index with a message naming no
+    # parameter
+    ("poly_derivative_bool", lambda: poly_derivative([1.0, 2.0, 3.0], True), ValueError,
+     "derivative order must be an integer >= 0, got True"),
+    ("poly_derivative_negative", lambda: poly_derivative([1.0, 2.0, 3.0], -1), ValueError,
+     "derivative order must be an integer >= 0, got -1"),
+    ("shift_by_z_bool", lambda: shift_by_z([1.0], True), ValueError,
+     "shift k must be an integer >= 0, got True"),
+    ("shift_by_z_negative", lambda: shift_by_z([1.0], -1), ValueError,
+     "shift k must be an integer >= 0, got -1"),
+    ("isometry_order_float", lambda: m_isometry_defect(h1_norm, shift_by_z, 2.0, [1.0]),
+     ValueError, "isometry order must be an integer >= 2 and <= 3, got 2.0"),
+    ("alternating_k_float",
+     lambda: alternating_sum_residual(identity_powers(), T, 2.5, 1, 1, X, 4), ValueError,
+     "k must be an integer >= 0, got 2.5"),
+    ("alternating_m_negative",
+     lambda: alternating_sum_residual(identity_powers(), T, 1, -1, 1, X, 4), ValueError,
+     "m must be an integer >= 0, got -1"),
+    ("alternating_n0_float",
+     lambda: alternating_sum_residual(identity_powers(), T, 2, 1, 1.5, X, 4), ValueError,
+     "n0 must be an integer >= 0, got 1.5"),
+    ("regularity_n0_float", lambda: regularity_defect(zweier(), T, 1.5, X, 4), ValueError,
+     "n0 must be an integer >= 0, got 1.5"),
+    # kmax True built the one radius 1.5, a float kmax failed in range, and
+    # from kmax 53 the innermost radius rounds to 1.0
+    ("dyadic_kmax_bool", lambda: AnnulusGrid.dyadic(True, 8), ValueError,
+     "kmax must be an integer >= 1 and <= 52, got True"),
+    ("dyadic_kmax_float", lambda: AnnulusGrid.dyadic(2.5, 8), ValueError,
+     "kmax must be an integer >= 1 and <= 52, got 2.5"),
+    ("dyadic_kmax_53", lambda: AnnulusGrid.dyadic(53, 8), ValueError,
+     "kmax must be an integer >= 1 and <= 52, got 53"),
+]
+
+# Every real-valued parameter under the real-number rule: (id, the parameter
+# as its message names it, call taking the value)
+REAL_PARAMETERS = [
+    ("dirichlet_alpha", "dirichlet shift alpha", lambda v: dirichlet_shift(v, 4)),
+    ("random_radius", "random operator spectral radius", lambda v: random_operator(4, v)),
+    ("tail_eps", "tail_eps", lambda v: abel().row(4, tail_eps=v)),
+    ("annulus_radius", "radius", lambda v: AnnulusGrid((2.0, v), 8)),
+    ("kreiss_weights_r", "r", GRID.kreiss_weights),
+    ("kreiss_r", "r", lambda v: kreiss_functional(T, v, GRID)),
+    ("partial_sum_r", "r", lambda v: partial_sum_functional(T, v, 4, GRID)),
+    ("mean_growth_r", "r", lambda v: mean_growth_functional(T, 1, v, 8, 8)),
+    ("series_rho", "rho", lambda v: resolvent_series_residual(T, 1, 1.0, v)),
+    ("abel_summation_rho", "rho", lambda v: abel_summation_residual(T, 1.0, v, 4)),
+    ("window_fraction", "window_fraction", lambda v: growth_exponent(_REPORT, v)),
+    ("kernel_tol", "kernel_tol",
+     lambda v: gamma_quotient(T, identity_powers(), 0, (8, 40), kernel_tol=v)),
+    ("d_alpha", "alpha", lambda v: d_alpha_norm([1.0, 2.0], v)),
 ]
 
 
@@ -196,6 +293,17 @@ def test_out_of_range_input_raises(call, exception, fragment):
     with pytest.raises(exception) as info:
         call()
     assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("value", [NAN, INF, True], ids=["nan", "inf", "bool"])
+@pytest.mark.parametrize("what, call", [row[1:] for row in REAL_PARAMETERS],
+                         ids=[row[0] for row in REAL_PARAMETERS])
+def test_real_parameter_must_be_a_finite_number_in_range(what, call, value):
+    with pytest.raises(ValueError) as info:
+        call(value)
+    message = str(info.value)
+    assert message.startswith(f"{what} must be a finite number")
+    assert message.endswith(f", got {value!r}")
 
 
 @pytest.mark.parametrize("obj, exception, fragment", [
