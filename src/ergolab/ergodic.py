@@ -196,18 +196,17 @@ def ergodic_projection(t) -> np.ndarray:
 
 def mean_norms(s: MeanScheme, t, ns, mode: str = "spectral", minus=0.0) -> np.ndarray:
     """|| T_n - minus || at the ascending indices ``ns`` (gaps and repeats
-    allowed), normed in stacks of at most _STACK_CELLS cells: by the Pascal
-    walk for a Cesaro scheme while C(ns[-1] + p, p) <= 2**64, else by one
-    ``apply_mean`` each.  A descending ``ns`` is a ValueError, and so is a
-    float or bool index (``MeanScheme.row``'s message, on either route)."""
+    allowed), normed in stacks of at most _STACK_CELLS cells: by the one
+    walk of ``cesaro_mean_sequence`` for a Cesaro scheme of any order, else
+    by one ``apply_mean`` each.  A descending ``ns`` is a ValueError, and so
+    is a float or bool index (``MeanScheme.row``'s message, on either
+    route)."""
     op = as_operator(t)
     ns = _check_integers(ns, f"{s.name} row index n")
     if np.any(np.diff(ns) < 0):
         raise ValueError("mean_norms needs ascending indices")
     parts = _chunks(ns.size, op.dim ** 2)
-    # the Pascal sums are exactly C(n + p, p) times the means: past 2**64 they may overflow
-    if (s.kind == "cesaro" and ns.size and ns[0] >= s.min_n
-            and math.comb(int(ns[-1]) + s.p, s.p) <= 2 ** 64):
+    if s.kind == "cesaro" and ns.size and ns[0] >= s.min_n:
         # the mean at n once for each time ns holds n
         counts = np.bincount(ns)
         walk = (m for n, m in cesaro_mean_sequence(op, s.p, int(ns[-1])) for _ in range(counts[n]))
@@ -219,9 +218,12 @@ def mean_norms(s: MeanScheme, t, ns, mode: str = "spectral", minus=0.0) -> np.nd
 
 
 def mean_convergence_report(s: MeanScheme, t, nmax: int) -> GrowthReport:
-    """(n, || T_n - P ||) for n up to nmax, P the ergodic projection."""
+    """(n, || T_n - P ||) for n from the scheme's first row up to nmax, P
+    the ergodic projection."""
+    start = max(s.min_n, 0)
+    nmax = _check_integer(nmax, "nmax", least=start)
     op = as_operator(t)
-    ns = np.arange(max(s.min_n, 0), nmax + 1)
+    ns = np.arange(start, nmax + 1)
     return GrowthReport(label=f"||mean_n({op.label}) - P||", ns=ns,
                         values=mean_norms(s, op, ns, minus=ergodic_projection(op)))
 
@@ -288,10 +290,12 @@ def gamma_quotient(t, s: MeanScheme, m: int, n_window,
     window and on its halves (window-sensitivity diagnostic).  Raises
     OverflowError, naming the window, when the window maps or their Gram
     are not finite, and ValueError when ``kernel_tol`` is not a finite
-    number > 0.
+    number > 0 or ``n_window`` is not two integer ends.
     """
     _check_real(kernel_tol, "kernel_tol", least=0, open_least=True)
-    lo, hi = (_check_integer(end, "gamma window end") for end in n_window[:2])
+    if len(n_window) != 2:
+        raise ValueError(f"gamma window must be two ends (lo, hi), got {n_window!r}")
+    lo, hi = (_check_integer(end, "gamma window end") for end in n_window)
     lo = max(lo, s.min_n)
     if hi - lo < 16:
         raise WindowTooSmall(f"gamma window [{lo}, {hi}] needs hi - lo >= 16")

@@ -532,9 +532,11 @@ def power(t, n: int) -> np.ndarray:
 def random_operator(dim: int, spectral_radius: float = 0.9,
                     seed: int = 0x5EED) -> OperatorModel:
     """Entrywise uniform-on-the-unit-disk matrix rescaled to a target
-    spectral radius (finite and >= 0).  Deterministic for a given seed."""
+    spectral radius (finite and >= 0).  Deterministic for a given seed, an
+    integer >= 0."""
     dim = _check_integer(dim, "random operator dim", least=1, error=BadDimension)
     _check_real(spectral_radius, "random operator spectral radius", least=0)
+    seed = _check_integer(seed, "random operator seed", least=0)
     rng = np.random.default_rng(seed)
     r = np.sqrt(rng.uniform(0.0, 1.0, (dim, dim)))
     theta = rng.uniform(0.0, 2.0 * np.pi, (dim, dim))

@@ -296,9 +296,13 @@ def backward_iterate(s: MeanScheme) -> MeanScheme:
     return MeanScheme(s.kind + "_backward", s.name + "^(-1)", rule, min_n, s.finite_rows)
 
 
-def _check_unimodular(lam: complex) -> complex:
-    # "not <=" rejects a NaN, which fails every comparison
-    if not abs(abs(lam) - 1.0) <= 1e-12:
+def _check_unimodular(lam):
+    """``lam``, one rotation or an array of them, if every entry has
+    modulus within 1e-12 of 1, else a ValueError that names it."""
+    # "not <=" rejects a NaN, which fails every comparison; one rotation
+    # takes no numpy reduction
+    near = abs(abs(lam) - 1.0) <= 1e-12
+    if not (near.all() if type(near) is np.ndarray else near):
         raise ValueError(f"rotation parameter must have modulus 1, got {lam!r}")
     return lam
 

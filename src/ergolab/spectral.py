@@ -8,12 +8,12 @@ that refinement diagnostics (doubling ratios, plateau detection) can be read
 off without re-running the sweep.  Divergence verdicts are never emitted
 here -- callers compare the recorded ratios against their own thresholds.
 
-Three rules are written once: ``_pascal_sums``, the one walk of the Cesaro
-sums of the powers, which the order-p means, the partial sums of the
-resolvent series (order 1 in T/lambda) and the Abel rearrangement (orders 0
-and 1) all read; ``_first_max``, the one reduction of a sweep's grid of
-values; and ``_ring_angles``, the one ring of the two annulus sweeps,
-``kreiss_functional`` and ``partial_sum_functional``, with its mirror rule.
+Three rules are written once: ``_cesaro_means``, the one walk of the
+Cesaro means of the powers, which the order-p means, the resolvent series
+identity and the Abel rearrangement (order 1) all read; ``_first_max``, the
+one reduction of a sweep's grid of values; and ``_ring_angles``, the one
+ring of the two annulus sweeps, ``kreiss_functional`` and
+``partial_sum_functional``, with its mirror rule.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linop import _check_integer, _check_real, _chunks, _power_walk, as_operator
-from .means import _check_radius
+from .means import _check_radius, _check_unimodular
 
 _SINGULAR_TOL = 1e-12
 _MIN_ANGLES = 8  # the fewest angles of an AnnulusGrid
@@ -105,24 +105,24 @@ class FunctionalReport:
     skipped: int = 0
 
 
-def _pascal_sums(b, p: int, nmax: int):
-    """Yield (n, [A_n^(0), ..., A_n^(p)]) for n = 0..nmax: the Cesaro sums
-    of the powers of ``b`` (a matrix or a stack of them), with
-    A_n^(0) = b^n and A_n^(q) = A_{n-1}^(q) + A_n^(q-1), all starting from
-    the identity.  The powers come from one ``linop._power_walk``, one
-    matrix product per step, whatever p; by its zero-power rule a consumer
-    of order 1 may stop at the first zero power (the sums of order 2 and up
-    keep growing).  The list is reused at the next step: a consumer norms
-    the sums at once or divides them into a fresh array, and never writes
-    to them.
+def _cesaro_means(b, p: int, nmax: int):
+    """Yield (n, [M_n^(0), ..., M_n^(p)]) for n = 0..nmax: the Cesaro means
+    of the powers of ``b`` (a matrix or a stack of them), with M_n^(0) = b^n
+    and M_n^(q) = M_{n-1}^(q) n/(n+q) + M_n^(q-1) q/(n+q), all starting from
+    the identity.  Each mean is a convex combination of its predecessor and
+    the mean of the order below, so the walk forms nothing larger than the
+    powers (the Cesaro sums C(n+q, q) M_n^(q) would).  The powers come from
+    one ``linop._power_walk``, one matrix product per step, whatever p.  The
+    list is reused at the next step, which reads the means in it: a
+    consumer norms them at once or copies them, and never writes to them.
     """
-    sums = [np.broadcast_to(np.eye(b.shape[-1]), b.shape)] * (p + 1)
-    yield 0, sums
+    means = [np.broadcast_to(np.eye(b.shape[-1]), b.shape)] * (p + 1)
+    yield 0, means
     for n, (power,) in enumerate(_power_walk(b, range(1, nmax + 1)), start=1):
-        sums[0] = power
+        means[0] = power
         for q in range(1, p + 1):
-            sums[q] = sums[q] + sums[q - 1]
-        yield n, sums
+            means[q] = means[q] * (n / (n + q)) + means[q - 1] * (q / (n + q))
+        yield n, means
 
 
 def _first_max(values):
@@ -224,9 +224,9 @@ def partial_sum_functional(t, r: int, nmax: int, grid: AnnulusGrid) -> Functiona
     """Grid sup over n <= nmax of the weighted partial sums
     ((|lambda|-1)^{r+1} / |lambda|^r) || sum_{k<=n} lambda^{-k-1} T^k ||.
 
-    The sums are the order-1 Pascal sums of T/lambda, walked for a stack
-    of angles at once, so the whole n-range costs one stacked matrix
-    product and one stacked norm per step.  Each ring is walked at the
+    The sums run over one ``linop._power_walk`` of T/lambda for a stack of
+    angles at once, so the whole n-range costs one stacked matrix product
+    and one stacked norm per step.  Each ring is walked at the
     points of ``_ring_angles``, whose mirror fills the rest of the ring.
     At the first n >= 1 whose stacked power (T/lambda)^n is exactly zero
     (a nilpotent T, such as a truncated shift), the values of S_{n-1} are
@@ -238,11 +238,15 @@ def partial_sum_functional(t, r: int, nmax: int, grid: AnnulusGrid) -> Functiona
     values = np.empty(points.shape + (nmax + 1,))
     for i, (rho, w, lams) in enumerate(zip(grid.radii, grid.kreiss_weights(r), points)):
         for part in _chunks(lams.size, op.dim ** 2):
-            for n, sums in _pascal_sums(op.matrix / lams[part, None, None], 1, nmax):
-                if not sums[0].any():
+            b = op.matrix / lams[part, None, None]
+            total = np.broadcast_to(np.eye(op.dim), b.shape)
+            values[i, part, 0] = w * op.norm(total) / rho
+            for n, (power,) in enumerate(_power_walk(b, range(1, nmax + 1)), start=1):
+                if not power.any():
                     values[i, part, n:] = values[i, part, n - 1, None]
                     break
-                values[i, part, n] = w * op.norm(sums[1]) / rho
+                total = total + power
+                values[i, part, n] = w * op.norm(total) / rho
     values = values[:, sources]
     best, (i, m, n) = _first_max(values)
     report = FunctionalReport(value=best, argmax={"radius": grid.radii[i],
@@ -255,20 +259,18 @@ def cesaro_mean_sequence(t, p: int, nmax: int, lam=1.0):
     """Yield (n, M_n of order p applied to lam*T) for n = 0..nmax (a
     negative nmax is a ValueError).
 
-    ``lam`` is one rotation or an array of them; an array yields stacks of
-    means, one per rotation.  M_n^{(p)} = A_n^{(p)} / C(n+p, p), with the
-    Pascal sums A_n^{(p)} of lam T from ``_pascal_sums``: one matrix
-    product per step regardless of p; validated against the
-    row-coefficient route in the test suite.
+    ``lam`` is one rotation or an array of them, each of modulus 1
+    (``means._check_unimodular``); an array yields stacks of means, one per
+    rotation.  The means are copies of those of ``_cesaro_means``, one
+    matrix product per step regardless of p, so a caller may write into
+    them; validated against the row-coefficient route in the test suite.
     """
     p = _check_integer(p, "cesaro order p", least=1)
     nmax = _check_integer(nmax, "nmax", least=0)
+    lam = _check_unimodular(lam)
     op = as_operator(t)
-    binom = 1.0
-    for n, sums in _pascal_sums(np.asarray(lam)[..., None, None] * op.matrix, p, nmax):
-        if n:
-            binom *= (n + p) / n
-        yield n, sums[p] / binom
+    for n, means in _cesaro_means(np.asarray(lam)[..., None, None] * op.matrix, p, nmax):
+        yield n, means[p].copy()
 
 
 def mean_growth_functional(t, p: int, r: int, nmax: int, angles: int) -> FunctionalReport:
@@ -282,10 +284,9 @@ def mean_growth_functional(t, p: int, r: int, nmax: int, angles: int) -> Functio
     the left edge can dominate the raw sup).
 
     Unlike ``partial_sum_functional`` it does not stop when the power
-    vanishes.  Past T^n = 0 the sums of order p >= 2 keep growing, and every
-    mean is its sum over C(n+p, p), which grows too: each later mean is a
-    new quotient, and a norm rescaled from an earlier one would not be bit
-    for bit the walked one.
+    vanishes.  Past T^n = 0 each mean is still a new step of the walk, a
+    rescaled predecessor mixed with the order below, and a norm rescaled
+    from an earlier one would not be bit for bit the walked one.
 
     Unlike the two annulus sweeps it evaluates the full ring even for a
     real operator: its reported argmax is decided between angles that tie
@@ -318,13 +319,16 @@ def mean_growth_functional(t, p: int, r: int, nmax: int, angles: int) -> Functio
 def resolvent_series_residual(t, p: int, lam: complex, rho: float,
                               nterms: int | None = None) -> float:
     """Residual of the generating identity
-    (I - rho lam T)^{-1} = (1-rho)^p sum_n A_n^{(p)}(lam T) rho^n,
-    with the Pascal sums A_n^{(p)} = C(n+p, p) M_n^{(p)} of ``_pascal_sums``,
-    truncated after ``nterms`` >= 1 terms, n = 0..nterms - 1 (default
-    ceil(40 / (1 - rho))); T must pass ``means._check_radius``.
+    (I - rho lam T)^{-1} = sum_n (1-rho)^p C(n+p, p) rho^n M_n^{(p)}(lam T),
+    with the means of ``_cesaro_means``, truncated after ``nterms`` >= 1
+    terms, n = 0..nterms - 1 (default ceil(40 / (1 - rho))); ``lam`` has
+    modulus 1 (``means._check_unimodular``) and T must pass
+    ``means._check_radius``.  The weight of M_n^{(p)}, at most 1 / (1 -
+    rho), is carried as one running scalar.
     """
     # rho <= 0.9 keeps the tail past the default nterms negligible
     _check_real(rho, "rho", least=0, most=0.9, open_least=True)
+    lam = _check_unimodular(lam)
     op = as_operator(t)
     _check_radius(op, "series identity")
     p = _check_integer(p, "cesaro order p", least=1)
@@ -332,13 +336,12 @@ def resolvent_series_residual(t, p: int, lam: complex, rho: float,
                             "nterms", least=1)
     eye = np.eye(op.dim)
     lhs = np.linalg.solve(eye - rho * lam * op.matrix, eye)
-    scale = (1.0 - rho) ** p
     rhs = np.zeros_like(lhs)
-    rho_n = 1.0
-    for n, sums in _pascal_sums(lam * op.matrix, p, nterms - 1):
+    weight = (1.0 - rho) ** p
+    for n, means in _cesaro_means(lam * op.matrix, p, nterms - 1):
         if n:
-            rho_n *= rho
-        rhs += scale * rho_n * sums[p]
+            weight *= rho * (n + p) / n
+        rhs += weight * means[p]
     return op.norm(lhs - rhs)
 
 
@@ -347,23 +350,25 @@ def abel_summation_residual(t, lam: complex, rho: float, n: int) -> float:
     sum_{k<=n} rho^k (lam T)^k
       = (1-rho) sum_{k<=n-1} (k+1) M_k(lam T) rho^k + (n+1) M_n(lam T) rho^n.
 
-    Both sides are assembled from one walk of the Pascal sums of orders 0
-    and 1 (the powers, and (k+1) M_k); the identity is algebraic so the
+    Both sides are assembled from one walk of ``_cesaro_means`` of order 1
+    (the powers, and the means M_k); ``lam`` has modulus 1
+    (``means._check_unimodular``).  The identity is algebraic so the
     residual is rounding-level for any T.
     """
     _check_real(rho, "rho", least=0, most=1, open_least=True)
+    lam = _check_unimodular(lam)
     n = _check_integer(n, "n", least=1)
     op = as_operator(t)
     b = lam * op.matrix
     lhs = np.zeros_like(b)
     rhs = np.zeros_like(b)
     rho_k = 1.0
-    for k, (power, partial) in _pascal_sums(b, 1, n):
+    for k, (power, mean) in _cesaro_means(b, 1, n):
         if k:
             rho_k *= rho
         lhs += rho_k * power
-        # partial = (k+1) M_k; the last term is rho^n (n+1) M_n
-        rhs += (rho_k if k == n else (1.0 - rho) * rho_k) * partial
+        # the last term is rho^n (n+1) M_n
+        rhs += (k + 1) * (rho_k if k == n else (1.0 - rho) * rho_k) * mean
     return op.norm(lhs - rhs)
 
 

@@ -274,19 +274,22 @@ def test_mean_norms_pascal_walk_matches_the_row_route(name, p, monkeypatch):
     assert len(walks) == len(index_lists) * 3 * 2
 
 
-def test_mean_norms_past_the_binomial_bound_take_the_row_route(monkeypatch):
-    def no_walk(*args):
-        raise AssertionError("the Pascal walk was taken")
-
-    monkeypatch.setattr(ergodic, "cesaro_mean_sequence", no_walk)
+def test_mean_norms_past_the_old_binomial_bound_take_the_walk(monkeypatch):
+    walks = []
+    walk = ergodic.cesaro_mean_sequence
+    monkeypatch.setattr(ergodic, "cesaro_mean_sequence",
+                        lambda *args: walks.append(args) or walk(*args))
     op = random_operator(4, 1.0, 3)
     ns = np.arange(1, 101)
-    # C(100 + 20, 20) is about 1e22, past 2^64
+    # C(100 + 20, 20), about 1e22, is past the 2**64 that once sent this
+    # sweep to the row route; the walk of the means forms no such number
     assert math.comb(120, 20) > 2 ** 64
     minus = np.eye(4) / 2
     for mode in ("spectral", "colsum"):
         got = mean_norms(cesaro(20), op, ns, mode, minus)
-        assert np.array_equal(got, _row_route_norms(cesaro(20), op, ns, mode, minus))
+        want = _row_route_norms(cesaro(20), op, ns, mode, minus)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert len(walks) == 2
 
 
 @pytest.mark.parametrize("s", [cesaro(2), abel()], ids=["pascal", "rows"])

@@ -16,6 +16,7 @@ from ergolab.ergodic import (
     gamma_quotient,
     growth_exponent,
     log_fit,
+    mean_convergence_report,
     mean_norms,
     power_norm_samples,
     power_norm_sequence,
@@ -265,6 +266,41 @@ REJECTIONS = [
      "kmax must be an integer >= 1 and <= 52, got 2.5"),
     ("dyadic_kmax_53", lambda: AnnulusGrid.dyadic(53, 8), ValueError,
      "kmax must be an integer >= 1 and <= 52, got 53"),
+    # a rotation off the unit circle gave NaN means or a residual of the
+    # wrong identity, and a NaN one failed on a message naming no parameter
+    ("cesaro_sequence_lam_nan", lambda: list(cesaro_mean_sequence(T, 1, 2, NAN)), ValueError,
+     "rotation parameter must have modulus 1, got nan"),
+    ("cesaro_sequence_lam_2", lambda: list(cesaro_mean_sequence(T, 1, 2, 2.0)), ValueError,
+     "rotation parameter must have modulus 1, got 2.0"),
+    ("cesaro_sequence_lam_array",
+     lambda: list(cesaro_mean_sequence(T, 1, 2, np.array([1.0, 1j, 0.5]))), ValueError,
+     "rotation parameter must have modulus 1, got array("),
+    ("series_lam_nan", lambda: resolvent_series_residual(T, 1, NAN, 0.5), ValueError,
+     "rotation parameter must have modulus 1, got nan"),
+    ("series_lam_2", lambda: resolvent_series_residual(T, 1, 2.0, 0.5), ValueError,
+     "rotation parameter must have modulus 1, got 2.0"),
+    ("abel_summation_lam_nan", lambda: abel_summation_residual(T, NAN, 0.5, 4), ValueError,
+     "rotation parameter must have modulus 1, got nan"),
+    ("abel_summation_lam_2", lambda: abel_summation_residual(T, 2.0, 0.5, 4), ValueError,
+     "rotation parameter must have modulus 1, got 2.0"),
+    # nmax 4.5 failed naming the row index 0.0 and nmax -3 returned an empty
+    # report; a float seed failed in numpy with a TypeError, a negative one
+    # with numpy's message; a gamma window of one end failed to unpack, and
+    # one of three ends was read as its first two
+    ("convergence_nmax_float", lambda: mean_convergence_report(cesaro(1), T, 4.5), ValueError,
+     "nmax must be an integer >= 0, got 4.5"),
+    ("convergence_nmax_negative", lambda: mean_convergence_report(cesaro(1), T, -3),
+     ValueError, "nmax must be an integer >= 0, got -3"),
+    ("convergence_nmax_below_first_row", lambda: mean_convergence_report(abel(), T, 0),
+     ValueError, "nmax must be an integer >= 1, got 0"),
+    ("random_seed_float", lambda: random_operator(3, 0.5, 1.5), ValueError,
+     "random operator seed must be an integer >= 0, got 1.5"),
+    ("random_seed_negative", lambda: random_operator(3, 0.5, -1), ValueError,
+     "random operator seed must be an integer >= 0, got -1"),
+    ("gamma_window_one_end", lambda: gamma_quotient(T, identity_powers(), 0, (1,)),
+     ValueError, "gamma window must be two ends (lo, hi), got (1,)"),
+    ("gamma_window_three_ends", lambda: gamma_quotient(T, identity_powers(), 0, (1, 40, 3)),
+     ValueError, "gamma window must be two ends (lo, hi), got (1, 40, 3)"),
 ]
 
 # Every real-valued parameter under the real-number rule: (id, the parameter
@@ -335,12 +371,12 @@ def test_resolvent_series_residual_sums_nterms_terms(monkeypatch):
     seen = []
 
     def counting(b, p, nmax):
-        for n, sums in pascal_sums(b, p, nmax):
+        for n, means in cesaro_means(b, p, nmax):
             seen.append(n)
-            yield n, sums
+            yield n, means
 
-    pascal_sums = spectral._pascal_sums
-    monkeypatch.setattr(spectral, "_pascal_sums", counting)
+    cesaro_means = spectral._cesaro_means
+    monkeypatch.setattr(spectral, "_cesaro_means", counting)
     resolvent_series_residual(T, 2, 1.0, 0.5, nterms=3)
     assert seen == [0, 1, 2]
 

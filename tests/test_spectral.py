@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from ergolab.means import SpectralRadiusTooLarge, apply_mean, cesaro
 from ergolab.spectral import (
     AnnulusGrid,
     SingularResolvent,
+    _cesaro_means,
     _first_max,
-    _pascal_sums,
     abel_summation_residual,
     cesaro_mean_sequence,
     kreiss_functional,
@@ -130,22 +131,24 @@ def test_kreiss_monotonicity_under_refinement():
     assert big.value >= small.value - 1e-12
 
 
-def _pascal_product_loop(b, p, nmax):
-    """Oracle: the Pascal sums of orders 0..p at n = 0..nmax, each power
-    the one before it times ``b`` by ``@``, starting from the identity."""
-    sums = [np.broadcast_to(np.eye(b.shape[-1]), b.shape)] * (p + 1)
-    out = [np.array(sums)]
-    for _ in range(nmax):
-        sums[0] = sums[0] @ b
+def _cesaro_product_loop(b, p, nmax):
+    """Oracle: the Cesaro means of orders 0..p at n = 0..nmax by the
+    recurrence M_n^(q) = M_{n-1}^(q) (n/(n+q)) + M_n^(q-1) (q/(n+q)), each
+    power the one before it times ``b`` by ``@``, starting from the
+    identity."""
+    means = [np.broadcast_to(np.eye(b.shape[-1]), b.shape)] * (p + 1)
+    out = [np.array(means)]
+    for n in range(1, nmax + 1):
+        means[0] = means[0] @ b
         for q in range(1, p + 1):
-            sums[q] = sums[q] + sums[q - 1]
-        out.append(np.array(sums))
+            means[q] = means[q] * (n / (n + q)) + means[q - 1] * (q / (n + q))
+        out.append(np.array(means))
     return out
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("stacked", [False, True])
-def test_pascal_sums_match_explicit_sums_of_powers(dtype, stacked, request):
+def test_cesaro_means_match_the_recurrence_and_the_explicit_means(dtype, stacked, request):
     rng = np.random.default_rng(11)
     m = rng.standard_normal((3, 4, 4)) / 2.0
     if dtype is complex:
@@ -155,29 +158,34 @@ def test_pascal_sums_match_explicit_sums_of_powers(dtype, stacked, request):
     nmax = 9
     for b in (m, shifts):
         b = b if stacked else b[0]
-        for p in range(4):
-            # A_n^(0) = b^n, and each order the running sum of the order below
-            explicit = np.array([[power(a, n) for n in range(nmax + 1)]
-                                 for a in b.reshape(-1, 4, 4)])
-            for _ in range(p):
-                explicit = np.cumsum(explicit, axis=1)
-            oracle = _pascal_product_loop(b, p, nmax)
+        for p in (1, 2, 3, 8):
+            # M_n^(p) = sum_j C(n-j+p-1, p-1) b^j / C(n+p, p)
+            explicit = np.array([[sum(math.comb(n - j + p - 1, p - 1) * power(a, j)
+                                      for j in range(n + 1)) / math.comb(n + p, p)
+                                  for n in range(nmax + 1)] for a in b.reshape(-1, 4, 4)])
+            oracle = _cesaro_product_loop(b, p, nmax)
             got = []
-            for n, sums in _pascal_sums(b, p, nmax):
-                assert len(sums) == p + 1
-                assert all(a.shape == b.shape for a in sums)
+            for n, means in _cesaro_means(b, p, nmax):
+                assert len(means) == p + 1
+                assert all(a.shape == b.shape for a in means)
                 # every order is the product loop's, bit for bit
-                assert np.array_equal(np.array(sums), oracle[n])
-                got.append(np.array(sums[p]).reshape(-1, 4, 4))
+                assert np.array_equal(np.array(means), oracle[n])
+                got.append(np.array(means[p]).reshape(-1, 4, 4))
             assert len(got) == nmax + 1
             np.testing.assert_allclose(np.stack(got, axis=1), explicit,
                                        rtol=1e-12, atol=1e-12)
+            if not stacked:
+                # the public sequence yields copies: writing into one
+                # changes no later mean
+                for n, mean in cesaro_mean_sequence(b, p, nmax):
+                    assert np.array_equal(mean, oracle[n][p])
+                    mean[...] = np.nan
     # a triangular b: a matrix takes the walk's trmm route, a stack does not
     lookups = request.getfixturevalue("trmm_lookups")
     tri = np.tril(m if stacked else m[0])
-    oracle = _pascal_product_loop(tri, 2, nmax)
-    for n, sums in _pascal_sums(tri, 2, nmax):
-        np.testing.assert_allclose(np.array(sums), oracle[n], rtol=1e-12, atol=1e-12)
+    oracle = _cesaro_product_loop(tri, 2, nmax)
+    for n, means in _cesaro_means(tri, 2, nmax):
+        np.testing.assert_allclose(np.array(means), oracle[n], rtol=1e-12, atol=1e-12)
     assert lookups == ([] if stacked else ["trmm"])
 
 
@@ -211,6 +219,27 @@ def test_cesaro_sequence_matches_row_route():
         for n, mean in cesaro_mean_sequence(t, p, 30, lam):
             ref = apply_mean(cesaro(p), t.matrix, n, lam)
             assert np.max(np.abs(mean - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("p, nmax", [(1, 10_000), (2, 10_000), (8, 1000), (30, 400)])
+def test_cesaro_sequence_matches_mpmath(p, nmax):
+    mpmath = pytest.importorskip("mpmath")
+    a, c, d = 0.6, 1.0, -0.9
+    *_, (n, mean) = cesaro_mean_sequence(np.array([[a, c], [0.0, d]]), p, nmax)
+    assert n == nmax
+    with mpmath.workdps(40):
+        weights = [mpmath.mpf(math.comb(nmax - j + p - 1, p - 1)) / math.comb(nmax + p, p)
+                   for j in range(nmax + 1)]
+
+        def scalar_mean(x):
+            x = mpmath.mpf(x)
+            return mpmath.fsum(w * x ** j for j, w in enumerate(weights))
+
+        # T^j = [[a^j, c (a^j - d^j) / (a - d)], [0, d^j]]
+        ma, md = scalar_mean(a), scalar_mean(d)
+        ref = [[ma, c * (ma - md) / (mpmath.mpf(a) - d)], [0, md]]
+        ref = np.array([[float(v) for v in row] for row in ref])
+    assert np.max(np.abs(mean - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_cesaro_sequence_rejects_an_order_that_is_not_an_integer():
@@ -480,18 +509,18 @@ def test_half_rings_mirror_real_operators_and_match_the_full_ring(kind, form, an
     real = kind == "real" and form != "complex_gram"
     grid = AnnulusGrid.dyadic(3, angles)
     ring_points, stacked_points = [], []
-    norm, sums = spectral.resolvent_norm, spectral._pascal_sums
+    norm, walk = spectral.resolvent_norm, spectral._power_walk
 
     def counted_norm(op, lam):
         ring_points.append(np.size(lam))
         return norm(op, lam)
 
-    def counted_sums(b, p, nmax):
+    def counted_walk(b, ns):
         stacked_points.append(len(b))
-        return sums(b, p, nmax)
+        return walk(b, ns)
 
     monkeypatch.setattr(spectral, "resolvent_norm", counted_norm)
-    monkeypatch.setattr(spectral, "_pascal_sums", counted_sums)
+    monkeypatch.setattr(spectral, "_power_walk", counted_walk)
     rep = kreiss_functional(t, 1, grid)
     partial = partial_sum_functional(t, 1, 6, grid)
     monkeypatch.undo()
@@ -534,9 +563,9 @@ def test_a_zero_power_ends_the_partial_sum_walk(monkeypatch):
     radii = sorted({1.0 + 1.0 / n for n in (1, 2, 4, 8, 16, 32, 64)}, reverse=True)
     grid = AnnulusGrid(tuple(radii), 16)
     chunks, norms = [], []
-    sums, norm = spectral._pascal_sums, OperatorModel.norm
-    monkeypatch.setattr(spectral, "_pascal_sums",
-                        lambda *args: (chunks.append(1), sums(*args))[1])
+    walk, norm = spectral._power_walk, OperatorModel.norm
+    monkeypatch.setattr(spectral, "_power_walk",
+                        lambda *args: (chunks.append(1), walk(*args))[1])
     monkeypatch.setattr(OperatorModel, "norm",
                         lambda self, *args, **kw: (norms.append(1), norm(self, *args, **kw))[1])
     rep = partial_sum_functional(op, 1, 64, grid)
