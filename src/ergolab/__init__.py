@@ -39,7 +39,9 @@ from .means import (
     binomial,
     block_mean_residual,
     cesaro,
+    cesaro_mean_sequence,
     identity_powers,
+    mean_norms,
     parse_scheme,
     power_series,
     regularity_defect,
@@ -51,7 +53,6 @@ from .spectral import (
     FunctionalReport,
     SingularResolvent,
     abel_summation_residual,
-    cesaro_mean_sequence,
     kreiss_functional,
     mean_growth_functional,
     partial_sum_functional,
@@ -73,7 +74,6 @@ from .ergodic import (
     growth_exponent,
     log_fit,
     mean_convergence_report,
-    mean_norms,
     power_norm_samples,
     power_norm_sequence,
 )

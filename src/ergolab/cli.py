@@ -247,7 +247,7 @@ def _growth_report(cfg, op):
         first = max(scheme.min_n, 1)
         ns = np.arange(first, cfg.get("nmax", 512, least=first) + 1)
         report = ergodic.GrowthReport(label=f"||{scheme.name}({op.label})||", ns=ns,
-                                      values=ergodic.mean_norms(scheme, op, ns, mode))
+                                      values=means.mean_norms(scheme, op, ns, mode))
         return ergodic.fitted(report, window)
     sampled = cfg.get("sampled", cfg.get("nmax", 512) > 1024)
     # two points at least: n = 1, 2 in the sweep, and the samples start at n = 2

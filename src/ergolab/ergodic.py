@@ -3,8 +3,9 @@
 Growth sequences come with a log-log least-squares exponent fit over a
 trailing window.  The ergodic projection is the spectral projection onto
 the fixed space along the range of (T - I), computed from a sorted Schur
-form; a nontrivial Jordan structure at 1 is rejected.  Norm sweeps of
-means go through ``mean_norms``; the vector consumers call ``apply_mean``.
+form; a nontrivial Jordan structure at 1 is rejected.  The means come from
+``means``: norm sweeps go through ``means.mean_norms``, which picks the
+engine, and the vector consumers call ``apply_mean``.
 
 ``gamma_quotient`` estimates the limsup seminorm
 ``gamma(x) = limsup_n || T_n (T - I)^m x ||`` by a window maximum, detects
@@ -21,10 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linop import (OperatorModel, _check_integer, _check_integers, _check_real, _chunks,
-                    _power_walk, as_matrix, as_operator, op_norm, power)
-from .means import MeanScheme, apply_mean
-from .spectral import cesaro_mean_sequence
+from .linop import (OperatorModel, _check_integer, _check_integers, _check_real, _power_walk,
+                    as_matrix, as_operator, op_norm, power)
+from .means import MeanScheme, apply_mean, mean_norms
 
 _OVERFLOW_LIMIT = 1e300
 _FIXED_TOL = 1e-9  # eigenvalues within this distance of 1 form the fixed cluster
@@ -194,29 +194,6 @@ def ergodic_projection(t) -> np.ndarray:
     return proj if np.iscomplexobj(a) else proj.real.copy()
 
 
-def mean_norms(s: MeanScheme, t, ns, mode: str = "spectral", minus=0.0) -> np.ndarray:
-    """|| T_n - minus || at the ascending indices ``ns`` (gaps and repeats
-    allowed), normed in stacks of at most _STACK_CELLS cells: by the one
-    walk of ``cesaro_mean_sequence`` for a Cesaro scheme of any order, else
-    by one ``apply_mean`` each.  A descending ``ns`` is a ValueError, and so
-    is a float or bool index (``MeanScheme.row``'s message, on either
-    route)."""
-    op = as_operator(t)
-    ns = _check_integers(ns, f"{s.name} row index n")
-    if np.any(np.diff(ns) < 0):
-        raise ValueError("mean_norms needs ascending indices")
-    parts = _chunks(ns.size, op.dim ** 2)
-    if s.kind == "cesaro" and ns.size and ns[0] >= s.min_n:
-        # the mean at n once for each time ns holds n
-        counts = np.bincount(ns)
-        walk = (m for n, m in cesaro_mean_sequence(op, s.p, int(ns[-1])) for _ in range(counts[n]))
-        stacks = (np.stack([next(walk) for _ in ns[part]]) for part in parts)
-    else:
-        stacks = (apply_mean(s, op, ns[part]) for part in parts)
-    vals = [op.norm(stack - minus, mode=mode) for stack in stacks]
-    return np.concatenate(vals) if vals else np.empty(0)
-
-
 def mean_convergence_report(s: MeanScheme, t, nmax: int) -> GrowthReport:
     """(n, || T_n - P ||) for n from the scheme's first row up to nmax, P
     the ergodic projection."""
@@ -354,15 +331,15 @@ def almost_convergence_defect(s: MeanScheme, t, p, k: int, n_sup: int,
                               x) -> float:
     """sup over n <= n_sup of || (1/(k+1)) sum_{j<=k} T_{n+j} x - P x ||.
 
-    P is supplied (typically the ergodic projection); rows from the scheme's
-    first valid index through n_sup + k are used, all from one batched
-    ``apply_mean`` call.
+    P is supplied (typically the ergodic projection); n runs from the
+    scheme's first row, which n_sup must reach, and rows from there through
+    n_sup + k are used, all from one batched ``apply_mean`` call.
     """
     k = _check_integer(k, "k", least=0)
-    n_sup = _check_integer(n_sup, "n_sup")
+    start = s.min_n
+    n_sup = _check_integer(n_sup, "n_sup", least=start)
     op = as_operator(t)
     target = as_matrix(p) @ np.asarray(x)
-    start = s.min_n
     prefix = np.cumsum(apply_mean(s, op, np.arange(start, n_sup + k + 1), x=x), axis=0)
 
     def window_avg(n):

@@ -6,7 +6,7 @@ applied to the power sequence {T^j} gives the operator mean
 ``MeanScheme`` holding a row rule that its factory binds.  Implemented families:
 
 * ``cesaro(p)``   -- Cesaro means of integer order p >= 1 (a float or a bool
-  is a ValueError, as in ``spectral.cesaro_mean_sequence``); row weights come
+  is a ValueError, as in ``cesaro_mean_sequence``); row weights come
   from the product form ``(p/(n+p)) * prod_{k=1}^{p-1} (n+k-j)/(n+k)`` of
   exact ratios, which stays well-scaled and accurate to a few ulps for n up
   to 1e4.
@@ -28,11 +28,15 @@ row rule, picked by the source's kind, is a closed form for the Cesaro and
 Abel families and the defining formula, ``backward_row_from_definition``,
 otherwise.  The formula is also the test oracle of the closed forms.
 
-``apply_mean`` is the one mean walk: of the powers, or, given ``x``, of the
-vectors T^j x.  Every function taking an operator coerces it once with
-``as_operator`` and passes the model on, so the eigenvalues behind the
-spectral-radius check of the infinite-row kinds are computed once per
-operator.
+Means are formed by two engines.  ``apply_mean`` walks the powers, or,
+given ``x``, the vectors T^j x, under the rows of any scheme, in groups of
+rows.  ``cesaro_mean_sequence`` walks the Cesaro means of one order at
+consecutive n, by the convex recurrence of ``_cesaro_means``, which the
+resolvent series identities in ``spectral`` read as well.  ``mean_norms``
+is the one place that picks between them, for a sweep of norms.  Every
+function taking an operator coerces it once with ``as_operator`` and passes
+the model on, so the eigenvalues behind the spectral-radius check of the
+infinite-row kinds are computed once per operator.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import (DimensionMismatch, OperatorModel, _bind_spec, _check_integer, _check_real,
-                    _power_walk, _stack_size, as_operator, op_norm)
+from .linop import (DimensionMismatch, OperatorModel, _bind_spec, _check_integer, _check_integers,
+                    _check_real, _chunks, _power_walk, _stack_size, as_operator, op_norm)
 
 DEFAULT_TAIL_EPS = 1e-12
 
@@ -114,6 +118,44 @@ def _cesaro_row(p, n, tail_eps):
     for k in range(1, p):
         w *= (n + k - j) / (n + k)
     return MeanRow(n, np.arange(n + 1), w)
+
+
+def _cesaro_means(b, p: int, nmax: int):
+    """Yield (n, [M_n^(0), ..., M_n^(p)]) for n = 0..nmax: the Cesaro means
+    of the powers of ``b`` (a matrix or a stack of them), with M_n^(0) = b^n
+    and M_n^(q) = M_{n-1}^(q) n/(n+q) + M_n^(q-1) q/(n+q), all starting from
+    the identity.  Each mean is a convex combination of its predecessor and
+    the mean of the order below, so the walk forms nothing larger than the
+    powers (the Cesaro sums C(n+q, q) M_n^(q) would).  The powers come from
+    one ``linop._power_walk``, one matrix product per step, whatever p.  The
+    list is reused at the next step, which reads the means in it: a
+    consumer norms them at once or copies them, and never writes to them.
+    """
+    means = [np.broadcast_to(np.eye(b.shape[-1]), b.shape)] * (p + 1)
+    yield 0, means
+    for n, (power,) in enumerate(_power_walk(b, range(1, nmax + 1)), start=1):
+        means[0] = power
+        for q in range(1, p + 1):
+            means[q] = means[q] * (n / (n + q)) + means[q - 1] * (q / (n + q))
+        yield n, means
+
+
+def cesaro_mean_sequence(t, p: int, nmax: int, lam=1.0):
+    """Yield (n, M_n of order p applied to lam*T) for n = 0..nmax (a
+    negative nmax is a ValueError).
+
+    ``lam`` is one rotation or an array of them, each of modulus 1
+    (``_check_unimodular``); an array yields stacks of means, one per
+    rotation.  The means are copies of those of ``_cesaro_means``, one
+    matrix product per step regardless of p, so a caller may write into
+    them; validated against the row-coefficient route in the test suite.
+    """
+    p = _check_integer(p, "cesaro order p", least=1)
+    nmax = _check_integer(nmax, "nmax", least=0)
+    lam = _check_unimodular(lam)
+    op = as_operator(t)
+    for n, means in _cesaro_means(np.asarray(lam)[..., None, None] * op.matrix, p, nmax):
+        yield n, means[p].copy()
 
 
 def _abel_row(n, tail_eps):
@@ -397,6 +439,29 @@ def apply_mean(s: MeanScheme, t, n, lam: complex = 1.0, x=None) -> np.ndarray:
     if x is None:
         return out.reshape(ns.shape + b.shape)
     return out.swapaxes(1, 2).reshape(ns.shape + x.shape)
+
+
+def mean_norms(s: MeanScheme, t, ns, mode: str = "spectral", minus=0.0) -> np.ndarray:
+    """|| T_n - minus || at the ascending indices ``ns`` (gaps and repeats
+    allowed), normed in stacks of at most _STACK_CELLS cells: by the one
+    walk of ``cesaro_mean_sequence`` for a Cesaro scheme of any order, else
+    by one ``apply_mean`` each.  A descending ``ns`` is a ValueError, and so
+    is a float or bool index (``MeanScheme.row``'s message, on either
+    route)."""
+    op = as_operator(t)
+    ns = _check_integers(ns, f"{s.name} row index n")
+    if np.any(np.diff(ns) < 0):
+        raise ValueError("mean_norms needs ascending indices")
+    parts = _chunks(ns.size, op.dim ** 2)
+    if s.kind == "cesaro" and ns.size and ns[0] >= s.min_n:
+        # the mean at n once for each time ns holds n
+        counts = np.bincount(ns)
+        walk = (m for n, m in cesaro_mean_sequence(op, s.p, int(ns[-1])) for _ in range(counts[n]))
+        stacks = (np.stack([next(walk) for _ in ns[part]]) for part in parts)
+    else:
+        stacks = (apply_mean(s, op, ns[part]) for part in parts)
+    vals = [op.norm(stack - minus, mode=mode) for stack in stacks]
+    return np.concatenate(vals) if vals else np.empty(0)
 
 
 def scalar_mean(s: MeanScheme, n: int, mu: complex) -> complex:

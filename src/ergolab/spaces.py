@@ -218,9 +218,14 @@ def _quad_node_count(degree: int, quad_nodes) -> int:
 
 
 def circle_abs_mean(p, nodes: int) -> float:
-    """(1/2pi) int |p(e^it)| dt by the M-node trapezoid rule (FFT values)."""
+    """(1/2pi) int |p(e^it)| dt by the M-node trapezoid rule (FFT values).
+    z^k and z^(k+M) agree at the M nodes, so with fewer nodes than
+    coefficients the coefficients are folded modulo M first."""
+    nodes = _check_integer(nodes, "nodes", least=1)
     c = as_poly(p)
-    values = np.fft.fft(c, n=_check_integer(nodes, "nodes", least=1))
+    if c.size > nodes:
+        c = np.pad(c, (0, -c.size % nodes)).reshape(-1, nodes).sum(axis=0)
+    values = np.fft.fft(c, n=nodes)
     return float(np.mean(np.abs(values)))
 
 

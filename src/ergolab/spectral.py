@@ -8,11 +8,12 @@ that refinement diagnostics (doubling ratios, plateau detection) can be read
 off without re-running the sweep.  Divergence verdicts are never emitted
 here -- callers compare the recorded ratios against their own thresholds.
 
-Three rules are written once: ``_cesaro_means``, the one walk of the
-Cesaro means of the powers, which the order-p means, the resolvent series
-identity and the Abel rearrangement (order 1) all read; ``_first_max``, the
-one reduction of a sweep's grid of values; and ``_ring_angles``, the one
-ring of the two annulus sweeps, ``kreiss_functional`` and
+The Cesaro means come from the walk in ``means`` (``_cesaro_means``):
+``mean_growth_functional`` reads them through ``cesaro_mean_sequence``, and
+the resolvent series identity and the Abel rearrangement (order 1) read the
+walk itself.  Two rules are written once here: ``_first_max``, the one
+reduction of a sweep's grid of values, and ``_ring_angles``, the one ring of
+the two annulus sweeps, ``kreiss_functional`` and
 ``partial_sum_functional``, with its mirror rule.
 """
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linop import _check_integer, _check_real, _chunks, _power_walk, as_operator
-from .means import _check_radius, _check_unimodular
+from .means import _cesaro_means, _check_radius, _check_unimodular, cesaro_mean_sequence
 
 _SINGULAR_TOL = 1e-12
 _MIN_ANGLES = 8  # the fewest angles of an AnnulusGrid
@@ -103,26 +104,6 @@ class FunctionalReport:
     refinement_ratio: float | None = None
     tail_value: float | None = None
     skipped: int = 0
-
-
-def _cesaro_means(b, p: int, nmax: int):
-    """Yield (n, [M_n^(0), ..., M_n^(p)]) for n = 0..nmax: the Cesaro means
-    of the powers of ``b`` (a matrix or a stack of them), with M_n^(0) = b^n
-    and M_n^(q) = M_{n-1}^(q) n/(n+q) + M_n^(q-1) q/(n+q), all starting from
-    the identity.  Each mean is a convex combination of its predecessor and
-    the mean of the order below, so the walk forms nothing larger than the
-    powers (the Cesaro sums C(n+q, q) M_n^(q) would).  The powers come from
-    one ``linop._power_walk``, one matrix product per step, whatever p.  The
-    list is reused at the next step, which reads the means in it: a
-    consumer norms them at once or copies them, and never writes to them.
-    """
-    means = [np.broadcast_to(np.eye(b.shape[-1]), b.shape)] * (p + 1)
-    yield 0, means
-    for n, (power,) in enumerate(_power_walk(b, range(1, nmax + 1)), start=1):
-        means[0] = power
-        for q in range(1, p + 1):
-            means[q] = means[q] * (n / (n + q)) + means[q - 1] * (q / (n + q))
-        yield n, means
 
 
 def _first_max(values):
@@ -255,24 +236,6 @@ def partial_sum_functional(t, r: int, nmax: int, grid: AnnulusGrid) -> Functiona
     return report
 
 
-def cesaro_mean_sequence(t, p: int, nmax: int, lam=1.0):
-    """Yield (n, M_n of order p applied to lam*T) for n = 0..nmax (a
-    negative nmax is a ValueError).
-
-    ``lam`` is one rotation or an array of them, each of modulus 1
-    (``means._check_unimodular``); an array yields stacks of means, one per
-    rotation.  The means are copies of those of ``_cesaro_means``, one
-    matrix product per step regardless of p, so a caller may write into
-    them; validated against the row-coefficient route in the test suite.
-    """
-    p = _check_integer(p, "cesaro order p", least=1)
-    nmax = _check_integer(nmax, "nmax", least=0)
-    lam = _check_unimodular(lam)
-    op = as_operator(t)
-    for n, means in _cesaro_means(np.asarray(lam)[..., None, None] * op.matrix, p, nmax):
-        yield n, means[p].copy()
-
-
 def mean_growth_functional(t, p: int, r: int, nmax: int, angles: int) -> FunctionalReport:
     """Sup over n in [1, nmax] and the angle grid of
     n^{-r} || M_n^{(p)}(lam T) ||.
@@ -316,32 +279,54 @@ def mean_growth_functional(t, p: int, r: int, nmax: int, angles: int) -> Functio
     return report
 
 
+def _series_log_weight(p: int, rho: float, n: int) -> float:
+    """log of (1 - rho)^p C(n + p, p) rho^n, the weight of M_n^{(p)} in the
+    resolvent series identity.  The weight itself is taken from this log
+    (``math.lgamma``): the factor (1 - rho)^p alone underflows from p = 324
+    at rho = 0.9, where the weights near the mode do not."""
+    return (p * math.log1p(-rho) + math.lgamma(n + p + 1) - math.lgamma(p + 1)
+            - math.lgamma(n + 1) + n * math.log(rho))
+
+
+def _series_nterms(p: int, rho: float) -> int:
+    """The default truncation of the resolvent series identity, from (p,
+    rho) alone.  The weights are 1 / (1 - rho) times a negative-binomial
+    law, and w_N / w_{N-1} = q = rho (N + p) / N falls with N.  So past the
+    mode (q < 1) the terms from N on weigh at most w_{N-1} q / (1 - q); this
+    is the first N at which that bound is below 1e-17 of the mass."""
+    n = 1
+    while True:
+        q = rho * (n + p) / n
+        if q < 1 and math.exp(_series_log_weight(p, rho, n - 1)) * q / (1 - q) < 1e-17 / (1 - rho):
+            return n
+        n += 1
+
+
 def resolvent_series_residual(t, p: int, lam: complex, rho: float,
                               nterms: int | None = None) -> float:
     """Residual of the generating identity
     (I - rho lam T)^{-1} = sum_n (1-rho)^p C(n+p, p) rho^n M_n^{(p)}(lam T),
     with the means of ``_cesaro_means``, truncated after ``nterms`` >= 1
-    terms, n = 0..nterms - 1 (default ceil(40 / (1 - rho))); ``lam`` has
-    modulus 1 (``means._check_unimodular``) and T must pass
-    ``means._check_radius``.  The weight of M_n^{(p)}, at most 1 / (1 -
-    rho), is carried as one running scalar.
+    terms, n = 0..nterms - 1 (default ``_series_nterms``: the weights past
+    it sum to below 1e-17 of their mass 1 / (1 - rho), at every order p);
+    ``lam`` has modulus 1 (``means._check_unimodular``) and T must pass
+    ``means._check_radius``.  Each weight comes from its log
+    (``_series_log_weight``).
     """
-    # rho <= 0.9 keeps the tail past the default nterms negligible
+    # the default nterms grows like (p + 1) / (1 - rho); rho <= 0.9 keeps it
+    # short: 407 terms at p = 1, 1,278 at p = 50
     _check_real(rho, "rho", least=0, most=0.9, open_least=True)
     lam = _check_unimodular(lam)
     op = as_operator(t)
     _check_radius(op, "series identity")
     p = _check_integer(p, "cesaro order p", least=1)
-    nterms = _check_integer(math.ceil(40.0 / (1.0 - rho)) if nterms is None else nterms,
-                            "nterms", least=1)
+    nterms = (_series_nterms(p, rho) if nterms is None
+              else _check_integer(nterms, "nterms", least=1))
     eye = np.eye(op.dim)
     lhs = np.linalg.solve(eye - rho * lam * op.matrix, eye)
     rhs = np.zeros_like(lhs)
-    weight = (1.0 - rho) ** p
     for n, means in _cesaro_means(lam * op.matrix, p, nterms - 1):
-        if n:
-            weight *= rho * (n + p) / n
-        rhs += weight * means[p]
+        rhs += math.exp(_series_log_weight(p, rho, n)) * means[p]
     return op.norm(lhs - rhs)
 
 

@@ -23,8 +23,10 @@ def trmm_lookups(monkeypatch):
 
 @pytest.fixture
 def mean_walk_starts(monkeypatch):
-    """Record, for each walk of the mean engine, the first index of every
-    stack it yields: one list per ``means._power_walk`` call."""
+    """Record, for each walk of the powers in ``means``, the first index of
+    every stack it yields: one list per ``means._power_walk`` call.  Both
+    mean engines walk there: the row groups of ``apply_mean`` and the Cesaro
+    walk of ``_cesaro_means``."""
     walks, walk = [], means._power_walk
 
     def counted(a, ns, left=None, size=1):

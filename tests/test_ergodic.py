@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ergolab import ergodic, linop
+from ergolab import linop, means
 from ergolab.ergodic import (
     GrowthReport,
     NonPositiveValues,
@@ -255,8 +255,8 @@ def _row_route_norms(s, op, ns, mode, minus):
 def test_mean_norms_pascal_walk_matches_the_row_route(name, p, monkeypatch):
     op = _mean_norm_operators()[name]
     walks = []
-    walk = ergodic.cesaro_mean_sequence
-    monkeypatch.setattr(ergodic, "cesaro_mean_sequence",
+    walk = means.cesaro_mean_sequence
+    monkeypatch.setattr(means, "cesaro_mean_sequence",
                         lambda *args: walks.append(args) or walk(*args))
     rng = np.random.default_rng(p)
     shift = rng.standard_normal((op.dim, op.dim)) / op.dim
@@ -276,8 +276,8 @@ def test_mean_norms_pascal_walk_matches_the_row_route(name, p, monkeypatch):
 
 def test_mean_norms_past_the_old_binomial_bound_take_the_walk(monkeypatch):
     walks = []
-    walk = ergodic.cesaro_mean_sequence
-    monkeypatch.setattr(ergodic, "cesaro_mean_sequence",
+    walk = means.cesaro_mean_sequence
+    monkeypatch.setattr(means, "cesaro_mean_sequence",
                         lambda *args: walks.append(args) or walk(*args))
     op = random_operator(4, 1.0, 3)
     ns = np.arange(1, 101)

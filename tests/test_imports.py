@@ -1,7 +1,9 @@
 """``import ergolab`` loads numpy and no scipy module: scipy is imported inside
 the functions that call it.  One fresh interpreter checks that, then calls
-each of those functions once, cold, and must give what they give here."""
+each of those functions once, cold, and must give what they give here.  The
+modules import one another in layers, with no cycle."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -60,3 +62,30 @@ def test_import_loads_no_scipy_and_each_scipy_call_matches_in_process(monkeypatc
     exec(CALLS, scope)
     assert seen == ["trmm"]
     assert cold == repr(scope["results"])
+
+
+# module -> the package modules it imports: linop <- means <- {spectral,
+# ergodic}, and ergodic <- spaces; the command line sits on all five
+LAYERS = {
+    "linop": set(),
+    "means": {"linop"},
+    "spectral": {"linop", "means"},
+    "ergodic": {"linop", "means"},
+    "spaces": {"ergodic", "linop"},
+    "cli": {"linop", "means", "spectral", "ergodic", "spaces"},
+}
+
+
+def _package_imports(path):
+    """The package modules that ``from .x import ...`` and ``from . import
+    x, ...`` name anywhere in the file, function bodies included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module] if node.module else (a.name for a in node.names))
+    return names
+
+
+def test_modules_import_in_layers():
+    package = Path(ergolab.__file__).resolve().parent
+    assert {name: _package_imports(package / f"{name}.py") for name in LAYERS} == LAYERS

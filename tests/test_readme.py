@@ -5,9 +5,11 @@ Every ``ergolab ...`` line of the "Typical runs" block goes through
 ``cli.main`` in a scratch directory that holds ``op.json``, the builtin
 Jordan block J_2(1); each must end in a report (exit 0 or 1), not in a
 configuration error or a traceback.  README names no private identifier,
-and the config-key rules it points to are in each scenario's ``--help``.
+each public name in its module table is defined in that row's module, and
+the config-key rules it points to are in each scenario's ``--help``.
 """
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -44,6 +46,19 @@ def test_readme_names_no_private_identifier():
     spans = re.findall(r"`([^`\n]+)`", README.read_text())
     names = [name for span in spans for name in re.findall(r"[A-Za-z_][\w.]*", span)]
     assert [name for name in names if name.startswith("_") or "._" in name] == []
+
+
+def test_each_public_name_of_the_module_table_is_defined_in_its_row():
+    rows = re.findall(r"^\| `(ergolab\.\w+)` \| (.*) \|$", README.read_text(), re.M)
+    modules = {name: importlib.import_module(name) for name, _ in rows}
+    assert len(modules) == 6
+    for name, contents in rows:
+        for span in re.findall(r"`([^`\n]+)`", contents):
+            ident = re.match(r"[A-Za-z_]\w*", span).group()
+            # a public name is one that some module of the package binds
+            if any(hasattr(module, ident) for module in modules.values()):
+                assert getattr(getattr(modules[name], ident, None), "__module__", None) == name, \
+                    (name, ident)
 
 
 @pytest.mark.parametrize("scenario", sorted(cli._KEYS))

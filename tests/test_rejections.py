@@ -197,7 +197,12 @@ REJECTIONS = [
     ("almost_k_negative", lambda: almost_convergence_defect(cesaro(1), T, P, -1, 4, X),
      ValueError, "k must be an integer >= 0, got -1"),
     ("almost_n_sup_float", lambda: almost_convergence_defect(cesaro(1), T, P, 2, 4.5, X),
-     ValueError, "n_sup must be an integer, got 4.5"),
+     ValueError, "n_sup must be an integer >= 0, got 4.5"),
+    # an empty window returned 0.0, the supremum of an empty set
+    ("almost_n_sup_0_abel", lambda: almost_convergence_defect(abel(), T, P, 2, 0, X),
+     ValueError, "n_sup must be an integer >= 1, got 0"),
+    ("almost_n_sup_negative", lambda: almost_convergence_defect(cesaro(1), T, P, 2, -5, X),
+     ValueError, "n_sup must be an integer >= 0, got -5"),
     # returned empty reports
     ("shields_nmax_1", lambda: shields_report(1, 1), ValueError,
      "nmax must be an integer >= 2 and <= 16384, got 1"),
@@ -381,9 +386,20 @@ def test_resolvent_series_residual_sums_nterms_terms(monkeypatch):
     assert seen == [0, 1, 2]
 
 
-def test_resolvent_series_residual_default_nterms():
-    # the default truncation is ceil(40 / (1 - rho)) terms
-    rho = 0.5
-    got = resolvent_series_residual(T, 2, 1.0, rho)
-    assert got == resolvent_series_residual(T, 2, 1.0, rho, nterms=math.ceil(40 / (1 - rho)))
+def test_resolvent_series_residual_default_nterms(monkeypatch):
+    # the default truncation, from (p, rho), sums as many terms as the call
+    # that names their count
+    seen = []
+
+    def counting(b, p, nmax):
+        for n, means in cesaro_means(b, p, nmax):
+            seen.append(n)
+            yield n, means
+
+    cesaro_means = spectral._cesaro_means
+    monkeypatch.setattr(spectral, "_cesaro_means", counting)
+    got = resolvent_series_residual(T, 2, 1.0, 0.5)
+    nterms = len(seen)
+    assert seen == list(range(nterms)) and nterms == spectral._series_nterms(2, 0.5)
+    assert got == resolvent_series_residual(T, 2, 1.0, 0.5, nterms=nterms)
     assert got < 1e-12

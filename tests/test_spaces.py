@@ -297,6 +297,19 @@ def test_circle_abs_mean_constant_and_doubling():
     assert abs(v2 - v1) / v1 <= 1e-6
 
 
+@pytest.mark.parametrize("nodes", [1, 2, 3, 4, 7, 16, 33])
+@pytest.mark.parametrize("size", [3, 5, 16, 40])
+def test_circle_abs_mean_is_the_trapezoid_rule_at_the_nodes(size, nodes):
+    # nodes below len(c) too: z^k and z^(k + nodes) agree at the nodes, so
+    # the rule folds the coefficients; dropping those past nodes read 1.0
+    # for [1, 1, 1] at 2 nodes, where the rule gives 2.0
+    rng = np.random.default_rng(size * 100 + nodes)
+    c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    z = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    direct = np.mean(np.abs(np.polynomial.polynomial.polyval(z, c)))
+    assert circle_abs_mean(c, nodes) == pytest.approx(direct, rel=1e-12)
+
+
 def test_shields_report_structure():
     mean_rep, power_rep, inner_rep = shields_report(1, 512)
     assert np.array_equal(mean_rep.ns, power_rep.ns)

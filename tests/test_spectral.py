@@ -283,6 +283,33 @@ def test_resolvent_series_residual_examples():
         resolvent_series_residual(scalar_op(0.5), 1, 1.0, 0.95)
 
 
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+@pytest.mark.parametrize("t", [jordan_block(2, 1.0), random_operator(4, 0.95, seed=12),
+                               diag_operator([1j, 0.5])], ids=["jordan", "random", "diag"])
+def test_resolvent_series_residual_at_order_50(t, rho):
+    # the default truncation follows p: one of ceil(40 / (1 - rho)) terms
+    # left residuals of 4.5e-3 to 1.52 on these operators
+    assert resolvent_series_residual(t, 50, np.exp(1j * np.pi / 3.0), rho) <= 1e-10
+
+
+def test_resolvent_series_weights_at_order_400():
+    # no walk: the 5,456-step walk of order 400 takes seconds.  The factor
+    # (1 - rho)^p underflows here, so a weight must not start from it
+    mpmath = pytest.importorskip("mpmath")
+    p, rho = 400, 0.9
+    assert (1.0 - rho) ** p == 0.0
+    nterms = spectral._series_nterms(p, rho)
+    weights = [math.exp(spectral._series_log_weight(p, rho, n)) for n in range(nterms)]
+    assert math.fsum(weights) == pytest.approx(1.0 / (1.0 - rho), rel=1e-11)
+    with mpmath.workdps(40):
+        for n in (0, 100, 3600, nterms - 1):
+            exact = (1 - mpmath.mpf(rho)) ** p * mpmath.binomial(n + p, p) * mpmath.mpf(rho) ** n
+            assert weights[n] == pytest.approx(float(exact), rel=1e-10)
+    # the terms past the truncation weigh below 1e-17 of the mass
+    q = rho * (nterms + p) / nterms
+    assert q < 1.0 and weights[-1] * q / (1.0 - q) < 1e-17 / (1.0 - rho)
+
+
 def test_abel_summation_residual_examples():
     # hand value: 1 + 0.5 + 0.25 = 0.5*(1 + 2*0.5) + 3*0.25
     assert abel_summation_residual(scalar_op(1.0), 1.0, 0.5, 2) <= 1e-15
