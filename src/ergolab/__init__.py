@@ -39,12 +39,12 @@ from .means import (
     binomial,
     block_mean_residual,
     cesaro,
+    cesaro_identity_residuals,
     cesaro_mean_sequence,
     identity_powers,
     mean_norms,
     parse_scheme,
     power_series,
-    regularity_defect,
     scalar_mean,
     zweier,
 )

@@ -28,8 +28,6 @@ import numpy as np
 
 from . import ergodic, linop, means, spaces, spectral
 
-DEFAULT_SEED = 0x5EED
-
 
 class ConfigError(ValueError):
     """Bad scenario configuration (unknown operator/scheme spec, bad range)."""
@@ -96,7 +94,7 @@ _BUILTINS = {
         lambda alpha, N, direction, /: linop.dirichlet_shift(float(alpha), int(N), direction),
     "identity_minus_volterra:<N>": _identity_minus_volterra,
     "jordan:<d>:<eig>": lambda d, eig, /: linop.jordan_block(int(d), complex(eig)),
-    "random:<dim>:<radius>[:<seed>]": lambda dim, radius, seed=DEFAULT_SEED, /:
+    "random:<dim>:<radius>[:<seed>]": lambda dim, radius, seed=linop.DEFAULT_SEED, /:
         linop.random_operator(int(dim), float(radius), int(seed)),
     "volterra:<N>": lambda N, /: linop.volterra_operator(int(N)),
 }
@@ -163,35 +161,16 @@ def _ring_weight_checks(grid, r):
 def _scenario_identities(cfg):
     op = parse_operator(cfg["operator"])
     tol = cfg.get("tol", 1e-10)
-    pmax = cfg.get("p", 2)
     scheme = _parse_scheme(cfg.get("scheme", "cesaro:p=1"))
     # the backward-identity sweep runs over the rows first..nmax
     first = max(scheme.min_n, 1) + 1
     nmax = cfg.get("nmax", 32, least=first)
-    a = op.matrix
-    eye = np.eye(op.dim)
-    worst = {"identity1": 0.0, "identity2": 0.0, "identity3": 0.0}
-    for part in linop._chunks(nmax, op.dim ** 2):
-        # rows n of this slice, and n + 1 for the means of the next row
-        n = np.arange(part.start + 1, part.stop + 1)[:, None, None]
-        rows = np.arange(part.start + 1, part.stop + 2)
-        lower = means.apply_mean(means.identity_powers(), op, rows)
-        for p in range(1, pmax + 1):
-            upper = means.apply_mean(means.cesaro(p), op, rows)
-            m_n, m_next, m_lower = upper[:-1], upper[1:], lower[1:]
-            r1 = m_n @ (a - eye) - (p / (n + 1)) * (m_lower - eye)
-            r2 = a @ m_n - ((n + p + 1) / (n + 1)) * m_next + (p / (n + 1)) * eye
-            r3 = ((n + p + 1) / (n + 1)) * m_next - m_n - (p / (n + 1)) * m_lower
-            for key, r in zip(worst, (r1, r2, r3)):
-                worst[key] = max(worst[key], float(np.max(op.norm(r))))
-            lower = upper
-    back_rows = np.arange(first, nmax + 1)
-    back_res = max(
-        float(np.max(means.backit_identity_residual(scheme, op, back_rows[part])))
-        for part in linop._chunks(back_rows.size, op.dim ** 2))
-    block_res = means.block_mean_residual(op, np.ones(op.dim), 1.0, scheme,
-                                          max(scheme.min_n + 1, 4))
-    values = dict(worst, backward_identity=back_res, block_identity=block_res)
+    worst = means.cesaro_identity_residuals(op, cfg.get("p", 2), nmax).max(axis=(1, 2)).tolist()
+    back = means.backit_identity_residual(scheme, op, np.arange(first, nmax + 1))
+    values = dict(zip(("identity1", "identity2", "identity3"), worst),
+                  backward_identity=float(np.max(back)),
+                  block_identity=means.block_mean_residual(
+                      op, np.ones(op.dim), 1.0, scheme, max(scheme.min_n + 1, 4)))
     checks = [_check(k, v, tol) for k, v in values.items()]
     return values, checks
 
@@ -328,7 +307,7 @@ def _scenario_shields(cfg):
 def _scenario_h1(cfg):
     which = cfg.get("check", "all")
     degree = cfg.get("degree", 8)
-    rng = np.random.default_rng(cfg.get("seed", DEFAULT_SEED))
+    rng = np.random.default_rng(cfg.get("seed", linop.DEFAULT_SEED))
     values = {}
     checks = []
     if which in ("3iso", "all"):

@@ -5,7 +5,9 @@ trailing window.  The ergodic projection is the spectral projection onto
 the fixed space along the range of (T - I), computed from a sorted Schur
 form; a nontrivial Jordan structure at 1 is rejected.  The means come from
 ``means``: norm sweeps go through ``means.mean_norms``, which picks the
-engine, and the vector consumers call ``apply_mean``.
+engine, and the vector consumers call ``apply_mean``.  The defects of the
+means applied to vectors live here, from the regularity defect (the
+alternating sum at k - m = 1) to the almost-convergence defect.
 
 ``gamma_quotient`` estimates the limsup seminorm
 ``gamma(x) = limsup_n || T_n (T - I)^m x ||`` by a window maximum, detects
@@ -22,13 +24,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linop import (OperatorModel, _check_integer, _check_integers, _check_real, _power_walk,
-                    as_matrix, as_operator, op_norm, power)
+from .linop import (DEFAULT_SEED, OperatorModel, _check_integer, _check_integers, _check_real,
+                    _power_walk, as_matrix, as_operator, op_norm, power)
 from .means import MeanScheme, apply_mean, mean_norms
 
 _OVERFLOW_LIMIT = 1e300
 _FIXED_TOL = 1e-9  # eigenvalues within this distance of 1 form the fixed cluster
-_PROBE_SEED = 0x5EED
 
 
 class NonSimplePole(ValueError):
@@ -212,6 +213,7 @@ def alternating_sum_residual(s: MeanScheme, t, k: int, m: int, n0: int,
 
     Exact (zero) for the identity-powers scheme with n0 = 1; otherwise a
     defect sequence that decays when the scheme is (n0, m)-regular on x.
+    At k - m = 1 it is the regularity defect || T T_n x - T_{n+n0} x ||.
     All q + 2 means come from one batched ``apply_mean`` call.
     """
     k = _check_integer(k, "k", least=0)
@@ -247,7 +249,7 @@ class QuotientModel:
 def _probe_vectors(d: int) -> np.ndarray:
     """The probes as columns: the d unit vectors, then 8 random unit
     vectors."""
-    rng = np.random.default_rng(_PROBE_SEED)
+    rng = np.random.default_rng(DEFAULT_SEED)
     randoms = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(8)]
     return np.column_stack([np.eye(d)] + [v / np.linalg.norm(v) for v in randoms])
 

@@ -57,6 +57,9 @@ _TRMM_MIN_DIM = 128
 # resolvent rings and mean sweeps at small dim, one matrix per stack at dim
 # 128, and a peak memory close to that of one matrix at a time.
 _STACK_CELLS = 1 << 14
+# The seed of every random draw that a caller does not seed: random
+# operators, the gamma quotient's probes and the CLI's h1 trials
+DEFAULT_SEED = 0x5EED
 
 
 def _number_rule(integer: bool, least=None, most=None, open_least=False) -> str:
@@ -530,7 +533,7 @@ def power(t, n: int) -> np.ndarray:
 
 
 def random_operator(dim: int, spectral_radius: float = 0.9,
-                    seed: int = 0x5EED) -> OperatorModel:
+                    seed: int = DEFAULT_SEED) -> OperatorModel:
     """Entrywise uniform-on-the-unit-disk matrix rescaled to a target
     spectral radius (finite and >= 0).  Deterministic for a given seed, an
     integer >= 0."""

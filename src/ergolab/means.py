@@ -37,6 +37,11 @@ is the one place that picks between them, for a sweep of norms.  Every
 function taking an operator coerces it once with ``as_operator`` and passes
 the model on, so the eigenvalues behind the spectral-radius check of the
 infinite-row kinds are computed once per operator.
+
+The algebraic identities of the means have their residuals here too: the
+three Cesaro recursions (``cesaro_identity_residuals``), the backward
+iterate's (``backit_identity_residual``) and the triangular block's
+(``block_mean_residual``).
 """
 
 from __future__ import annotations
@@ -450,6 +455,8 @@ def mean_norms(s: MeanScheme, t, ns, mode: str = "spectral", minus=0.0) -> np.nd
     route)."""
     op = as_operator(t)
     ns = _check_integers(ns, f"{s.name} row index n")
+    if ns.ndim != 1:
+        raise ValueError(f"mean_norms needs a 1-D ns, got shape {ns.shape}")
     if np.any(np.diff(ns) < 0):
         raise ValueError("mean_norms needs ascending indices")
     parts = _chunks(ns.size, op.dim ** 2)
@@ -472,22 +479,60 @@ def scalar_mean(s: MeanScheme, n: int, mu: complex) -> complex:
     return np.sum(row.weights * mu ** row.indices.astype(float))
 
 
+def cesaro_identity_residuals(t, pmax: int, nmax: int) -> np.ndarray:
+    """The norms, of shape (3, pmax, nmax), of the residuals of the three
+    Cesaro recursions at orders p = 1..pmax and rows n = 1..nmax, with
+    M_n = M_n^(p) and L_n = M_n^(p-1) (L_n = T^n at p = 1):
+
+    1. M_n (T - I) = p/(n+1) (L_{n+1} - I),
+    2. T M_n = (n+p+1)/(n+1) M_{n+1} - p/(n+1) I,
+    3. (n+p+1)/(n+1) M_{n+1} = M_n + p/(n+1) L_{n+1}.
+
+    The rows are taken in stacks of at most _STACK_CELLS cells, with one
+    ``apply_mean`` per order and stack (the order below is the previous
+    order's) and one stacked norm per identity.
+    """
+    pmax = _check_integer(pmax, "pmax", least=1)
+    nmax = _check_integer(nmax, "nmax", least=1)
+    op = as_operator(t)
+    eye = np.eye(op.dim)
+    out = np.empty((3, pmax, nmax))
+    for part in _chunks(nmax, op.dim ** 2):
+        # rows n of this slice, and n + 1 for the means of the next row
+        n = np.arange(part.start + 1, part.stop + 1)[:, None, None]
+        rows = np.arange(part.start + 1, part.stop + 2)
+        lower = apply_mean(identity_powers(), op, rows)
+        for p in range(1, pmax + 1):
+            upper = apply_mean(cesaro(p), op, rows)
+            m_n, m_next, m_lower = upper[:-1], upper[1:], lower[1:]
+            out[:, p - 1, part] = [op.norm(r) for r in (
+                m_n @ (op.matrix - eye) - (p / (n + 1)) * (m_lower - eye),
+                op.matrix @ m_n - ((n + p + 1) / (n + 1)) * m_next + (p / (n + 1)) * eye,
+                ((n + p + 1) / (n + 1)) * m_next - m_n - (p / (n + 1)) * m_lower)]
+            lower = upper
+    return out
+
+
 def backit_identity_residual(s: MeanScheme, t, n):
     """Norm of  T_n^{(-1)}(T - I) - (sum_j j t_nj)^{-1} (T_n - I)  at row
-    ``n``, or, for an array ``n`` of row indices, the array of these norms
-    (one batched ``apply_mean`` per scheme and one stacked norm).
+    ``n``, or, for an array ``n`` of row indices, the array of these norms,
+    formed in stacks of at most _STACK_CELLS cells (one ``apply_mean`` per
+    scheme and one stacked norm each).
 
     An algebraic identity, so the residual is rounding-level for finite rows
     and tail-mass-level for truncated ones.
     """
     op = as_operator(t)
-    ns = np.asarray(n)
+    ns = np.asarray(n).reshape(-1)
+    back = backward_iterate(s)
     eye = np.eye(op.dim)
-    lhs = apply_mean(backward_iterate(s), op, ns) @ (op.matrix - eye)
-    denom = np.array([float(np.sum(row.indices * row.weights))
-                      for row in map(s.row, ns.reshape(-1).tolist())])
-    rhs = (apply_mean(s, op, ns) - eye) / denom.reshape(ns.shape + (1, 1))
-    return op.norm(lhs - rhs)
+    out = np.empty(ns.shape)
+    for part in _chunks(ns.size, op.dim ** 2):
+        denom = np.array([float(np.sum(row.indices * row.weights))
+                          for row in map(s.row, ns[part].tolist())])
+        rhs = (apply_mean(s, op, ns[part]) - eye) / denom[:, None, None]
+        out[part] = op.norm(apply_mean(back, op, ns[part]) @ (op.matrix - eye) - rhs)
+    return out.reshape(np.shape(n)) if np.ndim(n) else float(out[0])
 
 
 def block_mean_residual(a, b_col, mu: complex, s: MeanScheme, n: int) -> float:
@@ -529,19 +574,6 @@ def block_mean_residual(a, b_col, mu: complex, s: MeanScheme, n: int) -> float:
         col += w * c
     blockwise[:d, d] = col
     return op_norm(full - blockwise)
-
-
-def regularity_defect(s: MeanScheme, t, n0: int, x, n: int) -> float:
-    """|| T (T_n x) - T_{n+n0} x || in the operator's geometry, from one
-    batched ``apply_mean`` call over the rows n and n + n0.
-
-    The probe x is expected to lie in the relevant range space already;
-    callers apply (T - I)^m themselves.
-    """
-    n0 = _check_integer(n0, "n0", least=0)
-    op = as_operator(t)
-    mean_n, mean_later = apply_mean(s, op, [n, n + n0], x=x)
-    return op.vector_norm(op.matrix @ mean_n - mean_later)
 
 
 # spec head -> factory (``linop._bind_spec``); powseries takes coeffs by name only

@@ -279,39 +279,52 @@ def mean_growth_functional(t, p: int, r: int, nmax: int, angles: int) -> Functio
     return report
 
 
-def _series_log_weight(p: int, rho: float, n: int) -> float:
-    """log of (1 - rho)^p C(n + p, p) rho^n, the weight of M_n^{(p)} in the
-    resolvent series identity.  The weight itself is taken from this log
-    (``math.lgamma``): the factor (1 - rho)^p alone underflows from p = 324
-    at rho = 0.9, where the weights near the mode do not."""
-    return (p * math.log1p(-rho) + math.lgamma(n + p + 1) - math.lgamma(p + 1)
-            - math.lgamma(n + 1) + n * math.log(rho))
+def _series_weights(p: int, rho: float, nterms: int | None = None) -> list:
+    """The weights (1 - rho)^p C(n + p, p) rho^n of M_n^{(p)} in the
+    resolvent series identity, n = 0..nterms - 1; by default n = 0..N - 1,
+    the truncation N below.
 
-
-def _series_nterms(p: int, rho: float) -> int:
-    """The default truncation of the resolvent series identity, from (p,
-    rho) alone.  The weights are 1 / (1 - rho) times a negative-binomial
-    law, and w_N / w_{N-1} = q = rho (N + p) / N falls with N.  So past the
-    mode (q < 1) the terms from N on weigh at most w_{N-1} q / (1 - q); this
-    is the first N at which that bound is below 1e-17 of the mass."""
-    n = 1
+    The weights are 1 / (1 - rho) times a negative-binomial law, whose
+    ratios w_n / w_{n-1} = q = rho (n + p) / n are exact and fall with n.
+    The weights are walked by these ratios out from the mode
+    m = floor(p rho / (1 - rho)), down to 0 and up, with w_m = 1, and
+    scaled so that those before N sum to 1 / (1 - rho): no factor such as
+    (1 - rho)^p, which underflows from p = 324 at rho = 0.9, is formed.
+    Past the mode (q < 1) the weights from N on weigh at most
+    w_{N-1} q / (1 - q); N is the first index at which that bound is below
+    1e-17 of the mass.
+    """
+    mode = math.floor(p * rho / (1.0 - rho))
+    weights = [1.0]
+    for n in range(mode, 0, -1):
+        weights.append(weights[-1] * n / (rho * (n + p)))
+    weights.reverse()
+    mass = math.fsum(weights)
+    n = mode + 1
     while True:
         q = rho * (n + p) / n
-        if q < 1 and math.exp(_series_log_weight(p, rho, n - 1)) * q / (1 - q) < 1e-17 / (1 - rho):
-            return n
+        if q < 1 and weights[-1] * q / (1 - q) < 1e-17 * mass:
+            break
+        weights.append(weights[-1] * q)
+        mass += weights[-1]
         n += 1
+    scale = 1.0 / ((1.0 - rho) * math.fsum(weights))
+    # an explicit nterms past N walks on
+    for n in range(n, nterms or 0):
+        weights.append(weights[-1] * (rho * (n + p) / n))
+    return [w * scale for w in weights[:nterms]]
 
 
 def resolvent_series_residual(t, p: int, lam: complex, rho: float,
                               nterms: int | None = None) -> float:
     """Residual of the generating identity
     (I - rho lam T)^{-1} = sum_n (1-rho)^p C(n+p, p) rho^n M_n^{(p)}(lam T),
-    with the means of ``_cesaro_means``, truncated after ``nterms`` >= 1
-    terms, n = 0..nterms - 1 (default ``_series_nterms``: the weights past
-    it sum to below 1e-17 of their mass 1 / (1 - rho), at every order p);
-    ``lam`` has modulus 1 (``means._check_unimodular``) and T must pass
-    ``means._check_radius``.  Each weight comes from its log
-    (``_series_log_weight``).
+    with the means of ``_cesaro_means`` and the weights of
+    ``_series_weights``, truncated after ``nterms`` >= 1 terms,
+    n = 0..nterms - 1 (by default after the N of ``_series_weights``: the
+    weights past it sum to below 1e-17 of their mass 1 / (1 - rho), at
+    every order p); ``lam`` has modulus 1 (``means._check_unimodular``) and
+    T must pass ``means._check_radius``.
     """
     # the default nterms grows like (p + 1) / (1 - rho); rho <= 0.9 keeps it
     # short: 407 terms at p = 1, 1,278 at p = 50
@@ -320,13 +333,13 @@ def resolvent_series_residual(t, p: int, lam: complex, rho: float,
     op = as_operator(t)
     _check_radius(op, "series identity")
     p = _check_integer(p, "cesaro order p", least=1)
-    nterms = (_series_nterms(p, rho) if nterms is None
-              else _check_integer(nterms, "nterms", least=1))
+    weights = _series_weights(p, rho, None if nterms is None
+                              else _check_integer(nterms, "nterms", least=1))
     eye = np.eye(op.dim)
     lhs = np.linalg.solve(eye - rho * lam * op.matrix, eye)
     rhs = np.zeros_like(lhs)
-    for n, means in _cesaro_means(lam * op.matrix, p, nterms - 1):
-        rhs += math.exp(_series_log_weight(p, rho, n)) * means[p]
+    for w, (_, means) in zip(weights, _cesaro_means(lam * op.matrix, p, len(weights) - 1)):
+        rhs += w * means[p]
     return op.norm(lhs - rhs)
 
 

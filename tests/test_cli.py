@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergolab import cli, linop, spectral
+from ergolab import cli, linop, means, spectral
 from ergolab.cli import ConfigError, list_builtins, parse_operator, run, write_report
 
 
@@ -43,7 +44,7 @@ def test_parse_operator_builtins():
 @pytest.mark.parametrize("spec, expected", [
     ("builtin:jordan:2:1", lambda: linop.jordan_block(2, 1 + 0j)),
     ("JORDAN:2:1", lambda: linop.jordan_block(2, 1 + 0j)),
-    ("random:4:1.0", lambda: linop.random_operator(4, 1.0, cli.DEFAULT_SEED)),
+    ("random:4:1.0", lambda: linop.random_operator(4, 1.0, linop.DEFAULT_SEED)),
     ("random:4:1.0:7", lambda: linop.random_operator(4, 1.0, 7)),
     ("diag:1,0.5+0.8660254037844386j,0.5",
      lambda: linop.diag_operator([1, 0.5 + 0.8660254037844386j, 0.5])),
@@ -87,6 +88,42 @@ def test_run_identities_scenario():
     assert report["pass"]
     assert all(c["value"] <= 1e-10 for c in report["checks"])
     assert all("threshold" in c for c in report["checks"])
+
+
+def _raised_weight(rule, at):
+    """The row rule ``rule`` with the weight at position ``at`` of each row
+    raised by a relative 1e-6."""
+    def raised(*args):
+        row = rule(*args)
+        weights = row.weights.copy()
+        weights[at] *= 1.0 + 1e-6
+        return dataclasses.replace(row, weights=weights)
+    return raised
+
+
+_IDENTITIES = ["identities", "--op", "jordan:2:1", "--nmax", "12", "--p", "2"]
+
+
+# each check of the identities scenario fails when the kernel behind it is
+# raised by a relative 1e-6; unpatched, every one of them passes
+@pytest.mark.parametrize("scheme, kernel, patch, failing", [
+    ("cesaro:p=2", "_cesaro_row", _raised_weight(means._cesaro_row, 0),
+     {"identity1", "identity2", "backward_identity"}),
+    ("cesaro:p=2", "_cesaro_row", _raised_weight(means._cesaro_row, -1),
+     {"identity1", "identity3", "backward_identity"}),
+    ("cesaro:p=2", "scalar_mean", lambda *args, f=means.scalar_mean: f(*args) * (1.0 + 1e-6),
+     {"block_identity"}),
+    ("zweier", "backward_row_from_definition",
+     _raised_weight(means.backward_row_from_definition, 0), {"backward_identity"}),
+], ids=["cesaro_row_first", "cesaro_row_last", "scalar_mean", "backward_row"])
+def test_each_identities_check_can_fail(scheme, kernel, patch, failing, monkeypatch, tmp_path):
+    out = tmp_path / "r.json"
+    argv = _IDENTITIES + ["--scheme", scheme, "--out", str(out)]
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(means, kernel, patch)
+    assert cli.main(argv) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert {c["name"] for c in checks if not c["pass"]} == failing
 
 
 def test_run_unknown_scenario():

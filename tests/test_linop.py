@@ -25,7 +25,6 @@ from ergolab.means import (
     abel,
     apply_mean,
     cesaro,
-    regularity_defect,
 )
 from ergolab.spectral import resolvent_norm
 
@@ -721,7 +720,6 @@ def _operator_forms(m):
 def _coerced_values(t, x):
     s = cesaro(1)
     return [
-        regularity_defect(s, t, 1, x, 8),
         alternating_sum_residual(s, t, 2, 0, 1, x, 8),
         almost_convergence_defect(s, t, np.zeros((4, 4)), 3, 8, x),
         resolvent_norm(t, 1.5 + 0.5j),

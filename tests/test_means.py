@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ergolab import linop, means
+from ergolab.ergodic import alternating_sum_residual
 from ergolab.linop import (
     DimensionMismatch,
     GramGeometry,
@@ -27,10 +28,10 @@ from ergolab.means import (
     binomial,
     block_mean_residual,
     cesaro,
+    cesaro_identity_residuals,
     identity_powers,
     parse_scheme,
     power_series,
-    regularity_defect,
     scalar_mean,
     zweier,
 )
@@ -713,6 +714,36 @@ def test_batched_backit_identity_residual_matches_the_per_row_loop(s):
     assert type(backit_identity_residual(s, t, 7)) is float
 
 
+def test_backit_identity_residual_is_formed_in_bounded_stacks():
+    # 400 rows at d = 16 take seven stacks of at most 64 rows
+    t = random_operator(16, 0.9, seed=5)
+    ns = np.arange(1, 401)
+    parts = linop._chunks(ns.size, 16 ** 2)
+    assert len(parts) == 7
+    stacked = np.concatenate([backit_identity_residual(cesaro(2), t, ns[part])
+                              for part in parts])
+    assert np.array_equal(backit_identity_residual(cesaro(2), t, ns), stacked)
+
+
+@pytest.mark.parametrize("t", [random_operator(5, 0.9, seed=3), jordan_block(3, 1.0),
+                               diag_operator([1.0, -1.0, 0.5j])],
+                         ids=["random", "jordan", "diag"])
+def test_cesaro_identity_residuals_vanish(t):
+    res = cesaro_identity_residuals(t, 3, 40)
+    assert res.shape == (3, 3, 40)
+    assert np.all(res <= 1e-10)
+
+
+@pytest.mark.parametrize("pmax, nmax, fragment", [
+    (0, 8, "pmax must be an integer >= 1, got 0"),
+    (2, 0, "nmax must be an integer >= 1, got 0"),
+    (2, 8.0, "nmax must be an integer >= 1, got 8.0"),
+], ids=["pmax_0", "nmax_0", "nmax_float"])
+def test_cesaro_identity_residuals_reject_bad_ranges(pmax, nmax, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        cesaro_identity_residuals(jordan_block(2, 1.0), pmax, nmax)
+
+
 # --- scalar means, block structure, regularity ------------------------------
 
 def test_scalar_mean_values():
@@ -748,14 +779,16 @@ def test_block_mean_residual_examples():
 
 
 def test_regularity_defect():
-    # zero up to row-sum rounding for the identity operator
-    assert regularity_defect(cesaro(1), identity_operator(1), 1, [1.0], 7) <= 1e-15
-    assert regularity_defect(identity_powers(), diag_operator([0.5]), 1, [1.0], 9) == 0.0
+    # the regularity defect || T T_n x - T_{n+n0} x || is the alternating sum
+    # at k - m = 1: zero up to row-sum rounding for the identity operator
+    assert alternating_sum_residual(cesaro(1), identity_operator(1), 1, 0, 1, [1.0], 7) <= 1e-15
+    assert alternating_sum_residual(identity_powers(), diag_operator([0.5]), 1, 0, 1,
+                                    [1.0], 9) == 0.0
     # oracle for T = diag(-1): |T M_n - M_{n+1}| at n = 9 is |0 - 1/11|
-    d = regularity_defect(cesaro(1), diag_operator([-1.0]), 1, [1.0], 9)
+    d = alternating_sum_residual(cesaro(1), diag_operator([-1.0]), 1, 0, 1, [1.0], 9)
     assert d == pytest.approx(1.0 / 11.0, abs=1e-15)
     for n in (4, 16, 64):
-        d = regularity_defect(cesaro(1), diag_operator([-1.0]), 1, [1.0], n)
+        d = alternating_sum_residual(cesaro(1), diag_operator([-1.0]), 1, 0, 1, [1.0], n)
         assert d <= 2.0 / (n + 1)
 
 

@@ -41,7 +41,6 @@ from ergolab.means import (
     cesaro,
     identity_powers,
     power_series,
-    regularity_defect,
     rows_to_csv,
     scalar_mean,
     zweier,
@@ -121,6 +120,14 @@ REJECTIONS = [
      "zweier row index n must be an integer, got 1.5"),
     ("mean_norms_cesaro_float", lambda: mean_norms(cesaro(1), T, [1.5, 2.5]), ValueError,
      "cesaro(p=1) row index n must be an integer, got 1.5"),
+    # a 2-D ns failed on numpy's ambiguous truth value on the Cesaro route and
+    # returned a 2 x 2 array on the others; a scalar failed in np.diff
+    ("mean_norms_cesaro_2d", lambda: mean_norms(cesaro(1), T, [[1, 2], [3, 4]]), ValueError,
+     "mean_norms needs a 1-D ns, got shape (2, 2)"),
+    ("mean_norms_abel_2d", lambda: mean_norms(abel(), T, [[1, 2], [3, 4]]), ValueError,
+     "mean_norms needs a 1-D ns, got shape (2, 2)"),
+    ("mean_norms_scalar", lambda: mean_norms(zweier(), T, 5), ValueError,
+     "mean_norms needs a 1-D ns, got shape ()"),
     # a negative radius ran an operator of spectral radius 1
     ("random_radius_negative", lambda: random_operator(4, -1.0), ValueError,
      "random operator spectral radius must be a finite number >= 0, got -1.0"),
@@ -261,8 +268,6 @@ REJECTIONS = [
     ("alternating_n0_float",
      lambda: alternating_sum_residual(identity_powers(), T, 2, 1, 1.5, X, 4), ValueError,
      "n0 must be an integer >= 0, got 1.5"),
-    ("regularity_n0_float", lambda: regularity_defect(zweier(), T, 1.5, X, 4), ValueError,
-     "n0 must be an integer >= 0, got 1.5"),
     # kmax True built the one radius 1.5, a float kmax failed in range, and
     # from kmax 53 the innermost radius rounds to 1.0
     ("dyadic_kmax_bool", lambda: AnnulusGrid.dyadic(True, 8), ValueError,
@@ -400,6 +405,6 @@ def test_resolvent_series_residual_default_nterms(monkeypatch):
     monkeypatch.setattr(spectral, "_cesaro_means", counting)
     got = resolvent_series_residual(T, 2, 1.0, 0.5)
     nterms = len(seen)
-    assert seen == list(range(nterms)) and nterms == spectral._series_nterms(2, 0.5)
+    assert seen == list(range(nterms)) and nterms == len(spectral._series_weights(2, 0.5))
     assert got == resolvent_series_residual(T, 2, 1.0, 0.5, nterms=nterms)
     assert got < 1e-12
